@@ -164,14 +164,23 @@ def _cmd_atf_build(args) -> int:
     return 0
 
 
+def _node_index(d: atf.AtfDiagram, index: int) -> int:
+    if not 0 <= index < len(d.nodes):
+        raise IndexError(f"node index {index} is out of range for {len(d.nodes)} nodes")
+    return index
+
+
 def _cmd_atf_move(args) -> int:
     d = atf.AtfDiagram.from_json_obj(_load_json(args.diagram))
     if args.transfer is not None:
-        out = atf.transfer_cut(d, args.transfer)
+        out = atf.transfer_cut(d, _node_index(d, args.transfer))
     else:
         index, param = args.slide
-        node = d.nodes[index]
-        factor = Fraction(param)
+        node = d.nodes[_node_index(d, index)]
+        try:
+            factor = Fraction(param)
+        except ZeroDivisionError:
+            raise ValueError(f"slide parameter {param} has denominator 0") from None
         if factor <= 0:
             raise PreconditionError("slide parameter must be positive")
         target = atf._add(

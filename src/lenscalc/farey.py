@@ -52,6 +52,18 @@ class Slope:
         object.__setattr__(self, "num", n)
         object.__setattr__(self, "den", d)
 
+    @classmethod
+    def _primitive(cls, n: int, d: int) -> "Slope":
+        """A slope from a vector that is primitive by construction (an image
+        under a det +-1 matrix, the mediant of an edge): only the orientation
+        is fixed, with no gcd."""
+        if d < 0 or (d == 0 and n < 0):
+            n, d = -n, -d
+        s = object.__new__(cls)
+        object.__setattr__(s, "num", n)
+        object.__setattr__(s, "den", d)
+        return s
+
     @property
     def is_infinity(self) -> bool:
         return self.den == 0
@@ -139,48 +151,49 @@ def is_farey_edge(u: Slope, v: Slope) -> bool:
     return abs(farey_mult(u, v)) == 1
 
 
-def _linear_key(s: Slope):
-    # Infinity first, then finite slopes in increasing order; clockwise order
-    # around the circle is this linear order read cyclically.
-    if s.is_infinity:
-        return (0, 0)
-    return (1, Fraction(s.num, s.den))
+def _before(u: Slope, v: Slope) -> bool:
+    """u < v in the linear order with infinity first, then finite slopes in
+    increasing order; clockwise order around the circle is this linear order
+    read cyclically.  Denominators are nonnegative, so a/b < c/d iff
+    a*d < c*b."""
+    if v.den == 0:
+        return False
+    return u.den == 0 or u.num * v.den < v.num * u.den
 
 
 def cw_between(a: Slope, x: Slope, b: Slope) -> bool:
     """True iff x lies strictly inside the clockwise arc from a to b."""
     if a == b or x == a or x == b:
         return False
-    ka, kx, kb = _linear_key(a), _linear_key(x), _linear_key(b)
-    return (ka < kx < kb) or (kb < ka < kx) or (kx < kb < ka)
-
-
-def unimodular_to_infinity(u: Slope) -> IntMat2:
-    """A determinant +1 matrix sending u to infinity."""
-    x, y = _bezout(u.num, u.den)
-    return IntMat2(x, y, -u.den, u.num)
+    ax, xb, ba = _before(a, x), _before(x, b), _before(b, a)
+    return (ax and xb) or (ba and ax) or (xb and ba)
 
 
 def minimal_path(src: Slope, dst: Slope) -> list[Slope]:
     """The unique chord-free clockwise Farey path from src to dst.
 
-    Computed by mediant descent: map the current vertex to infinity by a
-    determinant +1 matrix and step to the largest integer strictly below the
-    image of the target.
+    Computed by continued-fraction descent in a frame (e, w), det(e, w) = 1,
+    with e the current vertex; dst = xn*e + xd*w with xd >= 1.  The next
+    vertex is step*e + w, where step is the largest integer strictly below
+    xn/xd, and (next, -e) is the next frame.  The path ends when xd = 1,
+    that is when dst is Farey-adjacent to the current vertex.
     """
     if src == dst:
         raise PreconditionError("path endpoints must be distinct")
+    x, y = _bezout(src.num, src.den)
+    en, ed, wn, wd = src.num, src.den, -y, x
+    xn = dst.num * wd - dst.den * wn
+    xd = en * dst.den - ed * dst.num
+    if xd < 0:
+        xn, xd = -xn, -xd
     path = [src]
-    cur = src
-    while cur != dst:
-        if is_farey_edge(cur, dst):
-            path.append(dst)
-            break
-        mat = unimodular_to_infinity(cur)
-        image = mat.apply(dst)
-        step = (image.num - 1) // image.den
-        cur = mat.inverse().apply(Slope(step, 1))
-        path.append(cur)
+    while xd != 1:
+        step = (xn - 1) // xd
+        nn, nd = step * en + wn, step * ed + wd
+        path.append(Slope._primitive(nn, nd))
+        en, ed, wn, wd = nn, nd, -en, -ed
+        xn, xd = -xd, xn - step * xd
+    path.append(dst)
     return path
 
 
@@ -206,9 +219,13 @@ def farey_neighbors(s: Slope) -> tuple[Slope, Slope]:
         for k in {kf, kc, kf - 1, kc + 1}:
             den = d0 + k * b
             if den != 0:
-                candidates.append(Slope(n0 + k * a, den))
-    best_c = max(candidates, key=lambda v: Fraction(v.num, v.den))
-    best_a = min(candidates, key=lambda v: Fraction(v.num, v.den))
+                candidates.append(Slope._primitive(n0 + k * a, den))
+    best_c = best_a = candidates[0]
+    for v in candidates[1:]:
+        if _before(best_c, v):
+            best_c = v
+        if _before(v, best_a):
+            best_a = v
     return best_c, best_a
 
 
@@ -246,28 +263,27 @@ class DecoratedPath:
         if len(signs) != len(slopes) - 1:
             raise InvariantError("need exactly one sign per edge")
         for u, v in zip(slopes, slopes[1:]):
-            if not is_farey_edge(u, v):
+            if abs(u.num * v.den - u.den * v.num) != 1:
                 raise InvariantError(f"{u} and {v} are not Farey-adjacent")
+        # Rank each slope by (wrapped, slope) in clockwise order from the
+        # anchor: wrapped slopes precede the anchor in the linear order.
         anchor = slopes[0]
-        ka = _linear_key(anchor)
+        an, ad = anchor.num, anchor.den
         prev = None
+        prev_wrapped = False
         for s in slopes[1:]:
-            if s == anchor:
+            if s.num == an and s.den == ad:
                 raise InvariantError("path returns to its starting slope")
-            k = _linear_key(s)
-            # rank in clockwise order as seen from the anchor
-            rank = (0 if k > ka else 1, k)
-            if prev is not None and rank <= prev:
+            wrapped = not _before(anchor, s)
+            if prev is not None and (
+                prev_wrapped > wrapped
+                or (prev_wrapped == wrapped and not _before(prev, s))
+            ):
                 raise InvariantError("path is not strictly clockwise")
-            prev = rank
+            prev, prev_wrapped = s, wrapped
 
     def is_minimal(self) -> bool:
-        n = len(self.slopes)
-        for i in range(n):
-            for j in range(i + 2, n):
-                if is_farey_edge(self.slopes[i], self.slopes[j]):
-                    return False
-        return True
+        return _find_chord([(s.num, s.den) for s in self.slopes]) is None
 
     def is_closed_lens_path(self) -> bool:
         if len(self.signs) < 2:
@@ -299,6 +315,17 @@ class ShorteningResult:
     opposite_sign_junction: bool
 
 
+def _find_chord(vecs: list[tuple[int, int]]) -> tuple[int, int] | None:
+    """The first chord (i, j), j >= i + 2, of a path given as (num, den)
+    vectors: the shortest span first, then the leftmost; None if minimal."""
+    for w in range(2, len(vecs)):
+        dets = [abs(a * d - b * c) for (a, b), (c, d) in zip(vecs, vecs[w:])]
+        if 1 in dets:
+            i = dets.index(1)
+            return i, i + w
+    return None
+
+
 def shorten(p: DecoratedPath) -> ShorteningResult:
     """Remove interior blocks flanked by Farey-adjacent vertices until minimal.
 
@@ -308,28 +335,19 @@ def shorten(p: DecoratedPath) -> ShorteningResult:
     """
     slopes = list(p.slopes)
     signs = list(p.signs)
+    vecs = [(s.num, s.den) for s in slopes]
     removed_any = False
     opposite = False
-    changed = True
-    while changed:
-        changed = False
-        n = len(slopes)
-        # prefer the shortest shortening (single-vertex removals first)
-        for width in range(2, n):
-            for i in range(0, n - width):
-                j = i + width
-                if is_farey_edge(slopes[i], slopes[j]):
-                    left, right = signs[i], signs[j - 1]
-                    if {left, right} == {EdgeSign.PLUS, EdgeSign.MINUS}:
-                        opposite = True
-                    merged = left if left is not EdgeSign.RING else right
-                    slopes[i + 1 : j] = []
-                    signs[i : j] = [merged]
-                    removed_any = True
-                    changed = True
-                    break
-            if changed:
-                break
+    # prefer the shortest shortening (single-vertex removals first)
+    while (chord := _find_chord(vecs)) is not None:
+        i, j = chord
+        left, right = signs[i], signs[j - 1]
+        if {left, right} == {EdgeSign.PLUS, EdgeSign.MINUS}:
+            opposite = True
+        merged = left if left is not EdgeSign.RING else right
+        del slopes[i + 1 : j], vecs[i + 1 : j]
+        signs[i:j] = [merged]
+        removed_any = True
     out = DecoratedPath(tuple(slopes), tuple(signs))
     return ShorteningResult(out, removed_any, opposite)
 

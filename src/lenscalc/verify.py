@@ -7,7 +7,6 @@ acceptance levels; the CLI can lower them for quick runs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from . import atf, farey, handles, lens, markov
 from .farey import EdgeSign, Slope
@@ -218,6 +217,42 @@ def crit6_mutation_slide(depth: int = 8) -> CriterionResult:
     )
 
 
+def _stern_brocot(u, v, den_limit: int, verts: list, edges: list) -> None:
+    """Append the edge u -- v to edges, and to verts, in increasing order,
+    the slopes strictly between u and v with denominator <= den_limit."""
+    edges.append((u, v))
+    m = (u[0] + v[0], u[1] + v[1])
+    if m[1] <= den_limit:
+        _stern_brocot(u, m, den_limit, verts, edges)
+        verts.append(m)
+        _stern_brocot(m, v, den_limit, verts, edges)
+
+
+def _oracle_graph(den_limit: int) -> tuple[list[Slope], list[list[int]]]:
+    """The slopes in [-2, 0] with denominator at most den_limit, in
+    increasing order, and for each the sorted indices of its larger Farey
+    neighbours.
+
+    Built by Stern-Brocot recursion from the edges -2 -- -1 and -1 -- 0.
+    Every Farey edge inside [-2, 0] joins a mediant to one of its parents,
+    and every slope strictly inside an edge u -- v has denominator at least
+    u.den + v.den, the mediant's, so the recursion stops at the first
+    mediant beyond den_limit.
+    """
+    verts = [(-2, 1)]
+    edges = []
+    for u, v in (((-2, 1), (-1, 1)), ((-1, 1), (0, 1))):
+        _stern_brocot(u, v, den_limit, verts, edges)
+        verts.append(v)
+    index = {v: i for i, v in enumerate(verts)}
+    succ: list[list[int]] = [[] for _ in verts]
+    for u, v in edges:
+        succ[index[u]].append(index[v])
+    for out in succ:
+        out.sort()
+    return [Slope._primitive(n, d) for n, d in verts], succ
+
+
 def crit7_farey_oracle(max_den: int = 20) -> CriterionResult:
     """minimal_path against a breadth-first search oracle.
 
@@ -225,30 +260,17 @@ def crit7_farey_oracle(max_den: int = 20) -> CriterionResult:
     2*max_den (geodesic interior vertices can need denominators beyond the
     endpoints'); test pairs have denominator at most max_den.  The geodesic
     is taken in the clockwise-monotone subgraph, which is where minimality
-    lives.
+    lives: clockwise means numerically increasing here.
     """
     from collections import deque
 
-    lo, hi = Fraction(-2), Fraction(0)
-    verts: list[Slope] = []
-    for den in range(1, 2 * max_den + 1):
-        for num in range(-2 * den, 1):
-            s = Slope(num, den)
-            if s.den == den and lo <= s.as_fraction() <= hi:
-                verts.append(s)
-    verts.sort(key=lambda s: s.as_fraction())
-    index = {s: i for i, s in enumerate(verts)}
+    verts, succ = _oracle_graph(2 * max_den)
     n = len(verts)
-    succ: list[list[int]] = [[] for _ in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            if farey.is_farey_edge(verts[i], verts[j]):
-                succ[i].append(j)  # clockwise means numerically increasing here
-    sources = [s for s in verts if s.den <= max_den]
+    sources = [i for i, s in enumerate(verts) if s.den <= max_den]
     cases = 0
     bad = []
-    for src in sources:
-        si = index[src]
+    for k, si in enumerate(sources):
+        src = verts[si]
         dist = [-1] * n
         dist[si] = 0
         queue = deque([si])
@@ -258,13 +280,12 @@ def crit7_farey_oracle(max_den: int = 20) -> CriterionResult:
                 if dist[j] < 0:
                     dist[j] = dist[i] + 1
                     queue.append(j)
-        for dst in sources:
-            if dst.as_fraction() <= src.as_fraction():
-                continue
+        for di in sources[k + 1 :]:
+            dst = verts[di]
             cases += 1
             path = farey.minimal_path(src, dst)
-            if len(path) - 1 != dist[index[dst]]:
-                bad.append(f"{src}->{dst}: length {len(path) - 1} vs {dist[index[dst]]}")
+            if len(path) - 1 != dist[di]:
+                bad.append(f"{src}->{dst}: length {len(path) - 1} vs {dist[di]}")
                 continue
             deco = farey.DecoratedPath(
                 tuple(path), tuple(EdgeSign.PLUS for _ in path[1:])

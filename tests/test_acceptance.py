@@ -5,6 +5,7 @@ where one applies."""
 import time
 
 from lenscalc import verify
+from lenscalc.farey import Slope, is_farey_edge
 
 
 def _timed(fn, *args):
@@ -48,7 +49,25 @@ def test_criterion_6_mutation_slide():
 def test_criterion_7_farey_path_oracle():
     result, elapsed = _timed(verify.crit7_farey_oracle, 20)
     assert result.passed, result.detail
+    assert result.detail == "32896 pairs checked"
     assert elapsed < 30.0
+
+
+def test_criterion_7_oracle_graph_matches_pair_scan():
+    # the Stern-Brocot graph against every pair of slopes in [-2, 0]
+    for den_limit in list(range(1, 21)) + [40]:
+        verts = []
+        for den in range(1, den_limit + 1):
+            for num in range(-2 * den, 1):
+                s = Slope(num, den)
+                if s.den == den:
+                    verts.append(s)
+        verts.sort(key=Slope.as_fraction)
+        succ = [
+            [j for j in range(i + 1, len(verts)) if is_farey_edge(verts[i], verts[j])]
+            for i in range(len(verts))
+        ]
+        assert verify._oracle_graph(den_limit) == (verts, succ), den_limit
 
 
 def test_criterion_8_atf_pipeline():

@@ -144,6 +144,26 @@ class TestAtfCommands:
         assert code == 0
         assert AtfDiagram.from_json_obj(json.loads(out)) is not None
 
+    @pytest.mark.parametrize(
+        "move",
+        [
+            ["--slide", "0", "1/0"],
+            ["--slide", "0", "0/0"],
+            ["--slide", "-1", "1/2"],
+            ["--slide", "3", "1/2"],
+            ["--transfer", "-1"],
+            ["--transfer", "3"],
+        ],
+    )
+    def test_move_bad_input(self, capsys, tmp_path, move):
+        code, out, _ = run(capsys, "atf", "build", "1", "1", "1")
+        f = tmp_path / "diagram.json"
+        f.write_text(out)
+        code, out, err = run(capsys, "atf", "move", str(f), *move)
+        assert code == 2
+        assert out == ""
+        assert json.loads(err)["error"] == "bad-input"
+
 
 class TestVerifyCommand:
     def test_shallow_sweep_passes(self, capsys):

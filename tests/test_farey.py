@@ -4,7 +4,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lenscalc import farey
 from lenscalc.errors import DegenerateInputError, InvariantError, PreconditionError
 from lenscalc.farey import (
     Classification,
@@ -305,12 +304,6 @@ class TestDecoratedPathValidation:
 
 
 class TestMatrices:
-    @given(slopes_st())
-    def test_to_infinity(self, u):
-        m = farey.unimodular_to_infinity(u)
-        assert m.det() == 1
-        assert m.apply(u).is_infinity
-
     def test_inverse(self):
         m = IntMat2(2, 1, 1, 1)
         assert m @ m.inverse() == IntMat2.identity()

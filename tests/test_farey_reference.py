@@ -1,0 +1,167 @@
+"""Differential tests: the integer-only Farey routines against the original
+Fraction- and matrix-based ones kept in `farey_reference`.
+
+Inputs reach 64-bit coefficients by moving small slopes with a random
+determinant +1 matrix, which keeps clockwise order and path lengths while
+making every coordinate large.  Both versions must return equal values or
+raise the same exception type with the same message.
+"""
+
+from math import gcd
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import farey_reference as ref
+from lenscalc import farey
+from lenscalc.farey import DecoratedPath, EdgeSign, Slope
+
+BIG = 2**60
+SIGNS = st.sampled_from(list(EdgeSign))
+
+
+def outcome(fn, *args):
+    try:
+        return ("ok", fn(*args))
+    except Exception as exc:  # compared, not swallowed
+        return (type(exc), str(exc))
+
+
+@st.composite
+def sl2z(draw):
+    """A determinant +1 integer matrix (a, b, c, d) with entries near 2**60,
+    or the identity."""
+    if draw(st.booleans()):
+        return (1, 0, 0, 1)
+    a = draw(st.integers(-BIG, BIG))
+    c = draw(st.integers(-BIG, BIG).filter(lambda c: gcd(a, c) == 1))
+    x, y = ref._bezout(a, c)  # a*x + c*y = 1
+    k = draw(st.integers(-3, 3))
+    return (a, -y + k * a, c, x + k * c)
+
+
+def small_slopes(bound=8):
+    return st.tuples(st.integers(-bound, bound), st.integers(-bound, bound)).filter(
+        lambda t: t != (0, 0)
+    ).map(lambda t: Slope(*t))
+
+
+def chain(stops):
+    """Minimal paths between consecutive distinct stops, joined."""
+    out = [stops[0]]
+    for a, b in zip(stops, stops[1:]):
+        if a != b:
+            out.extend(ref.minimal_path(a, b)[1:])
+    return out
+
+
+def moved(m, slopes):
+    return [ref._apply(m, s) for s in slopes]
+
+
+class TestMinimalPath:
+    @given(sl2z(), small_slopes(20), small_slopes(20))
+    @settings(max_examples=300)
+    def test_matches_reference(self, m, u, v):
+        src, dst = ref._apply(m, u), ref._apply(m, v)
+        assert outcome(farey.minimal_path, src, dst) == outcome(ref.minimal_path, src, dst)
+
+    @given(
+        st.integers(-(2**64), 2**64),
+        st.integers(-(2**64), 2**64),
+        small_slopes(20).filter(lambda s: s.den != 0),
+    )
+    @settings(max_examples=300)
+    def test_big_source_small_offset(self, n, d, offset):
+        # dst = a*src + b*w in a det-1 frame (src, w): a short path between
+        # two slopes with raw 64-bit coordinates
+        if gcd(n, d) != 1:
+            return
+        src = Slope(n, d)
+        x, y = ref._bezout(src.num, src.den)
+        a, b = offset.num, offset.den
+        dst = Slope(a * src.num - b * y, a * src.den + b * x)
+        for u, v in ((src, dst), (dst, src)):
+            assert outcome(farey.minimal_path, u, v) == outcome(ref.minimal_path, u, v)
+
+
+class TestClockwiseOrder:
+    @given(
+        sl2z(),
+        st.lists(small_slopes(3), min_size=3, max_size=3),
+        st.lists(
+            st.tuples(st.integers(-(2**64), 2**64), st.integers(-(2**64), 2**64)).filter(
+                lambda t: t != (0, 0)
+            ),
+            min_size=3,
+            max_size=3,
+        ),
+    )
+    @settings(max_examples=300)
+    def test_matches_reference(self, m, small, raw):
+        for a, x, b in (moved(m, small), [Slope(*t) for t in raw]):
+            assert farey.cw_between(a, x, b) == ref.cw_between(a, x, b)
+
+
+@st.composite
+def candidate_paths(draw):
+    """Joined minimal paths through small stops, moved by a big matrix, then
+    maybe broken: a vertex dropped, the path reversed, two vertices swapped,
+    or a sign added or lost.  Stops in arbitrary order give paths that wrap
+    past or return to the anchor."""
+    stops = draw(st.lists(small_slopes(6), min_size=2, max_size=4))
+    slopes = moved(draw(sl2z()), chain(stops))
+    edit = draw(st.sampled_from(["none", "none", "drop", "reverse", "swap"]))
+    if edit == "drop" and len(slopes) > 2:
+        del slopes[draw(st.integers(1, len(slopes) - 2))]
+    elif edit == "reverse":
+        slopes.reverse()
+    elif edit == "swap" and len(slopes) > 1:
+        i = draw(st.integers(0, len(slopes) - 2))
+        slopes[i], slopes[i + 1] = slopes[i + 1], slopes[i]
+    n_signs = max(0, len(slopes) - 1 + draw(st.sampled_from([0, 0, 0, -1, 1])))
+    signs = draw(st.lists(SIGNS, min_size=n_signs, max_size=n_signs))
+    return tuple(slopes), tuple(signs)
+
+
+@st.composite
+def valid_paths(draw):
+    """Strictly clockwise paths: minimal paths through stops sorted
+    clockwise from the anchor, moved by a big matrix, with random signs."""
+    anchor = draw(small_slopes(6))
+    rest = draw(st.lists(small_slopes(6), min_size=1, max_size=5, unique=True))
+    rest = [s for s in rest if s != anchor]
+    if not rest:
+        rest = [Slope(anchor.num + 1, anchor.den) if anchor.den else Slope(0, 1)]
+
+    def rank(s):
+        k = ref._linear_key(s)
+        return (0 if k > ref._linear_key(anchor) else 1, k)
+
+    slopes = moved(draw(sl2z()), chain([anchor] + sorted(rest, key=rank)))
+    signs = draw(st.lists(SIGNS, min_size=len(slopes) - 1, max_size=len(slopes) - 1))
+    return tuple(slopes), tuple(signs)
+
+
+class TestDecoratedPath:
+    @given(candidate_paths())
+    @settings(max_examples=400)
+    def test_validation_matches_reference(self, case):
+        slopes, signs = case
+        got = outcome(DecoratedPath, slopes, signs)
+        want = outcome(ref.validate, slopes, signs)
+        if want[0] == "ok":
+            assert got[0] == "ok"
+        else:
+            assert got == want
+
+    @given(valid_paths())
+    @settings(max_examples=300)
+    def test_is_minimal_and_shorten_match_reference(self, case):
+        slopes, signs = case
+        ref.validate(slopes, signs)
+        p = DecoratedPath(slopes, signs)
+        assert p.is_minimal() == ref.is_minimal(slopes)
+        res = farey.shorten(p)
+        got = (res.path.slopes, res.path.signs, res.removed_any, res.opposite_sign_junction)
+        assert got == ref.shorten(slopes, signs)
