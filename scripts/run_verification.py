@@ -17,24 +17,14 @@ def main() -> int:
 
     total = 0.0
     ok = True
-    for number, fn, fnargs in [
-        (1, verify.crit1_q_sweep, (args.depth,)),
-        (2, verify.crit2_cp2_recognition, (args.depth,)),
-        (3, verify.crit3_two_curve_boundary, (args.depth,)),
-        (4, verify.crit4_surgery, (min(args.depth, 6),)),
-        (5, verify.crit5_decorated_paths, ()),
-        (6, verify.crit6_mutation_slide, (args.depth,)),
-        (7, verify.crit7_farey_oracle, (20,)),
-        (8, verify.crit8_atf_pipeline, (min(args.depth, 5),)),
-        (9, verify.crit9_boundary_cross_check, (30,)),
-    ]:
+    for criterion in verify.CRITERIA:
         start = time.perf_counter()
-        result = fn(*fnargs)
+        result = criterion(args.depth)
         elapsed = time.perf_counter() - start
         total += elapsed
         ok = ok and result.passed
         status = "ok " if result.passed else "FAIL"
-        print(f"{status} {number}  {elapsed:7.2f}s  {result.description}")
+        print(f"{status} {result.number}  {elapsed:7.2f}s  {result.description}")
         print(f"         {result.detail}")
     print(f"total {total:.2f}s, {'all passed' if ok else 'FAILURES above'}")
     return 0 if ok else 1

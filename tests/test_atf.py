@@ -25,12 +25,37 @@ from lenscalc.farey import IntMat2
 from lenscalc.lens import LensSpace, Orientation, boundary_Bpq, lens_homeomorphic
 from lenscalc.markov import MarkovTriple, derive_q, enumerate_tree
 
+# the depth-6 triples whose diagrams the mutation replay could not build
+REPLAY_FAILURES = [
+    (433, 37666, 48928105),
+    (29, 37666, 3276509),
+    (169, 14701, 7453378),
+    (29, 14701, 1278818),
+]
+
 
 def traded_triangle():
     d = standard_cp2()
     for i in range(3):
         d = nodal_trade(d, i)
     return d
+
+
+def corner_order(d, corner):
+    """|det| of the primitive edge directions leaving a vertex."""
+    n = len(d.vertices)
+    i = d.vertices.index(corner)
+
+    def primitive(q):
+        x, y = q[0] - corner[0], q[1] - corner[1]
+        scale = x.denominator * y.denominator
+        a, b = int(x * scale), int(y * scale)
+        g = gcd(a, b)
+        return a // g, b // g
+
+    u = primitive(d.vertices[i - 1])
+    w = primitive(d.vertices[(i + 1) % n])
+    return abs(u[0] * w[1] - u[1] * w[0])
 
 
 class TestMonodromy:
@@ -215,3 +240,30 @@ class TestMarkovPictures:
         )
         assert affinely_equivalent(d, moved)
         assert not affinely_equivalent(d, atf_for_markov(MarkovTriple(1, 2, 5)))
+
+    def test_every_triple_to_depth_10(self):
+        for t, _ in enumerate_tree(10):
+            d = atf_for_markov(t)
+            assert is_consistent(d), t
+            readouts = sorted(node_boundary_lens(d, i).canonical for i in range(3))
+            want = sorted(
+                LensSpace(p * p, p * q - 1).canonical
+                for p, q in zip(t.entries(), derive_q(t).entries())
+            )
+            assert readouts == want, t
+            assert sorted(corner_order(d, n.cut_end) for n in d.nodes) == sorted(
+                p * p for p in t.entries()
+            ), t
+            for axis in (0, 1):
+                coords = [v[axis] for v in d.vertices]
+                assert max(coords) - min(coords) <= 9, t
+
+    @pytest.mark.parametrize("p", REPLAY_FAILURES, ids=str)
+    def test_replay_failures_are_built(self, p):
+        t = MarkovTriple(*p)
+        d = atf_for_markov(t)
+        assert is_consistent(d)
+        assert sorted(node_boundary_lens(d, i).canonical[0] for i in range(3)) == sorted(
+            x * x for x in p
+        )
+

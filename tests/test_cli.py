@@ -5,7 +5,8 @@ import sys
 import pytest
 
 from lenscalc import cli
-from lenscalc.atf import AtfDiagram
+from lenscalc.atf import AtfDiagram, affinely_equivalent
+from lenscalc.markov import replay
 from lenscalc.svg import render_svg
 
 
@@ -135,6 +136,30 @@ class TestAtfCommands:
         assert code == 0
         d = AtfDiagram.from_json_obj(json.loads(out))
         assert len(d.nodes) == 3
+
+    def test_build_and_transfer_twice_at_depth_6(self, capsys, tmp_path):
+        code, out, _ = run(capsys, "atf", "build", "433", "37666", "48928105")
+        assert code == 0
+        d = AtfDiagram.from_json_obj(json.loads(out))
+        f = tmp_path / "diagram.json"
+        f.write_text(out)
+        code, out, _ = run(capsys, "atf", "move", str(f), "--transfer", "0")
+        assert code == 0
+        f.write_text(out)
+        code, out, _ = run(capsys, "atf", "move", str(f), "--transfer", "0")
+        assert code == 0
+        assert affinely_equivalent(d, AtfDiagram.from_json_obj(json.loads(out)))
+
+    def test_build_with_svg_at_depth_16(self, capsys, tmp_path):
+        out_svg = tmp_path / "picture.svg"
+        t = replay("LR" * 8)
+        code, out, _ = run(capsys, "atf", "build", *map(str, t.entries()), "--svg", str(out_svg))
+        assert code == 0
+        text = out_svg.read_text()
+        marker = "lenscalc:diagram "
+        start = text.index(marker) + len(marker)
+        end = text.index("-->", start)
+        assert json.loads(text[start:end].strip()) == json.loads(out)
 
     def test_move_slide(self, capsys, tmp_path):
         code, out, _ = run(capsys, "atf", "build", "1", "1", "1")
