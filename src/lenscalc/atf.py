@@ -3,14 +3,16 @@ nodes, the three moves (nodal trade, nodal slide, transfer the cut), a
 consistency checker, and per-Markov-triple generation with lens readouts.
 
 Points are pairs of Fractions; eigenvectors are primitive integer vectors.
-Every move returns a new diagram.
+Every move returns a new diagram.  Incidence and sign predicates run on
+integer pairs: the points involved, scaled once by the lcm of their
+denominators (`_integral`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import floor, gcd
+from math import floor, gcd, lcm
 
 from .errors import (
     InternalConsistencyError,
@@ -26,6 +28,7 @@ from .markov import mutation_path  # noqa: F401
 
 Point = tuple[Fraction, Fraction]
 Vec = tuple[Fraction, Fraction]
+IntVec = tuple[int, int]  # a point or vector of an integral frame
 
 
 def pt(x, y) -> Point:
@@ -48,15 +51,23 @@ def _scale(v: Vec, s) -> Vec:
     return (v[0] * s, v[1] * s)
 
 
-def _primitive(v: Vec) -> tuple[int, int]:
+def _integral(points) -> list[IntVec]:
+    """The points scaled by the lcm of their denominators, as integer pairs.
+    A positive scaling keeps every sign of `_cross`, every incidence and
+    equality, and every primitive direction between the points."""
+    den = lcm(*(c.denominator for p in points for c in p))
+    return [
+        (x.numerator * (den // x.denominator), y.numerator * (den // y.denominator))
+        for x, y in points
+    ]
+
+
+def _primitive(v: IntVec) -> IntVec:
     """The primitive integer vector spanning the same ray as v."""
-    if v == (0, 0):
+    g = gcd(*v)
+    if g == 0:
         raise PreconditionError("zero vector has no direction")
-    x, y = Fraction(v[0]), Fraction(v[1])
-    m = x.denominator * y.denominator // gcd(x.denominator, y.denominator)
-    a, b = int(x * m), int(y * m)
-    g = gcd(a, b)
-    return (a // g, b // g)
+    return (v[0] // g, v[1] // g)
 
 
 def _apply_mat(m: IntMat2, v: Vec) -> Vec:
@@ -93,6 +104,27 @@ def _segments_intersect(a: Point, b: Point, c: Point, d: Point) -> bool:
     return False
 
 
+def _interior(verts: list[IntVec], p: IntVec) -> bool:
+    """p lies strictly inside the counterclockwise polygon verts."""
+    edges = zip(verts, verts[1:] + verts[:1])
+    return all(_cross(_sub(b, a), _sub(p, a)) > 0 for a, b in edges)
+
+
+def _flanking(verts: list[IntVec], p: IntVec) -> tuple[IntVec, IntVec] | None:
+    """Primitive boundary directions leaving p, (towards-previous,
+    towards-next) when p is a vertex, the two along-edge directions when p
+    is edge-interior, None when p is off the boundary."""
+    n = len(verts)
+    if p in verts:
+        i = verts.index(p)
+        return _primitive(_sub(verts[i - 1], p)), _primitive(_sub(verts[(i + 1) % n], p))
+    for k in range(n):
+        a, b = verts[k], verts[(k + 1) % n]
+        if _on_segment(p, a, b):
+            return _primitive(_sub(a, p)), _primitive(_sub(b, p))
+    return None
+
+
 def monodromy(a: int, b: int) -> IntMat2:
     """The focus-focus monodromy fixing the primitive vector (a, b)."""
     if gcd(a, b) != 1:
@@ -125,32 +157,12 @@ class AtfDiagram:
         n = len(verts)
         if n < 3:
             raise InvariantError("polygon needs at least three vertices")
+        ints = _integral(verts)
         for i in range(n):
-            u = _sub(verts[(i + 1) % n], verts[i])
-            w = _sub(verts[(i + 2) % n], verts[(i + 1) % n])
+            u = _sub(ints[(i + 1) % n], ints[i])
+            w = _sub(ints[(i + 2) % n], ints[(i + 1) % n])
             if _cross(u, w) <= 0:
                 raise InvariantError("vertices must be strictly convex counterclockwise")
-
-    def contains_interior(self, p: Point) -> bool:
-        n = len(self.vertices)
-        for i in range(n):
-            a, b = self.vertices[i], self.vertices[(i + 1) % n]
-            if _cross(_sub(b, a), _sub(p, a)) <= 0:
-                return False
-        return True
-
-    def on_boundary(self, p: Point) -> bool:
-        n = len(self.vertices)
-        return any(
-            _on_segment(p, self.vertices[i], self.vertices[(i + 1) % n])
-            for i in range(n)
-        )
-
-    def vertex_index(self, p: Point) -> int | None:
-        for i, v in enumerate(self.vertices):
-            if v == p:
-                return i
-        return None
 
     def to_json_obj(self) -> dict:
         def frac(x: Fraction) -> str:
@@ -195,23 +207,6 @@ def standard_cp2() -> AtfDiagram:
     return AtfDiagram((pt(0, 0), pt(3, 0), pt(0, 3)))
 
 
-def _flanking_directions(d: AtfDiagram, p: Point) -> tuple[tuple[int, int], tuple[int, int]]:
-    """Primitive boundary directions leaving p, (towards-previous,
-    towards-next) when p is a vertex, the two along-edge directions when p
-    is edge-interior."""
-    n = len(d.vertices)
-    i = d.vertex_index(p)
-    if i is not None:
-        prev_v = d.vertices[(i - 1) % n]
-        next_v = d.vertices[(i + 1) % n]
-        return _primitive(_sub(prev_v, p)), _primitive(_sub(next_v, p))
-    for k in range(n):
-        a, b = d.vertices[k], d.vertices[(k + 1) % n]
-        if _on_segment(p, a, b) and p not in (a, b):
-            return _primitive(_sub(a, p)), _primitive(_sub(b, p))
-    raise PreconditionError("point is not on the polygon boundary")
-
-
 @dataclass(frozen=True)
 class NodeReport:
     index: int
@@ -238,45 +233,45 @@ def _parallel(u: Vec, v: Vec) -> bool:
     return u != (0, 0) and v != (0, 0) and _cross(u, v) == 0
 
 
+def _frame(d: AtfDiagram):
+    """The vertices, node positions and cut ends of d in one integral frame."""
+    n = len(d.vertices)
+    ints = _integral(d.vertices + tuple(p for nd in d.nodes for p in (nd.position, nd.cut_end)))
+    return ints[:n], ints[n::2], ints[n + 1 :: 2]
+
+
+def _node_report(d: AtfDiagram, frame, i: int) -> NodeReport:
+    verts, positions, ends = frame
+    a, b = d.nodes[i].eigenvector
+    mat = monodromy(a, b)
+    p, e = positions[i], ends[i]
+    cut_vec = _sub(e, p)
+    flank = _flanking(verts, e)
+    return NodeReport(
+        i,
+        eigen_fixed=mat.apply_vec(a, b) == (a, b),
+        cut_parallel=cut_vec != (0, 0) and _cross(cut_vec, (a, b)) == 0,
+        cut_on_boundary=flank is not None,
+        position_interior=_interior(verts, p),
+        edges_match=flank is not None
+        and (
+            _parallel(mat.apply_vec(*flank[1]), flank[0])
+            or _parallel(mat.apply_vec(*flank[0]), flank[1])
+        ),
+        cut_disjoint=not any(
+            _segments_intersect(p, e, positions[j], ends[j])
+            for j in range(len(positions))
+            if j != i
+        ),
+    )
+
+
 def check_consistency(d: AtfDiagram) -> list[NodeReport]:
     """Per-node consistency: the eigendirection is fixed by its monodromy,
     the cut runs along it to the boundary, and the boundary directions
     flanking the cut end are matched by the monodromy."""
-    reports = []
-    for i, node in enumerate(d.nodes):
-        a, b = node.eigenvector
-        mat = monodromy(a, b)
-        eigen_fixed = mat.apply_vec(a, b) == (a, b)
-        cut_vec = _sub(node.cut_end, node.position)
-        cut_parallel = cut_vec != (0, 0) and _cross(cut_vec, (Fraction(a), Fraction(b))) == 0
-        cut_on_boundary = d.on_boundary(node.cut_end)
-        position_interior = d.contains_interior(node.position)
-        edges_match = False
-        if cut_on_boundary:
-            e_prev, e_next = _flanking_directions(d, node.cut_end)
-            img_next = mat.apply_vec(*e_next)
-            img_prev = mat.apply_vec(*e_prev)
-            edges_match = _parallel(img_next, e_prev) or _parallel(img_prev, e_next)
-        cut_disjoint = True
-        for j, other in enumerate(d.nodes):
-            if j == i:
-                continue
-            if _segments_intersect(
-                node.position, node.cut_end, other.position, other.cut_end
-            ):
-                cut_disjoint = False
-        reports.append(
-            NodeReport(
-                i,
-                eigen_fixed,
-                cut_parallel,
-                cut_on_boundary,
-                position_interior,
-                edges_match,
-                cut_disjoint,
-            )
-        )
-    return reports
+    frame = _frame(d)
+    return [_node_report(d, frame, i) for i in range(len(d.nodes))]
 
 
 def is_consistent(d: AtfDiagram) -> bool:
@@ -310,8 +305,11 @@ def nodal_trade(d: AtfDiagram, vertex_index: int) -> AtfDiagram:
     v = d.vertices[vertex_index % n]
     if any(node.cut_end == v for node in d.nodes):
         raise PreconditionError("vertex already carries a cut")
-    u = _primitive(_sub(d.vertices[(vertex_index - 1) % n], v))
-    w = _primitive(_sub(d.vertices[(vertex_index + 1) % n], v))
+    prev_v, corner, next_v = _integral(
+        [d.vertices[(vertex_index + k) % n] for k in (-1, 0, 1)]
+    )
+    u = _primitive(_sub(prev_v, corner))
+    w = _primitive(_sub(next_v, corner))
     if abs(_cross(u, w)) != 1:
         raise PreconditionError("corner is not unimodular; cannot trade")
     ex, ey = u[0] + w[0], u[1] + w[1]
@@ -330,10 +328,10 @@ def nodal_slide(d: AtfDiagram, node_index: int, new_position: Point) -> AtfDiagr
     """Move a node along its eigenline, keeping the cut end fixed."""
     node = d.nodes[node_index]
     new_position = (Fraction(new_position[0]), Fraction(new_position[1]))
-    ev = (Fraction(node.eigenvector[0]), Fraction(node.eigenvector[1]))
-    if _cross(_sub(new_position, node.position), ev) != 0:
+    *verts, old, new = _integral(d.vertices + (node.position, new_position))
+    if _cross(_sub(new, old), node.eigenvector) != 0:
         raise PreconditionError("target is off the node's eigenline")
-    if not d.contains_interior(new_position):
+    if not _interior(verts, new):
         raise PreconditionError("target is not strictly interior")
     moved = AtfNode(new_position, node.eigenvector, node.cut_end)
     nodes = d.nodes[:node_index] + (moved,) + d.nodes[node_index + 1 :]
@@ -347,15 +345,17 @@ def _boundary_ring(d: AtfDiagram, extra: list[Point]) -> list[Point]:
     """Vertex loop with the given boundary points spliced in where they are
     edge-interior."""
     n = len(d.vertices)
+    ints = _integral(d.vertices + tuple(extra))
+    verts, marks = ints[:n], ints[n:]
     ring: list[Point] = []
     for i in range(n):
-        a, b = d.vertices[i], d.vertices[(i + 1) % n]
-        ring.append(a)
+        a, b = verts[i], verts[(i + 1) % n]
+        ring.append(d.vertices[i])
         inserts = [
-            p for p in extra if _on_segment(p, a, b) and p != a and p != b
+            k for k, p in enumerate(marks) if _on_segment(p, a, b) and p != a and p != b
         ]
-        inserts.sort(key=lambda p: abs(p[0] - a[0]) + abs(p[1] - a[1]))
-        ring.extend(inserts)
+        inserts.sort(key=lambda k: abs(marks[k][0] - a[0]) + abs(marks[k][1] - a[1]))
+        ring.extend(extra[k] for k in inserts)
     return ring
 
 
@@ -366,18 +366,16 @@ def transfer_cut(d: AtfDiagram, node_index: int) -> AtfDiagram:
     and the opposite exit point becomes a vertex."""
     node = d.nodes[node_index]
     x0 = node.position
-    ev = (Fraction(node.eigenvector[0]), Fraction(node.eigenvector[1]))
+    ev = node.eigenvector
     c_end = node.cut_end
     away = _sub(x0, c_end)  # direction from cut end through the node
     _, w_end = _ray_exit(d, x0, away)
     if w_end == c_end:
         raise InternalConsistencyError("eigenline exits where it entered")
-    for j, other in enumerate(d.nodes):
-        if j == node_index:
-            continue
-        if _on_segment(other.position, c_end, w_end) or _segments_intersect(
-            c_end, w_end, other.position, other.cut_end
-        ):
+    others = [p for j, o in enumerate(d.nodes) if j != node_index for p in (o.position, o.cut_end)]
+    c, w, *rest = _integral([c_end, w_end] + others)
+    for pos, end in zip(rest[::2], rest[1::2]):
+        if _on_segment(pos, c, w) or _segments_intersect(c, w, pos, end):
             raise UnsupportedConfigurationError(
                 "eigenline meets another node or cut; slide the nodes first"
             )
@@ -419,8 +417,7 @@ def _try_transfer(d, node_index, mat, side, sign1, x0, c_end, w_end, chain1, cha
     transformed_sign = sign1 if side == 1 else -sign1
 
     def on_transformed_side(p: Point) -> bool:
-        ev = (Fraction(node.eigenvector[0]), Fraction(node.eigenvector[1]))
-        c = _cross(ev, _sub(p, x0))
+        c = _cross(node.eigenvector, _sub(p, x0))
         return c != 0 and (1 if c > 0 else -1) == transformed_sign
 
     new_nodes = []
@@ -428,9 +425,9 @@ def _try_transfer(d, node_index, mat, side, sign1, x0, c_end, w_end, chain1, cha
         if j == node_index:
             new_nodes.append(AtfNode(x0, node.eigenvector, w_end))
         elif on_transformed_side(other.position):
-            eig = _apply_mat(mat, (Fraction(other.eigenvector[0]), Fraction(other.eigenvector[1])))
+            eig = _primitive(_apply_mat(mat, other.eigenvector))
             new_nodes.append(
-                AtfNode(transform(other.position), _primitive(eig), transform(other.cut_end))
+                AtfNode(transform(other.position), eig, transform(other.cut_end))
             )
         else:
             new_nodes.append(other)
@@ -447,13 +444,14 @@ def node_boundary_lens(d: AtfDiagram, node_index: int) -> LensSpace:
     """Lens space traced out over a punctured neighborhood of the cut: read
     the corner at the cut end in a basis where the first boundary direction
     is (1, 0)."""
-    report = check_consistency(d)[node_index]
-    if not report.passed:
+    node_index = range(len(d.nodes))[node_index]  # as list indexing does
+    frame = _frame(d)
+    if not _node_report(d, frame, node_index).passed:
         raise PreconditionError("node fails the consistency check")
-    p = d.nodes[node_index].cut_end
-    if d.vertex_index(p) is None:
+    verts, _, ends = frame
+    if ends[node_index] not in verts:
         raise UnsupportedConfigurationError("cut end is not a polygon vertex")
-    u1, u2 = _flanking_directions(d, p)
+    u1, u2 = _flanking(verts, ends[node_index])
     a, b = _bezout(u1[0], u1[1])
     x = a * u2[0] + b * u2[1]
     y = u1[0] * u2[1] - u1[1] * u2[0]
@@ -514,12 +512,8 @@ def atf_for_markov(t: MarkovTriple) -> AtfDiagram:
     corners = corners[first:] + corners[:first]
     centre = pt(1, 1)
     nodes = tuple(
-        AtfNode(
-            _add(centre, _scale(v, Fraction(1, 4))),
-            _primitive(_scale(v, -1)),
-            _add(centre, v),
-        )
-        for v in corners
+        AtfNode(_add(centre, _scale(v, Fraction(1, 4))), _primitive((-x, -y)), _add(centre, v))
+        for v, (x, y) in zip(corners, _integral(corners))
     )
     return AtfDiagram(tuple(_add(centre, v) for v in corners), nodes)
 

@@ -183,10 +183,8 @@ def _cmd_atf_move(args) -> int:
             raise ValueError(f"slide parameter {param} has denominator 0") from None
         if factor <= 0:
             raise PreconditionError("slide parameter must be positive")
-        target = atf._add(
-            node.cut_end,
-            atf._scale(atf._sub(node.position, node.cut_end), factor),
-        )
+        (ex, ey), (px, py) = node.cut_end, node.position
+        target = (ex + (px - ex) * factor, ey + (py - ey) * factor)
         out = atf.nodal_slide(d, index, target)
     _dump(out.to_json_obj())
     return 0

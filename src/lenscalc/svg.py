@@ -7,8 +7,8 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 
-from .atf import AtfDiagram, check_consistency, node_boundary_lens
-from .errors import UnsupportedConfigurationError
+from .atf import AtfDiagram, node_boundary_lens
+from .errors import PreconditionError, UnsupportedConfigurationError
 
 _SCALE = 80
 _MARGIN = 40
@@ -49,7 +49,6 @@ def render_svg(d: AtfDiagram) -> str:
     lines.append(
         f'<polygon points="{points}" fill="none" stroke="black" stroke-width="1.5"/>'
     )
-    reports = check_consistency(d)
     for i, node in enumerate(d.nodes):
         nx, ny = project(node.position)
         cx, cy = project(node.cut_end)
@@ -66,14 +65,13 @@ def render_svg(d: AtfDiagram) -> str:
             f'<line x1="{_fmt(nx - r)}" y1="{_fmt(ny + r)}" x2="{_fmt(nx + r)}" y2="{_fmt(ny - r)}" '
             'stroke="black" stroke-width="1.5"/>'
         )
-        if reports[i].passed:
-            try:
-                label = str(node_boundary_lens(d, i))
-            except UnsupportedConfigurationError:
-                continue
-            lines.append(
-                f'<text x="{_fmt(cx + 6)}" y="{_fmt(cy - 6)}" font-size="12" '
-                f'font-family="monospace">{label}</text>'
-            )
+        try:
+            label = str(node_boundary_lens(d, i))
+        except (PreconditionError, UnsupportedConfigurationError):
+            continue
+        lines.append(
+            f'<text x="{_fmt(cx + 6)}" y="{_fmt(cy - 6)}" font-size="12" '
+            f'font-family="monospace">{label}</text>'
+        )
     lines.append("</svg>")
     return "\n".join(lines) + "\n"

@@ -1,20 +1,40 @@
-"""Reference copy of the mutation-replay construction of almost toric
-diagrams.
+"""Reference copies of two parts of `lenscalc.atf`.
 
-This is the original `atf_for_markov`: trade the three corners of the
-standard triangle, then replay the triple's mutation word with
-`transfer_cut`, halving every cut and retrying when a transfer is blocked.
-It is built only on the public moves of `lenscalc.atf`.  It fails for some
-triples from tree depth 6 on, so `tests/test_atf_reference.py` compares the
-closed-form construction against it at depth <= 5 only.
+The mutation replay is the original `atf_for_markov`: trade the three
+corners of the standard triangle, then replay the triple's mutation word
+with `transfer_cut`, halving every cut and retrying when a transfer is
+blocked.  It is built only on the public moves of `lenscalc.atf`.  It fails
+for some triples from tree depth 6 on, so `tests/test_atf_reference.py`
+compares the closed-form construction against it at depth <= 5 only.
+
+The Fraction checker is the original `check_consistency` with its helpers,
+`node_boundary_lens` and the convexity test of `AtfDiagram`, all on Fraction
+points.  The library now runs these predicates on integer points (the
+diagram scaled by the lcm of its denominators); `tests/test_atf_reference.py`
+requires both to give the same reports, readouts and verdicts.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 
-from lenscalc.atf import AtfDiagram, nodal_slide, nodal_trade, standard_cp2, transfer_cut
-from lenscalc.errors import UnsupportedConfigurationError
+from lenscalc.atf import (
+    AtfDiagram,
+    NodeReport,
+    monodromy,
+    nodal_slide,
+    nodal_trade,
+    standard_cp2,
+    transfer_cut,
+)
+from lenscalc.errors import (
+    InvariantError,
+    PreconditionError,
+    UnsupportedConfigurationError,
+)
+from lenscalc.farey import _bezout
+from lenscalc.lens import S1XS2, S3, LensSpace
 from lenscalc.markov import MarkovTriple, mutation_path
 
 
@@ -61,3 +81,179 @@ def _transfer_with_retries(d: AtfDiagram, node_index: int) -> AtfDiagram:
     raise UnsupportedConfigurationError(
         "transfer remained blocked after shrinking all cuts"
     )
+
+
+# --- the Fraction checker --------------------------------------------------
+
+Point = tuple[Fraction, Fraction]
+Vec = tuple[Fraction, Fraction]
+
+
+def _sub(p: Point, q: Point) -> Vec:
+    return (p[0] - q[0], p[1] - q[1])
+
+
+def _cross(u: Vec, v: Vec):
+    return u[0] * v[1] - u[1] * v[0]
+
+
+def _primitive(v: Vec) -> tuple[int, int]:
+    """The primitive integer vector spanning the same ray as v."""
+    if v == (0, 0):
+        raise PreconditionError("zero vector has no direction")
+    x, y = Fraction(v[0]), Fraction(v[1])
+    m = x.denominator * y.denominator // gcd(x.denominator, y.denominator)
+    a, b = int(x * m), int(y * m)
+    g = gcd(a, b)
+    return (a // g, b // g)
+
+
+def _on_segment(p: Point, a: Point, b: Point) -> bool:
+    """p lies on the closed segment [a, b]."""
+    if _cross(_sub(p, a), _sub(b, a)) != 0:
+        return False
+    lo = min(a[0], b[0]), min(a[1], b[1])
+    hi = max(a[0], b[0]), max(a[1], b[1])
+    return lo[0] <= p[0] <= hi[0] and lo[1] <= p[1] <= hi[1]
+
+
+def _segments_intersect(a: Point, b: Point, c: Point, d: Point) -> bool:
+    """Closed segments [a,b] and [c,d] share at least one point."""
+    d1 = _cross(_sub(d, c), _sub(a, c))
+    d2 = _cross(_sub(d, c), _sub(b, c))
+    d3 = _cross(_sub(b, a), _sub(c, a))
+    d4 = _cross(_sub(b, a), _sub(d, a))
+    if ((d1 > 0 and d2 < 0) or (d1 < 0 and d2 > 0)) and (
+        (d3 > 0 and d4 < 0) or (d3 < 0 and d4 > 0)
+    ):
+        return True
+    if d1 == 0 and _on_segment(a, c, d):
+        return True
+    if d2 == 0 and _on_segment(b, c, d):
+        return True
+    if d3 == 0 and _on_segment(c, a, b):
+        return True
+    if d4 == 0 and _on_segment(d, a, b):
+        return True
+    return False
+
+
+def validate_vertices(vertices) -> None:
+    """The convexity test of `AtfDiagram.__post_init__`."""
+    verts = tuple((Fraction(x), Fraction(y)) for x, y in vertices)
+    n = len(verts)
+    if n < 3:
+        raise InvariantError("polygon needs at least three vertices")
+    for i in range(n):
+        u = _sub(verts[(i + 1) % n], verts[i])
+        w = _sub(verts[(i + 2) % n], verts[(i + 1) % n])
+        if _cross(u, w) <= 0:
+            raise InvariantError("vertices must be strictly convex counterclockwise")
+
+
+def contains_interior(d: AtfDiagram, p: Point) -> bool:
+    n = len(d.vertices)
+    for i in range(n):
+        a, b = d.vertices[i], d.vertices[(i + 1) % n]
+        if _cross(_sub(b, a), _sub(p, a)) <= 0:
+            return False
+    return True
+
+
+def on_boundary(d: AtfDiagram, p: Point) -> bool:
+    n = len(d.vertices)
+    return any(
+        _on_segment(p, d.vertices[i], d.vertices[(i + 1) % n])
+        for i in range(n)
+    )
+
+
+def vertex_index(d: AtfDiagram, p: Point) -> int | None:
+    for i, v in enumerate(d.vertices):
+        if v == p:
+            return i
+    return None
+
+
+def _flanking_directions(d: AtfDiagram, p: Point) -> tuple[tuple[int, int], tuple[int, int]]:
+    """Primitive boundary directions leaving p, (towards-previous,
+    towards-next) when p is a vertex, the two along-edge directions when p
+    is edge-interior."""
+    n = len(d.vertices)
+    i = vertex_index(d, p)
+    if i is not None:
+        prev_v = d.vertices[(i - 1) % n]
+        next_v = d.vertices[(i + 1) % n]
+        return _primitive(_sub(prev_v, p)), _primitive(_sub(next_v, p))
+    for k in range(n):
+        a, b = d.vertices[k], d.vertices[(k + 1) % n]
+        if _on_segment(p, a, b) and p not in (a, b):
+            return _primitive(_sub(a, p)), _primitive(_sub(b, p))
+    raise PreconditionError("point is not on the polygon boundary")
+
+
+def _parallel(u: Vec, v: Vec) -> bool:
+    return u != (0, 0) and v != (0, 0) and _cross(u, v) == 0
+
+
+def check_consistency(d: AtfDiagram) -> list[NodeReport]:
+    """Per-node consistency: the eigendirection is fixed by its monodromy,
+    the cut runs along it to the boundary, and the boundary directions
+    flanking the cut end are matched by the monodromy."""
+    reports = []
+    for i, node in enumerate(d.nodes):
+        a, b = node.eigenvector
+        mat = monodromy(a, b)
+        eigen_fixed = mat.apply_vec(a, b) == (a, b)
+        cut_vec = _sub(node.cut_end, node.position)
+        cut_parallel = cut_vec != (0, 0) and _cross(cut_vec, (Fraction(a), Fraction(b))) == 0
+        cut_on_boundary = on_boundary(d, node.cut_end)
+        position_interior = contains_interior(d, node.position)
+        edges_match = False
+        if cut_on_boundary:
+            e_prev, e_next = _flanking_directions(d, node.cut_end)
+            img_next = mat.apply_vec(*e_next)
+            img_prev = mat.apply_vec(*e_prev)
+            edges_match = _parallel(img_next, e_prev) or _parallel(img_prev, e_next)
+        cut_disjoint = True
+        for j, other in enumerate(d.nodes):
+            if j == i:
+                continue
+            if _segments_intersect(
+                node.position, node.cut_end, other.position, other.cut_end
+            ):
+                cut_disjoint = False
+        reports.append(
+            NodeReport(
+                i,
+                eigen_fixed,
+                cut_parallel,
+                cut_on_boundary,
+                position_interior,
+                edges_match,
+                cut_disjoint,
+            )
+        )
+    return reports
+
+
+def node_boundary_lens(d: AtfDiagram, node_index: int) -> LensSpace:
+    """Lens space traced out over a punctured neighborhood of the cut: read
+    the corner at the cut end in a basis where the first boundary direction
+    is (1, 0)."""
+    report = check_consistency(d)[node_index]
+    if not report.passed:
+        raise PreconditionError("node fails the consistency check")
+    p = d.nodes[node_index].cut_end
+    if vertex_index(d, p) is None:
+        raise UnsupportedConfigurationError("cut end is not a polygon vertex")
+    u1, u2 = _flanking_directions(d, p)
+    a, b = _bezout(u1[0], u1[1])
+    x = a * u2[0] + b * u2[1]
+    y = u1[0] * u2[1] - u1[1] * u2[0]
+    order = abs(y)
+    if order == 0:
+        return S1XS2
+    if order == 1:
+        return S3
+    return LensSpace(order, x % order)

@@ -1,18 +1,43 @@
-"""Differential test: the closed-form almost toric diagrams against the
-mutation replay kept in `atf_reference`.
+"""Differential tests against the reference copies kept in `atf_reference`.
 
-The replay shrinks cuts while it runs, so node positions differ; the
-polygons must agree up to an integral affine map and the corners must give
-the same lens readouts.
+The closed-form almost toric diagrams are compared with the mutation
+replay.  The replay shrinks cuts while it runs, so node positions differ;
+the polygons must agree up to an integral affine map and the corners must
+give the same lens readouts.
+
+The integer consistency checker, `node_boundary_lens` and the convexity
+test of `AtfDiagram` are compared with their Fraction originals, on the
+generated diagrams after transfers of their cuts and on perturbed diagrams.
+Both must give equal reports and lens spaces, or raise the same exception
+type.
 """
 
+from fractions import Fraction
+from math import gcd
+
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 import atf_reference as ref
-from lenscalc.atf import AtfDiagram, affinely_equivalent, atf_for_markov, node_boundary_lens
+from lenscalc.atf import (
+    AtfDiagram,
+    AtfNode,
+    affinely_equivalent,
+    atf_for_markov,
+    check_consistency,
+    nodal_slide,
+    nodal_trade,
+    node_boundary_lens,
+    standard_cp2,
+    transfer_cut,
+)
+from lenscalc.errors import LenscalcError, PreconditionError, UnsupportedConfigurationError
 from lenscalc.markov import enumerate_tree
 
 DEPTH = 5
+TRIPLES_TO_6 = [t for t, _ in enumerate_tree(6)]
+SMALL_TRIPLES = [t for t, _ in enumerate_tree(3)]
 
 
 def readouts(d):
@@ -25,3 +50,204 @@ def test_matches_replay(t):
     want = ref.atf_for_markov(t)
     assert affinely_equivalent(AtfDiagram(got.vertices), AtfDiagram(want.vertices))
     assert readouts(got) == readouts(want)
+
+
+def outcome(fn, *args):
+    try:
+        return ("ok", fn(*args))
+    except LenscalcError as exc:  # compared, not swallowed
+        return ("raised", type(exc))
+
+
+def assert_checkers_agree(d):
+    assert outcome(check_consistency, d) == outcome(ref.check_consistency, d)
+    for i in range(len(d.nodes)):
+        assert outcome(node_boundary_lens, d, i) == outcome(ref.node_boundary_lens, d, i)
+
+
+def transferred(t):
+    """The diagram of t after no transfer, after one transfer of each cut,
+    and after every two transfers in a row."""
+    d = atf_for_markov(t)
+    out = [d]
+    for i in range(3):
+        once = transfer_cut(d, i)
+        out.append(once)
+        for j in range(3):
+            try:
+                out.append(transfer_cut(once, j))
+            except LenscalcError:
+                pass
+    return out
+
+
+@pytest.mark.parametrize("t", TRIPLES_TO_6, ids=str)
+def test_checker_matches_fraction_checker_after_transfers(t):
+    for d in transferred(t):
+        assert_checkers_agree(d)
+        assert all(r.passed for r in check_consistency(d))
+
+
+def rationals(bound=4, den=60):
+    return st.fractions(-bound, bound, max_denominator=den)
+
+
+def along(a, b, s):
+    return (a[0] + (b[0] - a[0]) * s, a[1] + (b[1] - a[1]) * s)
+
+
+PRIMITIVE = st.tuples(st.integers(-30, 30), st.integers(-30, 30)).filter(
+    lambda v: gcd(*v) == 1
+)
+KINDS = [
+    "eigenvector",
+    "off-eigenline",
+    "position-on-boundary",
+    "position-outside",
+    "cut-end-edge-interior",
+    "cut-end-off-boundary",
+    "crossing-cuts",
+    "swapped-cut-ends",
+]
+
+
+@st.composite
+def perturbed(draw):
+    """A generated diagram, after up to two transfers, with one node
+    changed in one of the ways `KINDS` names."""
+    d = atf_for_markov(draw(st.sampled_from(SMALL_TRIPLES)))
+    for i in draw(st.lists(st.integers(0, 2), max_size=2)):
+        try:
+            d = transfer_cut(d, i)
+        except LenscalcError:
+            pass
+    verts, nodes = d.vertices, list(d.nodes)
+    n = len(verts)
+    i = draw(st.integers(0, 2))
+    j = (i + 1) % 3
+    node, other = nodes[i], nodes[j]
+    kind = draw(st.sampled_from(KINDS))
+    k = draw(st.integers(0, n - 1))
+    edge = verts[k], verts[(k + 1) % n]
+    centroid = (sum(v[0] for v in verts) / n, sum(v[1] for v in verts) / n)
+    if kind == "eigenvector":
+        nodes[i] = AtfNode(node.position, draw(PRIMITIVE), node.cut_end)
+    elif kind == "off-eigenline":
+        shift = (draw(rationals()), draw(rationals()))
+        nodes[i] = AtfNode(
+            (node.position[0] + shift[0], node.position[1] + shift[1]),
+            node.eigenvector,
+            node.cut_end,
+        )
+    elif kind == "position-on-boundary":
+        s = draw(st.fractions(0, 1, max_denominator=60))
+        nodes[i] = AtfNode(along(*edge, s), node.eigenvector, node.cut_end)
+    elif kind == "position-outside":
+        s = draw(st.fractions(1, 3, max_denominator=60).filter(lambda s: s > 1))
+        nodes[i] = AtfNode(along(centroid, verts[k], s), node.eigenvector, node.cut_end)
+    elif kind == "cut-end-edge-interior":
+        s = draw(st.fractions(0, 1, max_denominator=60).filter(lambda s: 0 < s < 1))
+        nodes[i] = AtfNode(node.position, node.eigenvector, along(*edge, s))
+    elif kind == "cut-end-off-boundary":
+        s = draw(st.fractions(0, 3, max_denominator=60).filter(lambda s: s != 1))
+        nodes[i] = AtfNode(node.position, node.eigenvector, along(centroid, verts[k], s))
+    elif kind == "crossing-cuts":
+        # a cut for node j through the midpoint of node i's cut, across it
+        mid = along(node.position, node.cut_end, Fraction(1, 2))
+        a, b = node.eigenvector
+        s = draw(st.fractions(0, 1, max_denominator=60).filter(lambda s: s > 0))
+        start, end = (mid[0] - b * s, mid[1] + a * s), (mid[0] + b * s, mid[1] - a * s)
+        nodes[j] = AtfNode(start, other.eigenvector, end)
+    else:
+        nodes[i] = AtfNode(node.position, node.eigenvector, other.cut_end)
+        nodes[j] = AtfNode(other.position, other.eigenvector, node.cut_end)
+    return AtfDiagram(verts, tuple(nodes))
+
+
+@settings(max_examples=400, deadline=None)
+@given(perturbed())
+def test_checker_matches_fraction_checker_on_perturbed_diagrams(d):
+    assert_checkers_agree(d)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from(SMALL_TRIPLES),
+    st.integers(0, 2),
+    st.fractions(-2, 2, max_denominator=100),
+)
+def test_slide_interior_test_matches_reference(t, i, s):
+    d = atf_for_markov(t)
+    node = d.nodes[i]
+    a, b = node.eigenvector
+    target = (node.position[0] + a * s, node.position[1] + b * s)
+    inside = ref.contains_interior(d, target)
+    try:
+        moved = nodal_slide(d, i, target)
+    except PreconditionError:
+        assert not inside
+    else:
+        assert inside and moved.nodes[i].position == target
+
+
+def slid(d, i, s):
+    """d with node i slid so that its cut has s times its length."""
+    (ex, ey), (px, py) = d.nodes[i].cut_end, d.nodes[i].position
+    return nodal_slide(d, i, (ex + (px - ex) * s, ey + (py - ey) * s))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(0, 2),
+    st.lists(
+        st.fractions(0, 2, max_denominator=24).filter(lambda s: s > 0), min_size=3, max_size=3
+    ),
+)
+@example(0, [Fraction(1), Fraction(6, 5), Fraction(1)])  # a cut stops short of it
+@example(0, [Fraction(1), Fraction(3, 2), Fraction(1)])  # a cut crosses the eigenline
+@example(0, [Fraction(1), Fraction(4, 3), Fraction(1)])  # a node on the eigenline
+def test_transfer_blocking_matches_reference(k, factors):
+    # in the traded triangle each node halves its eigenline, so the
+    # eigenline of node k ends at 2 * position - cut_end
+    d = standard_cp2()
+    for i in range(3):
+        d = nodal_trade(d, i)
+    ends = [
+        (2 * n.position[0] - n.cut_end[0], 2 * n.position[1] - n.cut_end[1]) for n in d.nodes
+    ]
+    try:
+        for i, s in enumerate(factors):
+            if i != k:
+                d = slid(d, i, s)
+    except LenscalcError:
+        assume(False)
+    c, w = d.nodes[k].cut_end, ends[k]
+    blocked = any(
+        ref._on_segment(o.position, c, w)
+        or ref._segments_intersect(c, w, o.position, o.cut_end)
+        for j, o in enumerate(d.nodes)
+        if j != k
+    )
+    try:
+        transfer_cut(d, k)
+    except UnsupportedConfigurationError as exc:
+        assert blocked and "meets another node or cut" in str(exc)
+    else:
+        assert not blocked
+
+
+POINTS = st.tuples(rationals(3, 3), rationals(3, 3))
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(POINTS, max_size=6))
+@example([(0, 0), (1, 1), (2, 2)])  # collinear
+@example([(0, 0), (0, 3), (3, 0)])  # clockwise
+@example([(0, 0), (3, 0), (3, 0), (0, 3)])  # repeated vertex
+@example([(0, 0), (1, 0), (0, 1), (0, 0), (1, 0), (0, 1)])  # wound twice
+@example([(0, 0), (Fraction(1, 3), 0), (1, 0), (0, 1)])  # straight corner
+@example([(0, 0), (1, 0), (0, 1)])
+def test_vertex_validation_matches_reference(vertices):
+    want = outcome(ref.validate_vertices, vertices)[0]
+    got = outcome(AtfDiagram, tuple(vertices))[0]
+    assert got == want
