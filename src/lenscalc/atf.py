@@ -5,14 +5,16 @@ consistency checker, and per-Markov-triple generation with lens readouts.
 Points are pairs of Fractions; eigenvectors are primitive integer vectors.
 Every move returns a new diagram.  Incidence and sign predicates run on
 integer pairs: the points involved, scaled once by the lcm of their
-denominators (`_integral`).
+denominators (`_integral`).  Each diagram holds its own points in such a
+frame (`AtfDiagram.frame`), built once when the diagram is made.
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
-from math import floor, gcd, lcm
+from math import gcd, lcm
 
 from .errors import (
     InternalConsistencyError,
@@ -51,12 +53,13 @@ def _scale(v: Vec, s) -> Vec:
     return (v[0] * s, v[1] * s)
 
 
-def _integral(points) -> list[IntVec]:
-    """The points scaled by the lcm of their denominators, as integer pairs.
-    A positive scaling keeps every sign of `_cross`, every incidence and
-    equality, and every primitive direction between the points."""
+def _integral(points) -> tuple[int, list[IntVec]]:
+    """The lcm of the points' denominators, and the points scaled by it as
+    integer pairs.  A positive scaling keeps every sign of `_cross`, every
+    incidence and equality, and every primitive direction between the
+    points."""
     den = lcm(*(c.denominator for p in points for c in p))
-    return [
+    return den, [
         (x.numerator * (den // x.denominator), y.numerator * (den // y.denominator))
         for x, y in points
     ]
@@ -142,27 +145,37 @@ class AtfNode:
     cut_end: Point
 
 
+# A diagram's points scaled by `den`, the lcm of their denominators: tuples
+# of integer pairs for the vertices, and for the node positions and cut ends
+# in node order.  (`typing.NamedTuple` would add an import of `typing`.)
+IntegralFrame = namedtuple("IntegralFrame", "den vertices positions cut_ends")
+
+
 @dataclass(frozen=True)
 class AtfDiagram:
     """Strictly convex polygon (counterclockwise rational vertices) with
-    nodes."""
+    nodes.  `frame`, which is not a field, holds the diagram's integral
+    frame."""
 
     vertices: tuple[Point, ...]
     nodes: tuple[AtfNode, ...] = ()
 
     def __post_init__(self) -> None:
         verts = tuple((Fraction(x), Fraction(y)) for x, y in self.vertices)
+        nodes = tuple(self.nodes)
         object.__setattr__(self, "vertices", verts)
-        object.__setattr__(self, "nodes", tuple(self.nodes))
+        object.__setattr__(self, "nodes", nodes)
         n = len(verts)
         if n < 3:
             raise InvariantError("polygon needs at least three vertices")
-        ints = _integral(verts)
+        den, ints = _integral(verts + tuple(p for nd in nodes for p in (nd.position, nd.cut_end)))
         for i in range(n):
             u = _sub(ints[(i + 1) % n], ints[i])
             w = _sub(ints[(i + 2) % n], ints[(i + 1) % n])
             if _cross(u, w) <= 0:
                 raise InvariantError("vertices must be strictly convex counterclockwise")
+        frame = IntegralFrame(den, tuple(ints[:n]), tuple(ints[n::2]), tuple(ints[n + 1 :: 2]))
+        object.__setattr__(self, "frame", frame)
 
     def to_json_obj(self) -> dict:
         def frac(x: Fraction) -> str:
@@ -233,15 +246,8 @@ def _parallel(u: Vec, v: Vec) -> bool:
     return u != (0, 0) and v != (0, 0) and _cross(u, v) == 0
 
 
-def _frame(d: AtfDiagram):
-    """The vertices, node positions and cut ends of d in one integral frame."""
-    n = len(d.vertices)
-    ints = _integral(d.vertices + tuple(p for nd in d.nodes for p in (nd.position, nd.cut_end)))
-    return ints[:n], ints[n::2], ints[n + 1 :: 2]
-
-
-def _node_report(d: AtfDiagram, frame, i: int) -> NodeReport:
-    verts, positions, ends = frame
+def _node_report(d: AtfDiagram, i: int) -> NodeReport:
+    _, verts, positions, ends = d.frame
     a, b = d.nodes[i].eigenvector
     mat = monodromy(a, b)
     p, e = positions[i], ends[i]
@@ -270,8 +276,7 @@ def check_consistency(d: AtfDiagram) -> list[NodeReport]:
     """Per-node consistency: the eigendirection is fixed by its monodromy,
     the cut runs along it to the boundary, and the boundary directions
     flanking the cut end are matched by the monodromy."""
-    frame = _frame(d)
-    return [_node_report(d, frame, i) for i in range(len(d.nodes))]
+    return [_node_report(d, i) for i in range(len(d.nodes))]
 
 
 def is_consistent(d: AtfDiagram) -> bool:
@@ -305,9 +310,7 @@ def nodal_trade(d: AtfDiagram, vertex_index: int) -> AtfDiagram:
     v = d.vertices[vertex_index % n]
     if any(node.cut_end == v for node in d.nodes):
         raise PreconditionError("vertex already carries a cut")
-    prev_v, corner, next_v = _integral(
-        [d.vertices[(vertex_index + k) % n] for k in (-1, 0, 1)]
-    )
+    prev_v, corner, next_v = (d.frame.vertices[(vertex_index + k) % n] for k in (-1, 0, 1))
     u = _primitive(_sub(prev_v, corner))
     w = _primitive(_sub(next_v, corner))
     if abs(_cross(u, w)) != 1:
@@ -328,7 +331,7 @@ def nodal_slide(d: AtfDiagram, node_index: int, new_position: Point) -> AtfDiagr
     """Move a node along its eigenline, keeping the cut end fixed."""
     node = d.nodes[node_index]
     new_position = (Fraction(new_position[0]), Fraction(new_position[1]))
-    *verts, old, new = _integral(d.vertices + (node.position, new_position))
+    _, (*verts, old, new) = _integral(d.vertices + (node.position, new_position))
     if _cross(_sub(new, old), node.eigenvector) != 0:
         raise PreconditionError("target is off the node's eigenline")
     if not _interior(verts, new):
@@ -345,7 +348,7 @@ def _boundary_ring(d: AtfDiagram, extra: list[Point]) -> list[Point]:
     """Vertex loop with the given boundary points spliced in where they are
     edge-interior."""
     n = len(d.vertices)
-    ints = _integral(d.vertices + tuple(extra))
+    _, ints = _integral(d.vertices + tuple(extra))
     verts, marks = ints[:n], ints[n:]
     ring: list[Point] = []
     for i in range(n):
@@ -373,7 +376,7 @@ def transfer_cut(d: AtfDiagram, node_index: int) -> AtfDiagram:
     if w_end == c_end:
         raise InternalConsistencyError("eigenline exits where it entered")
     others = [p for j, o in enumerate(d.nodes) if j != node_index for p in (o.position, o.cut_end)]
-    c, w, *rest = _integral([c_end, w_end] + others)
+    _, (c, w, *rest) = _integral([c_end, w_end] + others)
     for pos, end in zip(rest[::2], rest[1::2]):
         if _on_segment(pos, c, w) or _segments_intersect(c, w, pos, end):
             raise UnsupportedConfigurationError(
@@ -445,13 +448,15 @@ def node_boundary_lens(d: AtfDiagram, node_index: int) -> LensSpace:
     the corner at the cut end in a basis where the first boundary direction
     is (1, 0)."""
     node_index = range(len(d.nodes))[node_index]  # as list indexing does
-    frame = _frame(d)
-    if not _node_report(d, frame, node_index).passed:
+    if not _node_report(d, node_index).passed:
         raise PreconditionError("node fails the consistency check")
-    verts, _, ends = frame
-    if ends[node_index] not in verts:
-        raise UnsupportedConfigurationError("cut end is not a polygon vertex")
-    u1, u2 = _flanking(verts, ends[node_index])
+    verts, end = d.frame.vertices, d.frame.cut_ends[node_index]
+    if end not in verts:
+        # a consistent node's cut end is a vertex: at an edge-interior end
+        # the monodromy matches the edge only when the cut runs along it,
+        # which puts the node on the boundary
+        raise InternalConsistencyError("cut end of a consistent node is not a polygon vertex")
+    u1, u2 = _flanking(verts, end)
     a, b = _bezout(u1[0], u1[1])
     x = a * u2[0] + b * u2[1]
     y = u1[0] * u2[1] - u1[1] * u2[0]
@@ -463,22 +468,27 @@ def node_boundary_lens(d: AtfDiagram, node_index: int) -> LensSpace:
     return LensSpace(order, x % order)
 
 
-def _reduced(corners: list[Point]) -> list[Point]:
-    """The corners in the unimodular frame that Lagrange-reduces their
-    second-moment form sum v v^T = [[a, b], [b, c]]: |2b| <= a <= c.  A
-    reduced form is left as it is.  This frame keeps the coordinates small
-    where a Bezout frame can give long slivers."""
+def _reducing_frame(vectors: list[IntVec]) -> IntMat2:
+    """The unimodular map that Lagrange-reduces the second-moment form
+    sum v v^T = [[a, b], [b, c]] of the vectors: |2b| <= a <= c.  A reduced
+    form gives the identity.  The steps act on (a, b, c) alone and depend
+    only on its ratios, so any positive scaling of the vectors gives the
+    same map.  This frame keeps the coordinates small where a Bezout frame
+    can give long slivers."""
+    a = sum(x * x for x, _ in vectors)
+    b = sum(x * y for x, y in vectors)
+    c = sum(y * y for _, y in vectors)
+    m = IntMat2.identity()
     while True:
-        a = sum(x * x for x, _ in corners)
-        b = sum(x * y for x, y in corners)
-        c = sum(y * y for _, y in corners)
         if abs(2 * b) > a:
-            k = floor(Fraction(1, 2) - b / a)  # nearest integer to -b/a
-            corners = [(x, y + k * x) for x, y in corners]
+            k = (a - 2 * b) // (2 * a)  # nearest integer to -b/a
+            m = IntMat2(1, 0, k, 1) @ m  # (x, y) -> (x, y + k x)
+            b, c = b + k * a, c + k * (2 * b + k * a)
         elif c < a:
-            corners = [(y, -x) for x, y in corners]
+            m = IntMat2(0, 1, -1, 0) @ m  # (x, y) -> (y, -x)
+            a, b, c = c, -b, a
         else:
-            return corners
+            return m
 
 
 def atf_for_markov(t: MarkovTriple) -> AtfDiagram:
@@ -507,15 +517,22 @@ def atf_for_markov(t: MarkovTriple) -> AtfDiagram:
         (a, b), (c, d) = normals[i - 1], normals[i]
         det = _cross(normals[i - 1], normals[i])
         corners.append((Fraction(b - d, det), Fraction(c - a, det)))
-    corners = _reduced(corners)
-    first = corners.index(min(corners))
-    corners = corners[first:] + corners[:first]
-    centre = pt(1, 1)
+    den, ints = _integral(corners)
+    m = _reducing_frame(ints)
+    ints = [m.apply_vec(*v) for v in ints]
+    first = ints.index(min(ints))
+    ints = ints[first:] + ints[:first]
+    # the vertex (1, 1) + v / den and its node (1, 1) + v / (4 den)
+    vertices = tuple((Fraction(den + x, den), Fraction(den + y, den)) for x, y in ints)
     nodes = tuple(
-        AtfNode(_add(centre, _scale(v, Fraction(1, 4))), _primitive((-x, -y)), _add(centre, v))
-        for v, (x, y) in zip(corners, _integral(corners))
+        AtfNode(
+            (Fraction(4 * den + x, 4 * den), Fraction(4 * den + y, 4 * den)),
+            _primitive((-x, -y)),
+            vertex,
+        )
+        for vertex, (x, y) in zip(vertices, ints)
     )
-    return AtfDiagram(tuple(_add(centre, v) for v in corners), nodes)
+    return AtfDiagram(vertices, nodes)
 
 
 def affinely_equivalent(d1: AtfDiagram, d2: AtfDiagram) -> bool:

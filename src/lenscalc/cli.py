@@ -52,6 +52,8 @@ def _load_json(path: str) -> dict:
         raise PreconditionError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise PreconditionError(f"{path} is not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise PreconditionError(f"{path} is nested too deeply to read") from exc
 
 
 def _cmd_markov_tree(args) -> int:
@@ -158,8 +160,12 @@ def _cmd_atf_build(args) -> int:
     t = markov.MarkovTriple(args.p1, args.p2, args.p3)
     d = atf.atf_for_markov(t)
     if args.svg:
-        with open(args.svg, "w", encoding="utf-8") as fh:
-            fh.write(svg.render_svg(d))
+        picture = svg.render_svg(d)
+        try:
+            with open(args.svg, "w", encoding="utf-8") as fh:
+                fh.write(picture)
+        except OSError as exc:
+            raise PreconditionError(f"cannot write {args.svg}: {exc}") from exc
     _dump(d.to_json_obj())
     return 0
 

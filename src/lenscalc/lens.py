@@ -17,17 +17,20 @@ from .errors import DegenerateInputError, PreconditionError
 from .farey import ZERO, Slope, _bezout, cw_between
 
 
-def _canonical_pair(r: int, s: int) -> tuple[int, int]:
-    """Orientation-preserving normal form: r >= 0, s the smaller of
-    {s mod r, s^{-1} mod r}; S^3 is (1, 0) and S^1 x S^2 is (0, 1)."""
+def _normal_forms(r: int, s: int) -> tuple[tuple[int, int], tuple[int, int]]:
+    """The orientation-preserving normal forms of L(r,s) and of its mirror
+    L(r,-s), from one modular inverse: r >= 0, s the smaller of
+    {s mod r, s^{-1} mod r}; S^3 is (1, 0) and S^1 x S^2 is (0, 1).  The
+    mirror's residues are r - s and r - s^{-1}, so its form takes the larger."""
     if r < 0:
         r, s = -r, -s
     if r == 0:
-        return (0, 1)
+        return (0, 1), (0, 1)
     if r == 1:
-        return (1, 0)
+        return (1, 0), (1, 0)
     s %= r
-    return (r, min(s, pow(s, -1, r)))
+    inv = pow(s, -1, r)
+    return (r, min(s, inv)), (r, r - max(s, inv))
 
 
 @dataclass(frozen=True)
@@ -37,24 +40,31 @@ class LensSpace:
 
     r: int
     s: int
+    # (canonical, mirror_canonical), set on first use; not a dataclass field
+    _forms = None
 
     def __post_init__(self) -> None:
         if gcd(self.r, self.s) != 1:
             raise PreconditionError(f"gcd({self.r},{self.s}) != 1")
 
+    def _compute_forms(self) -> tuple[tuple[int, int], tuple[int, int]]:
+        forms = _normal_forms(self.r, self.s)
+        object.__setattr__(self, "_forms", forms)
+        return forms
+
     @property
     def canonical(self) -> tuple[int, int]:
-        return _canonical_pair(self.r, self.s)
+        return (self._forms or self._compute_forms())[0]
 
     @property
     def mirror_canonical(self) -> tuple[int, int]:
-        return _canonical_pair(self.r, -self.s)
+        return (self._forms or self._compute_forms())[1]
 
     def is_s3(self) -> bool:
-        return self.canonical == (1, 0)
+        return abs(self.r) == 1
 
     def is_s1xs2(self) -> bool:
-        return self.canonical == (0, 1)
+        return self.r == 0
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, LensSpace):

@@ -5,10 +5,9 @@ The exact JSON form of the diagram is embedded as a metadata comment."""
 from __future__ import annotations
 
 import json
-from fractions import Fraction
 
 from .atf import AtfDiagram, node_boundary_lens
-from .errors import PreconditionError, UnsupportedConfigurationError
+from .errors import PreconditionError
 
 _SCALE = 80
 _MARGIN = 40
@@ -19,21 +18,20 @@ def _fmt(x: float) -> str:
 
 
 def render_svg(d: AtfDiagram) -> str:
-    xs = [v[0] for v in d.vertices]
-    ys = [v[1] for v in d.vertices]
-    for n in d.nodes:
-        xs.extend((n.position[0], n.cut_end[0]))
-        ys.extend((n.position[1], n.cut_end[1]))
+    den, verts, positions, ends = d.frame
+    xs = [p[0] for p in verts + positions + ends]
+    ys = [p[1] for p in verts + positions + ends]
     minx, maxx = min(xs), max(xs)
     miny, maxy = min(ys), max(ys)
-    width = float(maxx - minx) * _SCALE + 2 * _MARGIN
-    height = float(maxy - miny) * _SCALE + 2 * _MARGIN
+    # int / int rounds correctly, so each coordinate is float() of its exact value
+    width = (maxx - minx) / den * _SCALE + 2 * _MARGIN
+    height = (maxy - miny) / den * _SCALE + 2 * _MARGIN
 
-    def project(p: tuple[Fraction, Fraction]) -> tuple[float, float]:
+    def project(p: tuple[int, int]) -> tuple[float, float]:
         # flip y so the mathematical orientation is upright on screen
         return (
-            float(p[0] - minx) * _SCALE + _MARGIN,
-            height - (float(p[1] - miny) * _SCALE + _MARGIN),
+            (p[0] - minx) / den * _SCALE + _MARGIN,
+            height - ((p[1] - miny) / den * _SCALE + _MARGIN),
         )
 
     lines = [
@@ -44,14 +42,14 @@ def render_svg(d: AtfDiagram) -> str:
         f"<!-- lenscalc:diagram {json.dumps(d.to_json_obj(), separators=(',', ':'))} -->",
     ]
     points = " ".join(
-        f"{_fmt(px)},{_fmt(py)}" for px, py in (project(v) for v in d.vertices)
+        f"{_fmt(px)},{_fmt(py)}" for px, py in (project(v) for v in verts)
     )
     lines.append(
         f'<polygon points="{points}" fill="none" stroke="black" stroke-width="1.5"/>'
     )
-    for i, node in enumerate(d.nodes):
-        nx, ny = project(node.position)
-        cx, cy = project(node.cut_end)
+    for i, (position, end) in enumerate(zip(positions, ends)):
+        nx, ny = project(position)
+        cx, cy = project(end)
         lines.append(
             f'<line x1="{_fmt(nx)}" y1="{_fmt(ny)}" x2="{_fmt(cx)}" y2="{_fmt(cy)}" '
             'stroke="black" stroke-width="1" stroke-dasharray="4 3"/>'
@@ -67,7 +65,7 @@ def render_svg(d: AtfDiagram) -> str:
         )
         try:
             label = str(node_boundary_lens(d, i))
-        except (PreconditionError, UnsupportedConfigurationError):
+        except PreconditionError:
             continue
         lines.append(
             f'<text x="{_fmt(cx + 6)}" y="{_fmt(cy - 6)}" font-size="12" '

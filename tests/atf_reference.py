@@ -1,4 +1,4 @@
-"""Reference copies of two parts of `lenscalc.atf`.
+"""Reference copies of three parts of `lenscalc.atf`.
 
 The mutation replay is the original `atf_for_markov`: trade the three
 corners of the standard triangle, then replay the triple's mutation word
@@ -12,15 +12,21 @@ The Fraction checker is the original `check_consistency` with its helpers,
 points.  The library now runs these predicates on integer points (the
 diagram scaled by the lcm of its denominators); `tests/test_atf_reference.py`
 requires both to give the same reports, readouts and verdicts.
+
+The Fraction construction is the closed-form `atf_for_markov` as it was
+when its Lagrange reduction stepped the Fraction corners themselves.  The
+library now steps the integer second-moment form and applies the product
+map once; both must give the same diagram, JSON for JSON.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import floor, gcd
 
 from lenscalc.atf import (
     AtfDiagram,
+    AtfNode,
     NodeReport,
     monodromy,
     nodal_slide,
@@ -257,3 +263,44 @@ def node_boundary_lens(d: AtfDiagram, node_index: int) -> LensSpace:
     if order == 1:
         return S3
     return LensSpace(order, x % order)
+
+
+# --- the Fraction construction ----------------------------------------------
+
+
+def _reduced(corners: list[Point]) -> list[Point]:
+    """The corners in the unimodular frame that Lagrange-reduces their
+    second-moment form sum v v^T = [[a, b], [b, c]]: |2b| <= a <= c.  A
+    reduced form is left as it is."""
+    while True:
+        a = sum(x * x for x, _ in corners)
+        b = sum(x * y for x, y in corners)
+        c = sum(y * y for _, y in corners)
+        if abs(2 * b) > a:
+            k = floor(Fraction(1, 2) - b / a)  # nearest integer to -b/a
+            corners = [(x, y + k * x) for x, y in corners]
+        elif c < a:
+            corners = [(y, -x) for x, y in corners]
+        else:
+            return corners
+
+
+def fraction_atf_for_markov(t: MarkovTriple) -> AtfDiagram:
+    """The moment triangle of P(p1^2, p2^2, p3^2) with its corners traded,
+    reduced on Fraction corners and translated by (1, 1)."""
+    w = [p * p for p in t.entries()]
+    x, y = _bezout(w[0], w[1])
+    normals = ((w[1], -w[2] * x), (0, 1), (-w[0], -w[2] * y))
+    corners = []
+    for i in range(3):
+        (a, b), (c, d) = normals[i - 1], normals[i]
+        det = _cross(normals[i - 1], normals[i])
+        corners.append((Fraction(b - d, det), Fraction(c - a, det)))
+    corners = _reduced(corners)
+    first = corners.index(min(corners))
+    corners = corners[first:] + corners[:first]
+    nodes = tuple(
+        AtfNode((1 + v[0] / 4, 1 + v[1] / 4), _primitive((-v[0], -v[1])), (1 + v[0], 1 + v[1]))
+        for v in corners
+    )
+    return AtfDiagram(tuple((1 + v[0], 1 + v[1]) for v in corners), nodes)

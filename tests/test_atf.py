@@ -5,9 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lenscalc import atf
 from lenscalc.atf import (
     AtfDiagram,
     AtfNode,
+    NodeReport,
     affinely_equivalent,
     atf_for_markov,
     check_consistency,
@@ -20,7 +22,7 @@ from lenscalc.atf import (
     standard_cp2,
     transfer_cut,
 )
-from lenscalc.errors import InvariantError, PreconditionError
+from lenscalc.errors import InternalConsistencyError, InvariantError, PreconditionError
 from lenscalc.farey import IntMat2
 from lenscalc.lens import LensSpace, Orientation, boundary_Bpq, lens_homeomorphic
 from lenscalc.markov import MarkovTriple, derive_q, enumerate_tree
@@ -195,6 +197,18 @@ class TestConsistencyChecker:
         reports = check_consistency(broken)
         assert not reports[0].passed
         assert all(r.passed for r in reports[1:])
+
+    def test_cut_end_off_the_vertices_is_an_internal_error(self, monkeypatch):
+        # no node passes the check with its cut end inside an edge, so force
+        # the check to pass and see that the readout does not guess
+        d = traded_triangle()
+        node = d.nodes[0]
+        edge_point = (Fraction(1), Fraction(0))
+        odd = AtfDiagram(d.vertices, (AtfNode(node.position, node.eigenvector, edge_point),))
+        passing = NodeReport(0, True, True, True, True, True, True)
+        monkeypatch.setattr(atf, "_node_report", lambda d, i: passing)
+        with pytest.raises(InternalConsistencyError):
+            node_boundary_lens(odd, 0)
 
     def test_sweep_of_generated_diagrams(self):
         for t, _ in enumerate_tree(4):

@@ -5,15 +5,22 @@ replay.  The replay shrinks cuts while it runs, so node positions differ;
 the polygons must agree up to an integral affine map and the corners must
 give the same lens readouts.
 
+The closed-form construction must give the same JSON as its Fraction
+original, whose Lagrange reduction steps the Fraction corners.
+
 The integer consistency checker, `node_boundary_lens` and the convexity
 test of `AtfDiagram` are compared with their Fraction originals, on the
-generated diagrams after transfers of their cuts and on perturbed diagrams.
-Both must give equal reports and lens spaces, or raise the same exception
-type.
+generated diagrams after transfers of their cuts, on traded triangles, on
+slid diagrams, on perturbed diagrams, and on all of these read back from
+JSON.  Both must give equal reports and lens spaces, or raise the same
+exception type.  Each of these diagrams must also hold the integral frame
+of its own points.
 """
 
+import json
 from fractions import Fraction
-from math import gcd
+from itertools import permutations
+from math import gcd, lcm
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -23,6 +30,7 @@ import atf_reference as ref
 from lenscalc.atf import (
     AtfDiagram,
     AtfNode,
+    _reducing_frame,
     affinely_equivalent,
     atf_for_markov,
     check_consistency,
@@ -40,6 +48,10 @@ TRIPLES_TO_6 = [t for t, _ in enumerate_tree(6)]
 SMALL_TRIPLES = [t for t, _ in enumerate_tree(3)]
 
 
+def from_json(d):
+    return AtfDiagram.from_json_obj(json.loads(json.dumps(d.to_json_obj())))
+
+
 def readouts(d):
     return sorted(node_boundary_lens(d, i).canonical for i in range(len(d.nodes)))
 
@@ -52,6 +64,38 @@ def test_matches_replay(t):
     assert readouts(got) == readouts(want)
 
 
+def test_closed_form_matches_fraction_construction():
+    for t, _ in enumerate_tree(10):
+        assert atf_for_markov(t).to_json_obj() == ref.fraction_atf_for_markov(t).to_json_obj(), t
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(
+        st.tuples(st.integers(-(2**70), 2**70), st.integers(-(2**70), 2**70)),
+        min_size=1,
+        max_size=4,
+    ),
+    st.integers(1, 2**40),
+)
+def test_reducing_frame_matches_fraction_reduction(vectors, scale):
+    want = ref._reduced([(Fraction(x), Fraction(y)) for x, y in vectors])
+    m = _reducing_frame(vectors)
+    assert [m.apply_vec(x, y) for x, y in vectors] == want
+    assert abs(m.det()) == 1
+    assert _reducing_frame([(x * scale, y * scale) for x, y in vectors]) == m
+
+
+def expected_frame(d):
+    """d's vertices, node positions and cut ends times the lcm of their
+    denominators, by Fraction arithmetic."""
+    points = list(d.vertices) + [p for nd in d.nodes for p in (nd.position, nd.cut_end)]
+    den = lcm(*(Fraction(c).denominator for p in points for c in p))
+    scaled = [(int(x * den), int(y * den)) for x, y in points]
+    n = len(d.vertices)
+    return (den, tuple(scaled[:n]), tuple(scaled[n::2]), tuple(scaled[n + 1 :: 2]))
+
+
 def outcome(fn, *args):
     try:
         return ("ok", fn(*args))
@@ -60,6 +104,7 @@ def outcome(fn, *args):
 
 
 def assert_checkers_agree(d):
+    assert tuple(d.frame) == expected_frame(d)
     assert outcome(check_consistency, d) == outcome(ref.check_consistency, d)
     for i in range(len(d.nodes)):
         assert outcome(node_boundary_lens, d, i) == outcome(ref.node_boundary_lens, d, i)
@@ -86,6 +131,20 @@ def test_checker_matches_fraction_checker_after_transfers(t):
     for d in transferred(t):
         assert_checkers_agree(d)
         assert all(r.passed for r in check_consistency(d))
+        read_back = from_json(d)
+        assert read_back == d
+        assert_checkers_agree(read_back)
+
+
+@pytest.mark.parametrize("order", list(permutations(range(3))), ids=str)
+def test_checker_matches_fraction_checker_after_trades(order):
+    d = standard_cp2()
+    for k, i in enumerate(order):
+        # a trade leaves the vertices in place, so later indices still match
+        d = nodal_trade(d, i)
+        assert len(d.nodes) == k + 1
+        assert_checkers_agree(d)
+        assert_checkers_agree(from_json(d))
 
 
 def rationals(bound=4, den=60):
@@ -161,7 +220,8 @@ def perturbed(draw):
     else:
         nodes[i] = AtfNode(node.position, node.eigenvector, other.cut_end)
         nodes[j] = AtfNode(other.position, other.eigenvector, node.cut_end)
-    return AtfDiagram(verts, tuple(nodes))
+    out = AtfDiagram(verts, tuple(nodes))
+    return from_json(out) if draw(st.booleans()) else out
 
 
 @settings(max_examples=400, deadline=None)
@@ -188,6 +248,7 @@ def test_slide_interior_test_matches_reference(t, i, s):
         assert not inside
     else:
         assert inside and moved.nodes[i].position == target
+        assert_checkers_agree(moved)
 
 
 def slid(d, i, s):

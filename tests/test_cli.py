@@ -70,6 +70,14 @@ class TestFareyCommands:
         assert code == 2
         assert json.loads(err)["error"] == "precondition-failed"
 
+    def test_deeply_nested_file(self, capsys, tmp_path):
+        f = tmp_path / "nested.json"
+        f.write_text("[" * 100_000)
+        code, out, err = run(capsys, "farey", "classify", str(f))
+        assert code == 2
+        assert out == ""
+        assert json.loads(err)["error"] == "precondition-failed"
+
 
 class TestLensCommands:
     def test_surgery_exact_output(self, capsys):
@@ -127,6 +135,13 @@ class TestAtfCommands:
         start = text.index(marker) + len(marker)
         end = text.index("-->", start)
         assert AtfDiagram.from_json_obj(json.loads(text[start:end].strip())) == d
+
+    @pytest.mark.parametrize("target", ["missing/x.svg", "."], ids=["missing-dir", "a-dir"])
+    def test_build_with_unwritable_svg(self, capsys, tmp_path, target):
+        code, out, err = run(capsys, "atf", "build", "1", "1", "2", "--svg", str(tmp_path / target))
+        assert code == 2
+        assert out == ""
+        assert json.loads(err)["error"] == "precondition-failed"
 
     def test_move_transfer(self, capsys, tmp_path):
         code, out, _ = run(capsys, "atf", "build", "1", "1", "1")
