@@ -81,20 +81,12 @@ def _cmd_markov_derive_q(args) -> int:
 
 def _cmd_markov_verify(args) -> int:
     depth = _check_depth(args.depth)
-    triples = [t for t, _ in markov.enumerate_tree(depth)]
-    conditions = {"1": True, "2": True, "3_some": True, "3_all": True, "4": True}
-    for t in triples:
-        rep = markov.verify_q(t, markov.derive_q(t))
-        conditions["1"] &= rep.cond1
-        conditions["2"] &= rep.cond2
-        conditions["3_some"] &= rep.cond3_some
-        conditions["3_all"] &= rep.cond3_all
-        conditions["4"] &= rep.cond4
-    ok = conditions["1"] and conditions["2"] and conditions["3_some"] and conditions["4"]
+    triples, conditions, failures = verify.q_sweep(depth)
+    ok = not failures
     _dump(
         {
             "depth": depth,
-            "triples": len(triples),
+            "triples": triples,
             "conditions": conditions,
             "pass": ok,
         }

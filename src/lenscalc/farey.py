@@ -283,7 +283,13 @@ class DecoratedPath:
             prev, prev_wrapped = s, wrapped
 
     def is_minimal(self) -> bool:
-        return _find_chord([(s.num, s.den) for s in self.slopes]) is None
+        # Ear lemma: a chord closes a Farey-triangulated polygon, one of whose
+        # two non-adjacent ears is an inner vertex m, so (m - 1, m + 1) is a chord.
+        s = self.slopes
+        for u, w in zip(s, s[2:]):
+            if abs(u.num * w.den - u.den * w.num) == 1:
+                return False
+        return True
 
     def is_closed_lens_path(self) -> bool:
         if len(self.signs) < 2:
@@ -317,7 +323,8 @@ class ShorteningResult:
 
 def _find_chord(vecs: list[tuple[int, int]]) -> tuple[int, int] | None:
     """The first chord (i, j), j >= i + 2, of a path given as (num, den)
-    vectors: the shortest span first, then the leftmost; None if minimal."""
+    vectors: the shortest span first, then the leftmost; None if minimal.
+    Only `shorten` uses it; `DecoratedPath.is_minimal` scans width 2 alone."""
     for w in range(2, len(vecs)):
         dets = [abs(a * d - b * c) for (a, b), (c, d) in zip(vecs, vecs[w:])]
         if 1 in dets:

@@ -9,7 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import atf, farey, handles, lens, markov
-from .farey import EdgeSign, Slope
+from .farey import EdgeSign, IntMat2, Slope, _bezout
 
 
 @dataclass(frozen=True)
@@ -24,15 +24,28 @@ def _tree(depth: int) -> list[markov.MarkovTriple]:
     return [t for t, _ in markov.enumerate_tree(depth)]
 
 
+def q_sweep(depth: int) -> tuple[int, dict[str, bool], list[str]]:
+    """`markov.verify_q` over the Markov tree to the given depth: the triple
+    count, for each condition whether every triple meets it, and the triples
+    that fail a condition `QReport.passed` requires (3_all is not required)."""
+    conditions = {"1": True, "2": True, "3_some": True, "3_all": True, "4": True}
+    failures = []
+    triples = _tree(depth)
+    for t in triples:
+        rep = markov.verify_q(t, markov.derive_q(t))
+        conditions["1"] &= rep.cond1
+        conditions["2"] &= rep.cond2
+        conditions["3_some"] &= rep.cond3_some
+        conditions["3_all"] &= rep.cond3_all
+        conditions["4"] &= rep.cond4
+        if not rep.passed:
+            failures.append(str(t))
+    return len(triples), conditions, failures
+
+
 def crit1_q_sweep(depth: int = 8) -> CriterionResult:
     """Every derived q-triple passes its verification conditions."""
-    bad = []
-    count = 0
-    for t in _tree(depth):
-        count += 1
-        rep = markov.verify_q(t, markov.derive_q(t))
-        if not (rep.cond1 and rep.cond2 and rep.cond3_some and rep.cond4):
-            bad.append(str(t))
+    count, _, bad = q_sweep(depth)
     return CriterionResult(
         1,
         f"q-triple derivation conditions, tree depth {depth}",
@@ -117,8 +130,6 @@ def crit4_surgery(depth: int = 6) -> CriterionResult:
             bad.append(f"{t}: ambient {ambient} is not L(-p3^2, p3 q3 - 1)")
             continue
         # change basis so the outer meridian reads 0, as in the surgery op
-        from .farey import IntMat2, _bezout
-
         u, v = _bezout(m_out.num, m_out.den)
         basis = IntMat2(m_out.den, -m_out.num, u, v)
         split = lens.surgery_splitting(basis.apply(Slope(0, 1)), basis.apply(m_in))
@@ -287,9 +298,7 @@ def crit7_farey_oracle(max_den: int = 20) -> CriterionResult:
             if len(path) - 1 != dist[di]:
                 bad.append(f"{src}->{dst}: length {len(path) - 1} vs {dist[di]}")
                 continue
-            deco = farey.DecoratedPath(
-                tuple(path), tuple(EdgeSign.PLUS for _ in path[1:])
-            )
+            deco = farey.DecoratedPath(tuple(path), (EdgeSign.PLUS,) * (len(path) - 1))
             if not deco.is_minimal():
                 bad.append(f"{src}->{dst}: path has a chord")
     return CriterionResult(

@@ -1,10 +1,12 @@
 import json
+import re
 import subprocess
 import sys
+from dataclasses import replace
 
 import pytest
 
-from lenscalc import cli
+from lenscalc import cli, markov, verify
 from lenscalc.atf import AtfDiagram, affinely_equivalent
 from lenscalc.markov import replay
 from lenscalc.svg import render_svg
@@ -37,8 +39,26 @@ class TestMarkovCommands:
     def test_verify_sweep(self, capsys):
         code, out, _ = run(capsys, "markov", "verify", "--depth", "4")
         assert code == 0
+        assert out == (
+            '{"depth":4,"triples":9,"conditions":{"1":true,"2":true,'
+            '"3_some":true,"3_all":false,"4":true},"pass":true}\n'
+        )
+
+    def test_verify_sweep_failure_matches_criterion_1(self, capsys, monkeypatch):
+        real = markov.verify_q
+
+        def broken(t, q):
+            rep = real(t, q)
+            return replace(rep, cond2=False) if t.entries() == (1, 2, 5) else rep
+
+        monkeypatch.setattr(markov, "verify_q", broken)
+        code, out, _ = run(capsys, "markov", "verify", "--depth", "4")
+        assert code == 1
         obj = json.loads(out)
-        assert obj["pass"] and obj["triples"] == 9
+        assert obj["conditions"]["2"] is False and obj["pass"] is False
+        result = verify.crit1_q_sweep(4)
+        assert not result.passed
+        assert result.detail == "9 triples checked; failures: ['(1,2,5)']"
 
     def test_depth_cap(self, capsys):
         code, _, err = run(capsys, "markov", "tree", "--depth", "99")
@@ -212,6 +232,23 @@ class TestVerifyCommand:
         lines = out.strip().splitlines()
         assert lines[-1] == "all criteria passed"
         assert sum(1 for l in lines if l.startswith("ok ")) == 9
+        # every line exactly, but criterion 5's timing
+        assert re.fullmatch(
+            r"ok 5 - decorated-path classifications of the figure paths"
+            r" \(slowest \d+ us\)",
+            lines[4],
+        )
+        assert lines[:4] + lines[5:] == [
+            "ok 1 - q-triple derivation conditions, tree depth 3 (5 triples checked)",
+            "ok 2 - CP^2 recognition sweep, tree depth 3 (5 diagrams checked)",
+            "ok 3 - two-curve boundary identity, tree depth 3 (5 boundaries checked)",
+            "ok 4 - torus-framed surgery splitting, tree depth 3 (5 splittings checked)",
+            "ok 6 - mutation handle slide identities, tree depth 3 (5 triples checked)",
+            "ok 7 - minimal_path vs BFS oracle, denominators <= 20 (32896 pairs checked)",
+            "ok 8 - almost toric pipeline, tree depth 3 (5 diagrams generated)",
+            "ok 9 - one-curve boundary cross-check, p <= 30 (278 pairs checked)",
+            "all criteria passed",
+        ]
 
 
 class TestErrorsAndDeterminism:

@@ -143,6 +143,27 @@ def valid_paths(draw):
     return tuple(slopes), tuple(signs)
 
 
+def clockwise_paths(ring, lengths):
+    """Every strictly clockwise Farey path through the slopes of ring, which
+    lists them in clockwise order, with a vertex count in lengths: after the
+    anchor, each vertex is a Farey neighbour of the last one, further
+    clockwise from the anchor."""
+    n = len(ring)
+    out = []
+
+    def grow(path):
+        if len(path) in lengths:
+            out.append(tuple(ring[i % n] for i in path))
+        if len(path) < max(lengths):
+            for j in range(path[-1] + 1, path[0] + n):
+                if ref.is_farey_edge(ring[path[-1] % n], ring[j % n]):
+                    grow(path + [j])
+
+    for a in range(n):
+        grow([a])
+    return out
+
+
 class TestDecoratedPath:
     @given(candidate_paths())
     @settings(max_examples=400)
@@ -165,3 +186,23 @@ class TestDecoratedPath:
         res = farey.shorten(p)
         got = (res.path.slopes, res.path.signs, res.removed_any, res.opposite_sign_junction)
         assert got == ref.shorten(slopes, signs)
+
+    def test_is_minimal_matches_reference_on_all_small_paths(self):
+        """The width-2 scan of `is_minimal` against the all-widths scan, on
+        every strictly clockwise path of 3 to 7 vertices through the slopes
+        num/den with |num| <= 4 and 0 <= den <= 4, 1/0 included."""
+        ring = sorted(
+            {Slope(n, d) for n in range(-4, 5) for d in range(5) if gcd(n, d) == 1},
+            key=ref._linear_key,
+        )
+        assert len(ring) == 24 and ring[0] == farey.INFINITY
+        paths = clockwise_paths(ring, range(3, 8))
+        assert len(paths) == 5304
+        assert any(farey.INFINITY in p[1:-1] for p in paths)
+        minimal = 0
+        for slopes in paths:
+            want = ref.is_minimal(slopes)
+            p = DecoratedPath(slopes, (EdgeSign.PLUS,) * (len(slopes) - 1))
+            assert p.is_minimal() == want, [str(s) for s in slopes]
+            minimal += want
+        assert minimal == 450
