@@ -33,7 +33,7 @@ def _bezout(a: int, b: int) -> tuple[int, int]:
     return old_x, old_y
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Slope:
     """A point of the Farey circle as a primitive integer vector."""
 
@@ -49,19 +49,21 @@ class Slope:
         d //= g
         if d < 0 or (d == 0 and n < 0):
             n, d = -n, -d
-        object.__setattr__(self, "num", n)
-        object.__setattr__(self, "den", d)
+        _set_num(self, n)
+        _set_den(self, d)
 
     @classmethod
     def _primitive(cls, n: int, d: int) -> "Slope":
         """A slope from a vector that is primitive by construction (an image
         under a det +-1 matrix, the mediant of an edge): only the orientation
-        is fixed, with no gcd."""
+        is fixed, with no gcd.  The fields are set through the slot
+        descriptors `_set_num` and `_set_den`, which bypass the frozen
+        `__setattr__` as `object.__setattr__` does, at a lower cost."""
         if d < 0 or (d == 0 and n < 0):
             n, d = -n, -d
         s = object.__new__(cls)
-        object.__setattr__(s, "num", n)
-        object.__setattr__(s, "den", d)
+        _set_num(s, n)
+        _set_den(s, d)
         return s
 
     @property
@@ -90,6 +92,9 @@ class Slope:
             return str(self.num)
         return f"{self.num}/{self.den}"
 
+
+_set_num = Slope.num.__set__
+_set_den = Slope.den.__set__
 
 INFINITY = Slope(1, 0)
 ZERO = Slope(0, 1)
@@ -187,10 +192,11 @@ def minimal_path(src: Slope, dst: Slope) -> list[Slope]:
     if xd < 0:
         xn, xd = -xn, -xd
     path = [src]
+    primitive = Slope._primitive
     while xd != 1:
         step = (xn - 1) // xd
         nn, nd = step * en + wn, step * ed + wd
-        path.append(Slope._primitive(nn, nd))
+        path.append(primitive(nn, nd))
         en, ed, wn, wd = nn, nd, -en, -ed
         xn, xd = -xd, xn - step * xd
     path.append(dst)
@@ -246,7 +252,7 @@ class Classification(Enum):
     UNDETERMINED = "Undetermined"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DecoratedPath:
     """A strictly clockwise Farey path with signed edges."""
 
@@ -254,10 +260,13 @@ class DecoratedPath:
     signs: tuple[EdgeSign, ...]
 
     def __post_init__(self) -> None:
-        slopes = tuple(self.slopes)
-        signs = tuple(self.signs)
-        object.__setattr__(self, "slopes", slopes)
-        object.__setattr__(self, "signs", signs)
+        slopes, signs = self.slopes, self.signs
+        if type(slopes) is not tuple:
+            slopes = tuple(slopes)
+            _set_slopes(self, slopes)
+        if type(signs) is not tuple:
+            signs = tuple(signs)
+            _set_signs(self, signs)
         if len(slopes) < 2:
             raise InvariantError("a decorated path needs at least one edge")
         if len(signs) != len(slopes) - 1:
@@ -267,20 +276,21 @@ class DecoratedPath:
                 raise InvariantError(f"{u} and {v} are not Farey-adjacent")
         # Rank each slope by (wrapped, slope) in clockwise order from the
         # anchor: wrapped slopes precede the anchor in the linear order.
+        # Both tests are `_before` on the integers; the anchor itself
+        # ranks first, so it can stand as the first predecessor.
         anchor = slopes[0]
         an, ad = anchor.num, anchor.den
-        prev = None
-        prev_wrapped = False
+        pn, pd, prev_wrapped = an, ad, False
         for s in slopes[1:]:
-            if s.num == an and s.den == ad:
+            n, d = s.num, s.den
+            if n == an and d == ad:
                 raise InvariantError("path returns to its starting slope")
-            wrapped = not _before(anchor, s)
-            if prev is not None and (
-                prev_wrapped > wrapped
-                or (prev_wrapped == wrapped and not _before(prev, s))
+            wrapped = d == 0 or (ad != 0 and an * d >= n * ad)
+            if prev_wrapped > wrapped or (
+                prev_wrapped == wrapped and (d == 0 or (pd != 0 and pn * d >= n * pd))
             ):
                 raise InvariantError("path is not strictly clockwise")
-            prev, prev_wrapped = s, wrapped
+            pn, pd, prev_wrapped = n, d, wrapped
 
     def is_minimal(self) -> bool:
         # Ear lemma: a chord closes a Farey-triangulated polygon, one of whose
@@ -309,9 +319,13 @@ class DecoratedPath:
         try:
             slopes = tuple(Slope(int(n), int(d)) for n, d in obj["slopes"])
             signs = tuple(EdgeSign(s) for s in obj["signs"])
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise InvariantError(f"malformed decorated path: {exc}") from exc
         return cls(slopes, signs)
+
+
+_set_slopes = DecoratedPath.slopes.__set__
+_set_signs = DecoratedPath.signs.__set__
 
 
 @dataclass(frozen=True)

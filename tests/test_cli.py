@@ -1,13 +1,21 @@
+import io
 import json
+import os
 import re
 import subprocess
 import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import replace
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from lenscalc import cli, markov, verify
 from lenscalc.atf import AtfDiagram, affinely_equivalent
+from lenscalc.errors import LenscalcError
+from lenscalc.farey import DecoratedPath
 from lenscalc.markov import replay
 from lenscalc.svg import render_svg
 
@@ -97,6 +105,87 @@ class TestFareyCommands:
         assert code == 2
         assert out == ""
         assert json.loads(err)["error"] == "precondition-failed"
+
+
+# JSON-like values for the decorated-path loader: wrong types, huge integers
+# (also as digit strings), the non-finite floats that Python's json reads and
+# writes, and entries small enough that some draws form real Farey paths.
+SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-(2**300), 2**300),
+    st.integers(-(2**300), 2**300).map(str),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.text(max_size=6),
+)
+JSON_VALUES = st.recursive(
+    SCALARS,
+    lambda kids: st.lists(kids, max_size=4)
+    | st.dictionaries(st.text(max_size=6), kids, max_size=4),
+    max_leaves=10,
+)
+ENTRIES = st.one_of(st.integers(-4, 4), st.integers(-4, 4).map(str), SCALARS)
+SIGNS = st.one_of(st.sampled_from(["o", "+", "-", "∘", "x", "", "++"]), JSON_VALUES)
+
+
+@st.composite
+def integer_paths(draw):
+    """Consecutive integers k, k + 1, ... (a real Farey path) with drawn
+    signs, or one of its entries replaced."""
+    k = draw(st.integers(-5, 5))
+    slopes = [[str(k + i), "1"] for i in range(draw(st.integers(0, 5)))]
+    signs = draw(st.lists(st.sampled_from(["o", "+", "-"]), max_size=5))
+    if slopes and draw(st.booleans()):
+        slopes[draw(st.integers(0, len(slopes) - 1))] = draw(st.lists(ENTRIES, max_size=3))
+    return {"slopes": slopes, "signs": signs}
+
+
+DECORATED_OBJS = st.one_of(
+    JSON_VALUES,
+    st.fixed_dictionaries(
+        {
+            "slopes": st.lists(st.tuples(ENTRIES, ENTRIES).map(list) | JSON_VALUES, max_size=5),
+            "signs": st.lists(SIGNS, max_size=5),
+        }
+    ),
+    integer_paths(),
+)
+INF_ENTRY = {"slopes": [[float("inf"), 1], ["0", "1"]], "signs": ["o"]}
+ZERO_ZERO = {"slopes": [["0", "0"], ["0", "1"]], "signs": ["o"]}
+
+
+class TestDecoratedPathLoaderFuzz:
+    @given(DECORATED_OBJS)
+    @example(INF_ENTRY)
+    @example(ZERO_ZERO)
+    @settings(max_examples=300, deadline=None)
+    def test_from_json_obj_returns_a_path_or_a_typed_error(self, obj):
+        try:
+            p = DecoratedPath.from_json_obj(obj)
+        except LenscalcError:
+            return
+        assert isinstance(p, DecoratedPath)
+        assert DecoratedPath.from_json_obj(p.to_json_obj()) == p
+
+    @given(DECORATED_OBJS)
+    @example(INF_ENTRY)
+    @example(ZERO_ZERO)
+    @settings(max_examples=150, deadline=None)
+    def test_classify_file_ends_in_json(self, obj):
+        out, err = io.StringIO(), io.StringIO()
+        with tempfile.TemporaryDirectory() as d:
+            path = os.path.join(d, "path.json")
+            with open(path, "w", encoding="utf-8") as fh:
+                json.dump(obj, fh)
+            with redirect_stdout(out), redirect_stderr(err):
+                code = cli.main(["farey", "classify", path])
+        assert code in (0, 1, 2)
+        if code == 2:
+            assert out.getvalue() == ""
+            assert set(json.loads(err.getvalue())) == {"error", "message"}
+        else:
+            assert err.getvalue() == ""
+            assert "classification" in json.loads(out.getvalue())
 
 
 class TestLensCommands:

@@ -1,4 +1,6 @@
+from dataclasses import FrozenInstanceError
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -301,6 +303,64 @@ class TestDecoratedPathValidation:
     def test_json_round_trip(self):
         p = totally_inconsistent_path(s("-3"), s("-8/5"))
         assert DecoratedPath.from_json_obj(p.to_json_obj()) == p
+
+
+@st.composite
+def primitive_vectors(draw):
+    """A primitive integer vector (n, d) of either orientation, d = 0 and
+    n = 0 included."""
+    n = draw(st.integers(-(2**70), 2**70))
+    d = draw(st.integers(-(2**70), 2**70))
+    if (n, d) == (0, 0):
+        return draw(st.sampled_from([(1, 0), (-1, 0), (0, 1), (0, -1)]))
+    g = gcd(n, d)
+    return n // g, d // g
+
+
+class TestValueSemantics:
+    """Slotted frozen dataclasses: no instance dict, no assignment, and the
+    repr, equality and hash of the field values."""
+
+    def test_fields_are_frozen_and_there_is_no_dict(self):
+        v = Slope(-8, 5)
+        p = DecoratedPath((s("-1"), s("0")), (EdgeSign.RING,))
+        cases = ((v, "num", 1), (v, "den", 1), (p, "slopes", ()), (p, "signs", ()))
+        for obj, field, value in cases:
+            with pytest.raises(FrozenInstanceError):
+                setattr(obj, field, value)
+            assert not hasattr(obj, "__dict__")
+        assert (v.num, v.den) == (-8, 5)
+
+    def test_repr(self):
+        assert repr(Slope(-8, 5)) == "Slope(num=-8, den=5)"
+        assert repr(Slope(16, -10)) == "Slope(num=-8, den=5)"
+
+    @given(slopes_st(10), slopes_st(10))
+    def test_equality_and_hash_follow_the_fields(self, u, v):
+        assert (u == v) == ((u.num, u.den) == (v.num, v.den))
+        assert hash(u) == hash((u.num, u.den))
+        assert len({u, v, Slope(u.num, u.den)}) == (1 if u == v else 2)
+
+    @given(primitive_vectors())
+    @settings(max_examples=300)
+    def test_primitive_matches_checked_constructor(self, vec):
+        n, d = vec
+        for a, b in ((n, d), (-n, -d)):
+            fast = Slope._primitive(a, b)
+            assert fast == Slope(a, b)
+            assert type(fast) is Slope
+            assert hash(fast) == hash(Slope(a, b))
+            assert fast.den >= 0
+
+    def test_decorated_path_stores_tuples(self):
+        slopes = [s("-3"), s("-2"), s("-1"), s("0")]
+        signs = [EdgeSign.RING, EdgeSign.PLUS, EdgeSign.RING]
+        p = DecoratedPath(slopes, signs)
+        assert type(p.slopes) is tuple and type(p.signs) is tuple
+        assert p == DecoratedPath(tuple(slopes), tuple(signs))
+        assert hash(p) == hash(DecoratedPath(tuple(slopes), tuple(signs)))
+        slopes.append(s("1"))
+        assert len(p.slopes) == 4
 
 
 class TestMatrices:

@@ -164,7 +164,59 @@ def clockwise_paths(ring, lengths):
     return out
 
 
+def small_ring():
+    """The 24 primitive slopes num/den with |num| <= 4 and 0 <= den <= 4,
+    1/0 included, in clockwise order from 1/0."""
+    ring = sorted(
+        {Slope(n, d) for n in range(-4, 5) for d in range(5) if gcd(n, d) == 1},
+        key=ref._linear_key,
+    )
+    assert len(ring) == 24 and ring[0] == farey.INFINITY
+    return ring
+
+
+def farey_walks(ring, lengths):
+    """Every walk along Farey edges through the slopes of ring with a vertex
+    count in lengths, in either direction, revisits included."""
+    nbrs = {u: [v for v in ring if ref.is_farey_edge(u, v)] for u in ring}
+    out = []
+
+    def grow(path):
+        if len(path) in lengths:
+            out.append(tuple(path))
+        if len(path) < max(lengths):
+            for v in nbrs[path[-1]]:
+                grow(path + [v])
+
+    for u in ring:
+        grow([u])
+    return out
+
+
 class TestDecoratedPath:
+    def test_validation_matches_reference_on_all_small_walks(self):
+        """Every Farey walk of 2 to 6 vertices through the small ring, and
+        every ordered pair that is not a Farey edge (u == v included): the
+        library accepts exactly what the reference accepts, and otherwise
+        raises the same error type with the same message."""
+        ring = small_ring()
+        walks = farey_walks(ring, range(2, 7))
+        pairs = [(u, v) for u in ring for v in ring if not ref.is_farey_edge(u, v)]
+        assert len(pairs) == 24 * 24 - sum(len(w) == 2 for w in walks)
+        accepted = 0
+        for slopes in walks + pairs:
+            signs = (EdgeSign.PLUS,) * (len(slopes) - 1)
+            got = outcome(DecoratedPath, slopes, signs)
+            want = outcome(ref.validate, slopes, signs)
+            if want[0] == "ok":
+                assert got[0] == "ok", [str(s) for s in slopes]
+                accepted += 1
+            else:
+                assert got == want, [str(s) for s in slopes]
+        # the accepted walks are the strictly clockwise paths of 2 to 6
+        # vertices, which `clockwise_paths` builds independently
+        assert accepted == len(clockwise_paths(ring, range(2, 7)))
+
     @given(candidate_paths())
     @settings(max_examples=400)
     def test_validation_matches_reference(self, case):
@@ -191,11 +243,7 @@ class TestDecoratedPath:
         """The width-2 scan of `is_minimal` against the all-widths scan, on
         every strictly clockwise path of 3 to 7 vertices through the slopes
         num/den with |num| <= 4 and 0 <= den <= 4, 1/0 included."""
-        ring = sorted(
-            {Slope(n, d) for n in range(-4, 5) for d in range(5) if gcd(n, d) == 1},
-            key=ref._linear_key,
-        )
-        assert len(ring) == 24 and ring[0] == farey.INFINITY
+        ring = small_ring()
         paths = clockwise_paths(ring, range(3, 8))
         assert len(paths) == 5304
         assert any(farey.INFINITY in p[1:-1] for p in paths)
