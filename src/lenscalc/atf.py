@@ -22,7 +22,7 @@ from .errors import (
     PreconditionError,
     UnsupportedConfigurationError,
 )
-from .farey import IntMat2, _bezout
+from .farey import IntMat2, _bezout, _json_int, det, transvection
 from .lens import S1XS2, S3, LensSpace
 from .markov import MarkovTriple
 # unused here, but bench/test_bench.py checks that bench/tracer.py wraps this binding
@@ -45,17 +45,13 @@ def _add(p: Point, v: Vec) -> Point:
     return (p[0] + v[0], p[1] + v[1])
 
 
-def _cross(u: Vec, v: Vec):
-    return u[0] * v[1] - u[1] * v[0]
-
-
 def _scale(v: Vec, s) -> Vec:
     return (v[0] * s, v[1] * s)
 
 
 def _integral(points) -> tuple[int, list[IntVec]]:
     """The lcm of the points' denominators, and the points scaled by it as
-    integer pairs.  A positive scaling keeps every sign of `_cross`, every
+    integer pairs.  A positive scaling keeps every sign of `det`, every
     incidence and equality, and every primitive direction between the
     points."""
     den = lcm(*(c.denominator for p in points for c in p))
@@ -73,13 +69,9 @@ def _primitive(v: IntVec) -> IntVec:
     return (v[0] // g, v[1] // g)
 
 
-def _apply_mat(m: IntMat2, v: Vec) -> Vec:
-    return (m.a * v[0] + m.b * v[1], m.c * v[0] + m.d * v[1])
-
-
 def _on_segment(p: Point, a: Point, b: Point) -> bool:
     """p lies on the closed segment [a, b]."""
-    if _cross(_sub(p, a), _sub(b, a)) != 0:
+    if det(_sub(p, a), _sub(b, a)) != 0:
         return False
     lo = min(a[0], b[0]), min(a[1], b[1])
     hi = max(a[0], b[0]), max(a[1], b[1])
@@ -88,10 +80,10 @@ def _on_segment(p: Point, a: Point, b: Point) -> bool:
 
 def _segments_intersect(a: Point, b: Point, c: Point, d: Point) -> bool:
     """Closed segments [a,b] and [c,d] share at least one point."""
-    d1 = _cross(_sub(d, c), _sub(a, c))
-    d2 = _cross(_sub(d, c), _sub(b, c))
-    d3 = _cross(_sub(b, a), _sub(c, a))
-    d4 = _cross(_sub(b, a), _sub(d, a))
+    d1 = det(_sub(d, c), _sub(a, c))
+    d2 = det(_sub(d, c), _sub(b, c))
+    d3 = det(_sub(b, a), _sub(c, a))
+    d4 = det(_sub(b, a), _sub(d, a))
     if ((d1 > 0 and d2 < 0) or (d1 < 0 and d2 > 0)) and (
         (d3 > 0 and d4 < 0) or (d3 < 0 and d4 > 0)
     ):
@@ -110,7 +102,7 @@ def _segments_intersect(a: Point, b: Point, c: Point, d: Point) -> bool:
 def _interior(verts: list[IntVec], p: IntVec) -> bool:
     """p lies strictly inside the counterclockwise polygon verts."""
     edges = zip(verts, verts[1:] + verts[:1])
-    return all(_cross(_sub(b, a), _sub(p, a)) > 0 for a, b in edges)
+    return all(det(_sub(b, a), _sub(p, a)) > 0 for a, b in edges)
 
 
 def _flanking(verts: list[IntVec], p: IntVec) -> tuple[IntVec, IntVec] | None:
@@ -129,10 +121,11 @@ def _flanking(verts: list[IntVec], p: IntVec) -> tuple[IntVec, IntVec] | None:
 
 
 def monodromy(a: int, b: int) -> IntMat2:
-    """The focus-focus monodromy fixing the primitive vector (a, b)."""
+    """The focus-focus monodromy fixing the primitive vector (a, b): the
+    transvection along it with k = 1."""
     if gcd(a, b) != 1:
         raise PreconditionError(f"({a},{b}) is not primitive")
-    return IntMat2(1 - a * b, a * a, -b * b, 1 + a * b)
+    return transvection(a, b, 1)
 
 
 @dataclass(frozen=True)
@@ -172,7 +165,7 @@ class AtfDiagram:
         for i in range(n):
             u = _sub(ints[(i + 1) % n], ints[i])
             w = _sub(ints[(i + 2) % n], ints[(i + 1) % n])
-            if _cross(u, w) <= 0:
+            if det(u, w) <= 0:
                 raise InvariantError("vertices must be strictly convex counterclockwise")
         frame = IntegralFrame(den, tuple(ints[:n]), tuple(ints[n::2]), tuple(ints[n + 1 :: 2]))
         object.__setattr__(self, "frame", frame)
@@ -205,12 +198,12 @@ class AtfDiagram:
             nodes = tuple(
                 AtfNode(
                     (Fraction(n["position"][0]), Fraction(n["position"][1])),
-                    (int(n["eigenvector"][0]), int(n["eigenvector"][1])),
+                    (_json_int(n["eigenvector"][0]), _json_int(n["eigenvector"][1])),
                     (Fraction(n["cut_end"][0]), Fraction(n["cut_end"][1])),
                 )
                 for n in obj.get("nodes", ())
             )
-        except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+        except (KeyError, TypeError, ValueError, ZeroDivisionError, OverflowError) as exc:
             raise InvariantError(f"malformed diagram: {exc}") from exc
         return cls(verts, nodes)
 
@@ -243,7 +236,7 @@ class NodeReport:
 
 
 def _parallel(u: Vec, v: Vec) -> bool:
-    return u != (0, 0) and v != (0, 0) and _cross(u, v) == 0
+    return u != (0, 0) and v != (0, 0) and det(u, v) == 0
 
 
 def _node_report(d: AtfDiagram, i: int) -> NodeReport:
@@ -256,7 +249,7 @@ def _node_report(d: AtfDiagram, i: int) -> NodeReport:
     return NodeReport(
         i,
         eigen_fixed=mat.apply_vec(a, b) == (a, b),
-        cut_parallel=cut_vec != (0, 0) and _cross(cut_vec, (a, b)) == 0,
+        cut_parallel=cut_vec != (0, 0) and det(cut_vec, (a, b)) == 0,
         cut_on_boundary=flank is not None,
         position_interior=_interior(verts, p),
         edges_match=flank is not None
@@ -290,10 +283,10 @@ def _ray_exit(d: AtfDiagram, origin: Point, direction: Vec) -> tuple[Fraction, P
     for i in range(n):
         a, b = d.vertices[i], d.vertices[(i + 1) % n]
         edge = _sub(b, a)
-        denom = _cross(direction, edge)
+        denom = det(direction, edge)
         if denom == 0:
             continue
-        t = _cross(_sub(a, origin), edge) / denom
+        t = det(_sub(a, origin), edge) / denom
         if t <= 0:
             continue
         hit = _add(origin, _scale(direction, t))
@@ -313,11 +306,9 @@ def nodal_trade(d: AtfDiagram, vertex_index: int) -> AtfDiagram:
     prev_v, corner, next_v = (d.frame.vertices[(vertex_index + k) % n] for k in (-1, 0, 1))
     u = _primitive(_sub(prev_v, corner))
     w = _primitive(_sub(next_v, corner))
-    if abs(_cross(u, w)) != 1:
+    if abs(det(u, w)) != 1:
         raise PreconditionError("corner is not unimodular; cannot trade")
-    ex, ey = u[0] + w[0], u[1] + w[1]
-    g = gcd(ex, ey)
-    eigen = (ex // g, ey // g)
+    eigen = _primitive((u[0] + w[0], u[1] + w[1]))
     tstar, _ = _ray_exit(d, v, (Fraction(eigen[0]), Fraction(eigen[1])))
     position = _add(v, _scale((Fraction(eigen[0]), Fraction(eigen[1])), tstar / 2))
     node = AtfNode(position, eigen, v)
@@ -332,7 +323,7 @@ def nodal_slide(d: AtfDiagram, node_index: int, new_position: Point) -> AtfDiagr
     node = d.nodes[node_index]
     new_position = (Fraction(new_position[0]), Fraction(new_position[1]))
     _, (*verts, old, new) = _integral(d.vertices + (node.position, new_position))
-    if _cross(_sub(new, old), node.eigenvector) != 0:
+    if det(_sub(new, old), node.eigenvector) != 0:
         raise PreconditionError("target is off the node's eigenline")
     if not _interior(verts, new):
         raise PreconditionError("target is not strictly interior")
@@ -390,16 +381,12 @@ def transfer_cut(d: AtfDiagram, node_index: int) -> AtfDiagram:
     chain2 = [ring[(i_w + k) % m] for k in range(1, (i_c - i_w) % m)]
     if not chain1 or not chain2:
         raise UnsupportedConfigurationError("eigenline runs along the boundary")
-    sign1 = 1 if _cross(ev, _sub(chain1[0], x0)) > 0 else -1
-    mat_plus = monodromy(*node.eigenvector)
-    candidates = []
-    for mat in (mat_plus, mat_plus.inverse()):
+    sign1 = 1 if det(ev, _sub(chain1[0], x0)) > 0 else -1
+    for mat in (monodromy(*ev), transvection(*ev, -1)):
         for side in (1, 2):
-            candidates.append((mat, side))
-    for mat, side in candidates:
-        result = _try_transfer(d, node_index, mat, side, sign1, x0, c_end, w_end, chain1, chain2)
-        if result is not None:
-            return result
+            result = _try_transfer(d, node_index, mat, side, sign1, x0, c_end, w_end, chain1, chain2)
+            if result is not None:
+                return result
     raise UnsupportedConfigurationError("no monodromy re-gluing flattens the old cut end")
 
 
@@ -407,20 +394,20 @@ def _try_transfer(d, node_index, mat, side, sign1, x0, c_end, w_end, chain1, cha
     node = d.nodes[node_index]
 
     def transform(p: Point) -> Point:
-        return _add(x0, _apply_mat(mat, _sub(p, x0)))
+        return _add(x0, mat.apply_vec(*_sub(p, x0)))
 
     new_chain1 = [transform(p) for p in chain1] if side == 1 else list(chain1)
     new_chain2 = [transform(p) for p in chain2] if side == 2 else list(chain2)
     loop = [c_end] + new_chain1 + [w_end] + new_chain2
     prev_p = loop[-1]
     next_p = loop[1]
-    if _cross(_sub(c_end, prev_p), _sub(next_p, c_end)) != 0:
+    if det(_sub(c_end, prev_p), _sub(next_p, c_end)) != 0:
         return None  # old cut end does not flatten under this re-gluing
     loop = loop[1:]
     transformed_sign = sign1 if side == 1 else -sign1
 
     def on_transformed_side(p: Point) -> bool:
-        c = _cross(node.eigenvector, _sub(p, x0))
+        c = det(node.eigenvector, _sub(p, x0))
         return c != 0 and (1 if c > 0 else -1) == transformed_sign
 
     new_nodes = []
@@ -428,7 +415,7 @@ def _try_transfer(d, node_index, mat, side, sign1, x0, c_end, w_end, chain1, cha
         if j == node_index:
             new_nodes.append(AtfNode(x0, node.eigenvector, w_end))
         elif on_transformed_side(other.position):
-            eig = _primitive(_apply_mat(mat, other.eigenvector))
+            eig = _primitive(mat.apply_vec(*other.eigenvector))
             new_nodes.append(
                 AtfNode(transform(other.position), eig, transform(other.cut_end))
             )
@@ -459,7 +446,7 @@ def node_boundary_lens(d: AtfDiagram, node_index: int) -> LensSpace:
     u1, u2 = _flanking(verts, end)
     a, b = _bezout(u1[0], u1[1])
     x = a * u2[0] + b * u2[1]
-    y = u1[0] * u2[1] - u1[1] * u2[0]
+    y = det(u1, u2)
     order = abs(y)
     if order == 0:
         return S1XS2
@@ -515,8 +502,8 @@ def atf_for_markov(t: MarkovTriple) -> AtfDiagram:
     for i in range(3):
         # the corner where consecutive edges meet, by Cramer's rule
         (a, b), (c, d) = normals[i - 1], normals[i]
-        det = _cross(normals[i - 1], normals[i])
-        corners.append((Fraction(b - d, det), Fraction(c - a, det)))
+        delta = det(normals[i - 1], normals[i])
+        corners.append((Fraction(b - d, delta), Fraction(c - a, delta)))
     den, ints = _integral(corners)
     m = _reducing_frame(ints)
     ints = [m.apply_vec(*v) for v in ints]
@@ -547,7 +534,7 @@ def affinely_equivalent(d1: AtfDiagram, d2: AtfDiagram) -> bool:
             v2 = [d2.vertices[(j + step * k) % n] for k in range(n)]
             u1, w1 = _sub(v1[1], v1[0]), _sub(v1[-1], v1[0])
             u2, w2 = _sub(v2[1], v2[0]), _sub(v2[-1], v2[0])
-            det1 = _cross(u1, w1)
+            det1 = det(u1, w1)
             if det1 == 0:
                 continue
             # solve M*u1 = u2, M*w1 = w2
@@ -560,10 +547,10 @@ def affinely_equivalent(d1: AtfDiagram, d2: AtfDiagram) -> bool:
             mat = IntMat2(int(ma), int(mb), int(mc), int(md))
             if abs(mat.det()) != 1:
                 continue
-            shift = _sub(v2[0], _apply_mat(mat, v1[0]))
+            shift = _sub(v2[0], mat.apply_vec(*v1[0]))
 
             def image(p: Point) -> Point:
-                return _add(_apply_mat(mat, p), shift)
+                return _add(mat.apply_vec(*p), shift)
 
             if any(image(v1[k]) != v2[k] for k in range(n)):
                 continue
@@ -575,9 +562,7 @@ def affinely_equivalent(d1: AtfDiagram, d2: AtfDiagram) -> bool:
                     if (
                         image(nd.position) == cand.position
                         and image(nd.cut_end) == cand.cut_end
-                        and _parallel(
-                            _apply_mat(mat, nd.eigenvector), cand.eigenvector
-                        )
+                        and _parallel(mat.apply_vec(*nd.eigenvector), cand.eigenvector)
                     ):
                         match = k
                         break

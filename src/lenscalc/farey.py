@@ -8,6 +8,7 @@ pure functions over immutable values.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -139,21 +140,22 @@ class IntMat2:
         return Slope(*self.apply_vec(s.num, s.den))
 
 
-def farey_sum(u: Slope, v: Slope) -> Slope:
-    """Mediant of the two primitive representatives."""
-    n, d = u.num + v.num, u.den + v.den
-    if n == 0 and d == 0:
-        raise DegenerateInputError(f"Farey sum of {u} and {v} is degenerate")
-    return Slope(n, d)
+def det(u, v):
+    """det(u, v) = u[0]*v[1] - u[1]*v[0] of two integer or Fraction pairs:
+    for slopes, |det| = 1 iff they span a Farey edge; for torus classes, the
+    algebraic intersection number."""
+    return u[0] * v[1] - u[1] * v[0]
 
 
-def farey_mult(u: Slope, v: Slope) -> int:
-    """u.num*v.den - u.den*v.num; |result| = 1 iff u, v span a Farey edge."""
-    return u.num * v.den - u.den * v.num
+def transvection(x: int, y: int, k: int) -> IntMat2:
+    """The transvection v -> v + k*det(e, v)*e along e = (x, y).  It fixes e,
+    has det 1, and k, -k are inverse.  A Dehn twist of the torus along a
+    curve and the monodromy of a focus-focus node are both of this form."""
+    return IntMat2(1 - k * x * y, k * x * x, -k * y * y, 1 + k * x * y)
 
 
 def is_farey_edge(u: Slope, v: Slope) -> bool:
-    return abs(farey_mult(u, v)) == 1
+    return abs(det((u.num, u.den), (v.num, v.den))) == 1
 
 
 def _before(u: Slope, v: Slope) -> bool:
@@ -203,38 +205,6 @@ def minimal_path(src: Slope, dst: Slope) -> list[Slope]:
     return path
 
 
-def farey_neighbors(s: Slope) -> tuple[Slope, Slope]:
-    """Return ((s)^c, (s)^a): the numerically largest and smallest neighbors.
-
-    For infinity the numeric reading degenerates; the circular-order fallback
-    returns the adjacent integer pair straddling the wrap point, so that the
-    clockwise order (s)^a, s, (s)^c still holds.
-    """
-    if s.is_infinity:
-        return Slope(-1, 1), Slope(0, 1)
-    a, b = s.num, s.den
-    candidates: list[Slope] = []
-    for rhs in (1, -1):
-        # solve a*d - b*n = rhs; family (n, d) = (n0, d0) + k*(a, b)
-        d0, y = _bezout(a, b)
-        n0 = -y
-        if rhs == -1:
-            d0, n0 = -d0, -n0
-        kf = (-d0) // b
-        kc = -(d0 // b)
-        for k in {kf, kc, kf - 1, kc + 1}:
-            den = d0 + k * b
-            if den != 0:
-                candidates.append(Slope._primitive(n0 + k * a, den))
-    best_c = best_a = candidates[0]
-    for v in candidates[1:]:
-        if _before(best_c, v):
-            best_c = v
-        if _before(v, best_a):
-            best_a = v
-    return best_c, best_a
-
-
 class EdgeSign(Enum):
     PLUS = "+"
     MINUS = "-"
@@ -250,6 +220,23 @@ class Classification(Enum):
     VIRTUALLY_OVERTWISTED = "VirtuallyOvertwisted"
     OVERTWISTED = "Overtwisted"
     UNDETERMINED = "Undetermined"
+
+
+_DECIMAL = re.compile(r"-?[0-9]+")
+
+
+def _json_int(x) -> int:
+    """An integer field of a JSON document: an int that is not a bool, or a
+    decimal integer string, the form each `to_json_obj` writes.  Floats,
+    booleans and anything else raise InvariantError."""
+    if type(x) is int:
+        return x
+    if type(x) is str and _DECIMAL.fullmatch(x):
+        try:
+            return int(x)
+        except ValueError as exc:  # more digits than int() converts
+            raise InvariantError(f"malformed integer: {exc}") from exc
+    raise InvariantError(f"not an integer: {x!r:.40}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -317,9 +304,9 @@ class DecoratedPath:
     @classmethod
     def from_json_obj(cls, obj: dict) -> "DecoratedPath":
         try:
-            slopes = tuple(Slope(int(n), int(d)) for n, d in obj["slopes"])
+            slopes = tuple(Slope(_json_int(n), _json_int(d)) for n, d in obj["slopes"])
             signs = tuple(EdgeSign(s) for s in obj["signs"])
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise InvariantError(f"malformed decorated path: {exc}") from exc
         return cls(slopes, signs)
 

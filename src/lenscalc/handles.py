@@ -14,7 +14,7 @@ from enum import Enum
 from math import gcd
 
 from .errors import InternalConsistencyError, InvariantError, PreconditionError
-from .farey import ZERO, IntMat2, Slope
+from .farey import ZERO, IntMat2, Slope, _json_int, det, transvection
 from .lens import ThreeManifold, lens_from_meridian_slopes
 from .markov import MarkovTriple, QTriple, verify_q
 
@@ -37,22 +37,11 @@ class TorusCurve:
         return f"{self.mu}*mu + {self.lam}*lambda (framing {self.framing:+d})"
 
 
-def intersection(c1: TorusCurve, c2: TorusCurve) -> int:
-    """Algebraic intersection number on the torus."""
-    return c1.mu * c2.lam - c2.mu * c1.lam
-
-
 def twist_matrix(c: TorusCurve) -> IntMat2:
     """Action of surgery along c on (lambda; mu): the right-handed Dehn twist
-    for framing -1, its inverse for framing +1."""
-    m = IntMat2(1 + c.mu * c.lam, -c.lam * c.lam, c.mu * c.mu, 1 - c.mu * c.lam)
-    return m if c.framing == -1 else m.inverse()
-
-
-def push_past(v: TorusCurve, surgery: TorusCurve) -> TorusCurve:
-    """Image of the class v when pushed past a surgery curve."""
-    lam, mu = twist_matrix(surgery).apply_vec(v.lam, v.mu)
-    return TorusCurve(mu, lam, v.framing)
+    for framing -1, its inverse for framing +1.  Both are the transvection
+    along (lambda; mu) with k the framing."""
+    return transvection(c.lam, c.mu, c.framing)
 
 
 @dataclass(frozen=True)
@@ -87,13 +76,13 @@ class HorizontalDiagram:
     def from_json_obj(cls, obj: dict) -> "HorizontalDiagram":
         try:
             curves = tuple(
-                TorusCurve(int(c["mu"]), int(c["lambda"]), int(c["framing"]))
+                TorusCurve(_json_int(c["mu"]), _json_int(c["lambda"]), _json_int(c["framing"]))
                 for c in obj["curves"]
             )
             handles = obj.get("handles", {})
-            n3 = int(handles.get("h3", 0))
-            n4 = int(handles.get("h4", 0))
-        except (KeyError, TypeError, ValueError) as exc:
+            n3 = _json_int(handles.get("h3", 0))
+            n4 = _json_int(handles.get("h4", 0))
+        except (KeyError, TypeError, ValueError, AttributeError) as exc:
             raise InvariantError(f"malformed diagram: {exc}") from exc
         return cls(curves, n3, n4)
 
@@ -104,14 +93,6 @@ def composite_twist(d: HorizontalDiagram) -> IntMat2:
     m = IntMat2.identity()
     for c in d.curves:
         m = twist_matrix(c) @ m
-    return m
-
-
-def composite_twist_inverse(d: HorizontalDiagram) -> IntMat2:
-    """Inward transit map: inverse twists composed outermost first."""
-    m = IntMat2.identity()
-    for c in reversed(d.curves):
-        m = twist_matrix(TorusCurve(c.mu, c.lam, -c.framing)) @ m
     return m
 
 
@@ -149,8 +130,8 @@ def recognize_cp2(d: HorizontalDiagram) -> tuple[bool, tuple[int, int, int]]:
         raise PreconditionError("recognition needs exactly three curves")
     if any(c.framing != -1 for c in d.curves):
         raise PreconditionError("recognition needs all framings -1")
-    g1, g2, g3 = d.curves
-    x = (intersection(g2, g3), intersection(g1, g3), intersection(g1, g2))
+    g1, g2, g3 = ((c.mu, c.lam) for c in d.curves)
+    x = (det(g2, g3), det(g1, g3), det(g1, g2))
     ok = x != (0, 0, 0) and (
         x[0] * x[0] + x[1] * x[1] + x[2] * x[2] == x[0] * x[1] * x[2]
     )
@@ -174,16 +155,13 @@ def slide_mutation(d: HorizontalDiagram, slot: Slot) -> HorizontalDiagram:
     g1, g2 = d.curves[0], d.curves[1]
     p2, q2 = -g1.mu, g1.lam
     p1, q1 = g2.mu, g2.lam
+    # twist the moved curve's (-q; p) along the fixed curve, flipped
     if slot is Slot.FIRST:
-        m = IntMat2(1 + p2 * q2, -q2 * q2, p2 * p2, 1 - p2 * q2)
-        a, b = m.apply_vec(-q1, p1)
-        new_q1, new_p1 = -a, -b
-        new_pair = (TorusCurve(-p2, -q2), TorusCurve(new_p1, new_q1))
+        fixed, (p, q) = TorusCurve(-p2, -q2), (p1, q1)
     else:
-        m = IntMat2(1 + p1 * q1, -q1 * q1, p1 * p1, 1 - p1 * q1)
-        a, b = m.apply_vec(-q2, p2)
-        new_q2, new_p2 = -a, -b
-        new_pair = (TorusCurve(-p1, -q1), TorusCurve(new_p2, new_q2))
+        fixed, (p, q) = TorusCurve(-p1, -q1), (p2, q2)
+    a, b = twist_matrix(fixed).apply_vec(-q, p)
+    new_pair = (fixed, TorusCurve(-b, -a))
     return HorizontalDiagram(new_pair + d.curves[2:], d.n3, d.n4)
 
 

@@ -210,10 +210,6 @@ class TestConsistencyChecker:
         with pytest.raises(InternalConsistencyError):
             node_boundary_lens(odd, 0)
 
-    def test_sweep_of_generated_diagrams(self):
-        for t, _ in enumerate_tree(4):
-            assert is_consistent(atf_for_markov(t))
-
 
 class TestMarkovPictures:
     def test_root_is_the_traded_triangle(self):

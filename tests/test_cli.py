@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import os
@@ -13,10 +14,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lenscalc import cli, markov, verify
-from lenscalc.atf import AtfDiagram, affinely_equivalent
+from lenscalc.atf import AtfDiagram, affinely_equivalent, atf_for_markov
 from lenscalc.errors import LenscalcError
 from lenscalc.farey import DecoratedPath
-from lenscalc.markov import replay
+from lenscalc.handles import build_X
+from lenscalc.markov import MarkovTriple, derive_q, replay
 from lenscalc.svg import render_svg
 
 
@@ -172,20 +174,130 @@ class TestDecoratedPathLoaderFuzz:
     @example(ZERO_ZERO)
     @settings(max_examples=150, deadline=None)
     def test_classify_file_ends_in_json(self, obj):
-        out, err = io.StringIO(), io.StringIO()
-        with tempfile.TemporaryDirectory() as d:
-            path = os.path.join(d, "path.json")
-            with open(path, "w", encoding="utf-8") as fh:
-                json.dump(obj, fh)
-            with redirect_stdout(out), redirect_stderr(err):
-                code = cli.main(["farey", "classify", path])
-        assert code in (0, 1, 2)
-        if code == 2:
-            assert out.getvalue() == ""
-            assert set(json.loads(err.getvalue())) == {"error", "message"}
-        else:
-            assert err.getvalue() == ""
-            assert "classification" in json.loads(out.getvalue())
+        ends_in_json(["farey", "classify"], obj, "classification")
+
+
+def ends_in_json(argv, obj, key):
+    """Run the command on obj written as a JSON file: it exits 0 or 1 with
+    JSON holding key on stdout, or 2 with an error object on stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as d:
+        path = os.path.join(d, "input.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(obj, fh)
+        with redirect_stdout(out), redirect_stderr(err):
+            code = cli.main([*argv[:2], path, *argv[2:]])
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert out.getvalue() == ""
+        assert set(json.loads(err.getvalue())) == {"error", "message"}
+    else:
+        assert err.getvalue() == ""
+        assert key in json.loads(out.getvalue())
+
+
+@st.composite
+def damaged(draw, doc):
+    """A JSON value drawn whole, or a copy of doc with one leaf or member
+    replaced by a drawn entry, or with one member deleted."""
+    if draw(st.integers(0, 4)) == 0:
+        return draw(JSON_VALUES)
+    doc = json.loads(json.dumps(doc))
+    parent, key = None, None
+    node = doc
+    while isinstance(node, (dict, list)) and node and (parent is None or draw(st.booleans())):
+        keys = sorted(node) if isinstance(node, dict) else range(len(node))
+        parent, key = node, draw(st.sampled_from(keys))
+        node = parent[key]
+    if parent is None:
+        return doc
+    if isinstance(parent, dict) and draw(st.integers(0, 5)) == 0:
+        del parent[key]
+    else:
+        parent[key] = draw(ENTRIES)
+    return doc
+
+
+HANDLE_DOC = build_X(MarkovTriple(1, 2, 5), derive_q(MarkovTriple(1, 2, 5))).to_json_obj()
+ATF_DOC = atf_for_markov(MarkovTriple(1, 1, 2)).to_json_obj()
+INF_MU = {
+    **HANDLE_DOC,
+    "curves": [{**HANDLE_DOC["curves"][0], "mu": float("inf")}] + HANDLE_DOC["curves"][1:],
+}
+INF_VERTEX = {**ATF_DOC, "vertices": [[float("inf"), "1/1"]] + ATF_DOC["vertices"][1:]}
+INF_EIGEN = {
+    **ATF_DOC,
+    "nodes": [{**ATF_DOC["nodes"][0], "eigenvector": [float("inf"), "1"]}] + ATF_DOC["nodes"][1:],
+}
+
+
+class TestDiagramLoaderFuzz:
+    @given(
+        damaged(HANDLE_DOC),
+        st.sampled_from(
+            [
+                (["handle", "recognize"], "cp2"),
+                (["handle", "mutate", "--slot", "first"], "curves"),
+                (["handle", "mutate", "--slot", "second"], "curves"),
+            ]
+        ),
+    )
+    @example(INF_MU, (["handle", "recognize"], "cp2"))
+    @settings(max_examples=150, deadline=None)
+    def test_handle_commands_end_in_json(self, obj, command):
+        argv, key = command
+        ends_in_json(argv, obj, key)
+
+    @given(damaged(ATF_DOC), st.sampled_from([["--transfer", "0"], ["--slide", "0", "1/2"]]))
+    @example(INF_VERTEX, ["--transfer", "0"])
+    @example(INF_EIGEN, ["--transfer", "0"])
+    @settings(max_examples=150, deadline=None)
+    def test_atf_move_ends_in_json(self, obj, move):
+        ends_in_json(["atf", "move", *move], obj, "vertices")
+
+
+class TestIntegerFields:
+    """Integer fields read only ints and decimal strings: a float or a
+    boolean is an error, not a truncation."""
+
+    def check_rejected(self, capsys, tmp_path, argv, doc):
+        f = tmp_path / "input.json"
+        f.write_text(json.dumps(doc))
+        code, out, err = run(capsys, *argv[:2], str(f), *argv[2:])
+        assert code == 2
+        assert out == ""
+        assert json.loads(err)["error"] == "invariant-violated"
+
+    def test_float_and_bool_slope_entries(self, capsys, tmp_path):
+        doc = {"slopes": [[-2.9, 1], [-1.5, 1], [True, False]], "signs": ["o", "o"]}
+        self.check_rejected(capsys, tmp_path, ["farey", "classify"], doc)
+
+    def test_float_mu(self, capsys, tmp_path):
+        curves = [{**HANDLE_DOC["curves"][0], "mu": -1.9}] + HANDLE_DOC["curves"][1:]
+        self.check_rejected(capsys, tmp_path, ["handle", "recognize"], {**HANDLE_DOC, "curves": curves})
+
+    def test_bool_framing_and_handle_count(self, capsys, tmp_path):
+        curves = [{**HANDLE_DOC["curves"][0], "framing": True}] + HANDLE_DOC["curves"][1:]
+        self.check_rejected(capsys, tmp_path, ["handle", "recognize"], {**HANDLE_DOC, "curves": curves})
+        doc = {**HANDLE_DOC, "handles": {**HANDLE_DOC["handles"], "h3": 1.0}}
+        self.check_rejected(capsys, tmp_path, ["handle", "mutate", "--slot", "first"], doc)
+
+    def test_float_eigenvector(self, capsys, tmp_path):
+        a, b = ATF_DOC["nodes"][0]["eigenvector"]
+        nodes = [{**ATF_DOC["nodes"][0], "eigenvector": [float(a), b]}] + ATF_DOC["nodes"][1:]
+        self.check_rejected(capsys, tmp_path, ["atf", "move", "--transfer", "0"], {**ATF_DOC, "nodes": nodes})
+
+    @pytest.mark.parametrize(
+        "argv, doc",
+        [
+            (["handle", "recognize"], INF_MU),
+            (["atf", "move", "--transfer", "0"], INF_VERTEX),
+            (["atf", "move", "--transfer", "0"], INF_EIGEN),
+        ],
+        ids=["mu", "vertex", "eigenvector"],
+    )
+    def test_infinity(self, capsys, tmp_path, argv, doc):
+        self.check_rejected(capsys, tmp_path, argv, doc)
 
 
 class TestLensCommands:
@@ -338,6 +450,117 @@ class TestVerifyCommand:
             "ok 9 - one-curve boundary cross-check, p <= 30 (278 pairs checked)",
             "all criteria passed",
         ]
+
+
+def sha256(text):
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+class TestReadmeExamples:
+    """The exact stdout of the README's CLI examples; the ATF JSON and SVG
+    by their sha256 digests."""
+
+    def test_markov(self, capsys):
+        assert run(capsys, "markov", "tree", "--depth", "4") == (
+            0,
+            '[{"p":[1,1,1],"word":""},{"p":[1,1,2],"word":"L"},{"p":[1,2,5],"word":"LL"},'
+            '{"p":[2,5,29],"word":"LLL"},{"p":[1,5,13],"word":"LLR"},'
+            '{"p":[5,29,433],"word":"LLLL"},{"p":[2,29,169],"word":"LLLR"},'
+            '{"p":[5,13,194],"word":"LLRL"},{"p":[1,13,34],"word":"LLRR"}]\n',
+            "",
+        )
+        assert run(capsys, "markov", "derive-q", "2", "5", "29") == (
+            0,
+            '{"p":[2,5,29],"q":[-87,261,-1254],"bezout":[3,-1]}\n',
+            "",
+        )
+        assert run(capsys, "markov", "verify", "--depth", "8") == (
+            0,
+            '{"depth":8,"triples":129,"conditions":{"1":true,"2":true,"3_some":true,'
+            '"3_all":false,"4":true},"pass":true}\n',
+            "",
+        )
+
+    def test_farey(self, capsys, tmp_path):
+        assert run(capsys, "farey", "path", "-8/5", "0") == (
+            0,
+            '{"slopes":[["-8","5"],["-3","2"],["-1","1"],["0","1"]]}\n',
+            "",
+        )
+        f = tmp_path / "path.json"
+        f.write_text(
+            '{"slopes": [["-8", "5"], ["-3", "2"], ["-1", "1"], ["0", "1"]], '
+            '"signs": ["o", "+", "o"]}'
+        )
+        assert run(capsys, "farey", "classify", str(f)) == (
+            0,
+            '{"classification":"UniversallyTight"}\n',
+            "",
+        )
+
+    def test_lens(self, capsys):
+        assert run(capsys, "lens", "surgery", "--knot", "5", "-8", "--ambient", "3", "1") == (
+            0,
+            '[{"lens":[8,5]},{"lens":[7,3]}]\n',
+            "",
+        )
+
+    def test_handle(self, capsys, tmp_path):
+        built = (
+            '{"curves":[{"mu":"-2","lambda":"15","framing":-1},'
+            '{"mu":"1","lambda":"0","framing":-1},{"mu":"5","lambda":"6","framing":-1}],'
+            '"handles":{"h0":1,"h1":1,"h3":1,"h4":1}}\n'
+        )
+        assert run(capsys, "handle", "build-x", "1", "2", "5", "--json") == (0, built, "")
+        assert run(capsys, "handle", "build-x", "1", "2", "5") == (
+            0,
+            "diagram for (1,2,5) with q=(0, 15, 6)\n"
+            "  gamma1: -2*mu + 15*lambda (framing -1)\n"
+            "  gamma2: 1*mu + 0*lambda (framing -1)\n"
+            "  gamma3: 5*mu + 6*lambda (framing -1)\n"
+            "  handles: one 0-, one 1-, 3 2-, 1 3-, 1 4-handles\n",
+            "",
+        )
+        f = tmp_path / "diagram.json"
+        f.write_text(built)
+        assert run(capsys, "handle", "recognize", str(f)) == (0, '{"cp2":true,"x":[6,-87,-15]}\n', "")
+        assert run(capsys, "handle", "mutate", str(f), "--slot", "first") == (
+            0,
+            '{"curves":[{"mu":"-2","lambda":"-15","framing":-1},'
+            '{"mu":"29","lambda":"225","framing":-1},{"mu":"5","lambda":"6","framing":-1}],'
+            '"handles":{"h0":1,"h1":1,"h3":1,"h4":1}}\n',
+            "",
+        )
+        assert run(capsys, "handle", "mutate", str(f), "--slot", "second") == (
+            0,
+            '{"curves":[{"mu":"-1","lambda":"0","framing":-1},'
+            '{"mu":"13","lambda":"15","framing":-1},{"mu":"5","lambda":"6","framing":-1}],'
+            '"handles":{"h0":1,"h1":1,"h3":1,"h4":1}}\n',
+            "",
+        )
+
+    def test_atf(self, capsys, tmp_path):
+        picture = tmp_path / "picture.svg"
+        code, out, err = run(capsys, "atf", "build", "1", "1", "2", "--svg", str(picture))
+        assert (code, sha256(out), err) == (
+            0,
+            "5a32dd2c03ebf9bb24648d421946a4242917b96f968e08f8208ba74bfd957280",
+            "",
+        )
+        assert sha256(picture.read_text(encoding="utf-8")) == (
+            "745ea508204940e0f70c686b202fa9501d2cb117ea72be43893d317fc830248e"
+        )
+        f = tmp_path / "diagram.json"
+        f.write_text(out)
+        moves = {
+            ("--transfer", "0"): "8d45c90d61db29950fc40dbd407805f15b0bf40f049e9c16eb76d45c31a4e590",
+            ("--transfer", "1"): "0985c446182f365e7357ae29c1a52b256cf2183aea3db0af4e683f73b19d6872",
+            ("--transfer", "2"): "e5737548d8a203c5c79991886fc3380ae0d823d886df42775a1c8b2e8f344d86",
+            ("--slide", "0", "1/2"): "a978067263c1f7c1973f28ec0452a275848aa286c798a62e1a2353f608b2d57b",
+        }
+        for move, digest in moves.items():
+            code, out, err = run(capsys, "atf", "move", str(f), *move)
+            assert (code, sha256(out), err) == (0, digest, "")
 
 
 class TestErrorsAndDeterminism:

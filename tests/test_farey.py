@@ -15,13 +15,12 @@ from lenscalc.farey import (
     Slope,
     classify,
     cw_between,
-    farey_mult,
-    farey_neighbors,
-    farey_sum,
+    det,
     is_farey_edge,
     minimal_path,
     shorten,
     totally_inconsistent_path,
+    transvection,
 )
 
 s = Slope.parse
@@ -53,33 +52,28 @@ class TestSlope:
         assert s("inf") == Slope(1, 0)
 
 
-class TestFareySum:
-    def test_zero_plus_infinity(self):
-        assert farey_sum(s("0"), s("inf")) == s("1")
+def mult(u, v):
+    """Farey multiplication: det of the primitive representatives."""
+    return det((u.num, u.den), (v.num, v.den))
 
-    def test_mediant_between_neighbors(self):
-        assert farey_sum(s("-5/3"), s("-3/2")) == s("-8/5")
 
-    def test_direct_formula(self):
-        assert farey_sum(s("-1/2"), s("-1/3")) == s("-2/5")
-
-    def test_self_sum_is_identity(self):
-        assert farey_sum(s("1/2"), s("1/2")) == s("1/2")
+def mediant(u, v):
+    return Slope(u.num + v.num, u.den + v.den)
 
 
 class TestFareyMult:
     def test_infinity_zero(self):
-        assert farey_mult(s("inf"), s("0")) == 1
+        assert mult(s("inf"), s("0")) == 1
 
     def test_edge_value(self):
-        assert farey_mult(s("-8/5"), s("-3/2")) == -1
+        assert mult(s("-8/5"), s("-3/2")) == -1
 
     def test_non_edge(self):
-        assert farey_mult(s("-8/5"), s("-1")) == -3
+        assert mult(s("-8/5"), s("-1")) == -3
 
     @given(slopes_st(), slopes_st())
     def test_antisymmetric(self, u, v):
-        assert farey_mult(u, v) == -farey_mult(v, u)
+        assert mult(u, v) == -mult(v, u)
 
     def test_mediant_adjacent_to_both_exhaustive(self):
         # all Farey edges between slopes in [0, 1] u {inf} with den <= 50
@@ -91,43 +85,33 @@ class TestFareyMult:
                     pts.append(p)
         for i, u in enumerate(pts):
             for v in pts[i + 1 :]:
-                if abs(farey_mult(u, v)) == 1:
-                    m = farey_sum(u, v)
-                    assert abs(farey_mult(m, u)) == 1
-                    assert abs(farey_mult(m, v)) == 1
+                if abs(mult(u, v)) == 1:
+                    m = mediant(u, v)
+                    assert abs(mult(m, u)) == 1
+                    assert abs(mult(m, v)) == 1
+
+    def test_fraction_pairs(self):
+        assert det((Fraction(1, 2), Fraction(3)), (Fraction(-1, 3), Fraction(2, 5))) == Fraction(6, 5)
 
 
-class TestNeighbors:
-    def test_example_deep(self):
-        c, a = farey_neighbors(s("-8/5"))
-        assert (c, a) == (s("-3/2"), s("-5/3"))
+VECS = st.tuples(st.integers(-(2**70), 2**70), st.integers(-(2**70), 2**70))
 
-    def test_example_half(self):
-        assert farey_neighbors(s("1/2")) == (s("1"), s("0"))
 
-    @given(slopes_st())
-    def test_pair_is_adjacent_to_input(self, x):
-        c, a = farey_neighbors(x)
-        assert abs(farey_mult(c, x)) == 1
-        assert abs(farey_mult(a, x)) == 1
+class TestTransvection:
+    @given(VECS, st.integers(-5, 5))
+    def test_fixes_its_vector_with_det_one(self, e, k):
+        m = transvection(*e, k)
+        assert m.apply_vec(*e) == e
+        assert m.det() == 1
 
-    def test_non_integer_pair_is_mutually_adjacent(self):
-        for x in [s("-8/5"), s("1/2"), s("-5/3"), s("7/3")]:
-            c, a = farey_neighbors(x)
-            assert abs(farey_mult(c, a)) == 1
+    @given(VECS)
+    def test_opposite_signs_invert(self, e):
+        assert transvection(*e, 1) @ transvection(*e, -1) == IntMat2.identity()
 
-    def test_integer_extremes(self):
-        assert farey_neighbors(s("3")) == (s("4"), s("2"))
-
-    @given(slopes_st())
-    def test_clockwise_order(self, x):
-        c, a = farey_neighbors(x)
-        assert cw_between(a, x, c)
-
-    def test_infinity_fallback(self):
-        c, a = farey_neighbors(s("inf"))
-        assert (c, a) == (s("-1"), s("0"))
-        assert cw_between(a, s("inf"), c)
+    @given(VECS, VECS, st.integers(-5, 5))
+    def test_action(self, e, v, k):
+        t = k * det(e, v)
+        assert transvection(*e, k).apply_vec(*v) == (v[0] + t * e[0], v[1] + t * e[1])
 
 
 class TestMinimalPath:
@@ -166,7 +150,7 @@ def _insert_mediants(path, times):
     for _ in range(times):
         i = (len(out) - 1) // 2
         u, v = out[i], out[i + 1]
-        m = farey_sum(u, v)
+        m = mediant(u, v)
         if not cw_between(u, m, v):
             m = Slope(u.num - v.num, u.den - v.den)
         out.insert(i + 1, m)

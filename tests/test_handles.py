@@ -11,9 +11,6 @@ from lenscalc.handles import (
     boundary_of_diagram,
     build_X,
     composite_twist,
-    composite_twist_inverse,
-    intersection,
-    push_past,
     recognize_cp2,
     slide_mutation,
     twist_matrix,
@@ -74,15 +71,15 @@ class TestTwistMatrix:
 
 
 class TestPushPast:
+    """Pushing a class (lam; mu) past a surgery curve applies its twist."""
+
     def test_longitude_formula(self):
         for p, q in [(2, 1), (3, 2), (5, 1)]:
-            out = push_past(TorusCurve(0, 1), TorusCurve(-p, q))
-            assert (out.lam, out.mu) == (1 - p * q, p * p)
+            assert twist_matrix(TorusCurve(-p, q)).apply_vec(1, 0) == (1 - p * q, p * p)
 
     def test_meridian_formula(self):
         for p, q in [(2, 1), (3, 2), (5, 1)]:
-            out = push_past(TorusCurve(1, 0), TorusCurve(-p, q))
-            assert (out.lam, out.mu) == (-q * q, 1 + p * q)
+            assert twist_matrix(TorusCurve(-p, q)).apply_vec(0, 1) == (-q * q, 1 + p * q)
 
     def test_composition_example(self):
         # (1,2,5) with q = (0, 15): longitude lands on (-29)*lambda + (-25)*mu
@@ -94,15 +91,14 @@ class TestPushPast:
     def test_preserves_primitivity(self, v, c):
         from math import gcd
 
-        out = push_past(v, c)
-        assert gcd(out.mu, out.lam) == 1
+        assert gcd(*twist_matrix(c).apply_vec(v.lam, v.mu)) == 1
 
     def test_belt_sphere_class_sweep(self):
         # pushing the longitude past the (p1, q1) curve gives (p1q1+1; p1^2)
         for t in TREE8:
             q = derive_q(t)
-            out = push_past(TorusCurve(0, 1), TorusCurve(t.p1, q.q1))
-            assert (out.lam, out.mu) == (t.p1 * q.q1 + 1, t.p1 * t.p1)
+            lam, mu = twist_matrix(TorusCurve(t.p1, q.q1)).apply_vec(1, 0)
+            assert (lam, mu) == (t.p1 * q.q1 + 1, t.p1 * t.p1)
 
 
 class TestBoundary:
@@ -137,7 +133,11 @@ class TestBoundary:
 
     def test_transit_maps_invert(self):
         d = HorizontalDiagram((TorusCurve(-2, 15), TorusCurve(1, 0), TorusCurve(5, 6)))
-        assert composite_twist(d) @ composite_twist_inverse(d) == IntMat2.identity()
+        # the inward map: the curves outermost first, framings flipped
+        inward = HorizontalDiagram(
+            tuple(TorusCurve(c.mu, c.lam, -c.framing) for c in reversed(d.curves))
+        )
+        assert composite_twist(d) @ composite_twist(inward) == IntMat2.identity()
 
 
 class TestBuildX:
