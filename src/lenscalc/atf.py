@@ -22,7 +22,7 @@ from .errors import (
     PreconditionError,
     UnsupportedConfigurationError,
 )
-from .farey import IntMat2, _bezout, _json_int, det, transvection
+from .farey import IntMat2, _bezout, _json_fraction, _json_int, det, transvection
 from .lens import S1XS2, S3, LensSpace
 from .markov import MarkovTriple
 # unused here, but bench/test_bench.py checks that bench/tracer.py wraps this binding
@@ -152,6 +152,8 @@ class AtfDiagram:
 
     vertices: tuple[Point, ...]
     nodes: tuple[AtfNode, ...] = ()
+    # the per-node consistency reports, set on first use; not a field
+    _reports = None
 
     def __post_init__(self) -> None:
         verts = tuple((Fraction(x), Fraction(y)) for x, y in self.vertices)
@@ -192,18 +194,16 @@ class AtfDiagram:
     @classmethod
     def from_json_obj(cls, obj: dict) -> "AtfDiagram":
         try:
-            verts = tuple(
-                (Fraction(x), Fraction(y)) for x, y in obj["vertices"]
-            )
+            verts = tuple((_json_fraction(x), _json_fraction(y)) for x, y in obj["vertices"])
             nodes = tuple(
                 AtfNode(
-                    (Fraction(n["position"][0]), Fraction(n["position"][1])),
+                    (_json_fraction(n["position"][0]), _json_fraction(n["position"][1])),
                     (_json_int(n["eigenvector"][0]), _json_int(n["eigenvector"][1])),
-                    (Fraction(n["cut_end"][0]), Fraction(n["cut_end"][1])),
+                    (_json_fraction(n["cut_end"][0]), _json_fraction(n["cut_end"][1])),
                 )
                 for n in obj.get("nodes", ())
             )
-        except (KeyError, TypeError, ValueError, ZeroDivisionError, OverflowError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise InvariantError(f"malformed diagram: {exc}") from exc
         return cls(verts, nodes)
 
@@ -265,11 +265,20 @@ def _node_report(d: AtfDiagram, i: int) -> NodeReport:
     )
 
 
+def _node_reports(d: AtfDiagram) -> tuple[NodeReport, ...]:
+    """The diagram's node reports, computed on its first check and kept."""
+    reports = d._reports
+    if reports is None:
+        reports = tuple(_node_report(d, i) for i in range(len(d.nodes)))
+        object.__setattr__(d, "_reports", reports)
+    return reports
+
+
 def check_consistency(d: AtfDiagram) -> list[NodeReport]:
     """Per-node consistency: the eigendirection is fixed by its monodromy,
     the cut runs along it to the boundary, and the boundary directions
     flanking the cut end are matched by the monodromy."""
-    return [_node_report(d, i) for i in range(len(d.nodes))]
+    return list(_node_reports(d))
 
 
 def is_consistent(d: AtfDiagram) -> bool:
@@ -357,7 +366,11 @@ def transfer_cut(d: AtfDiagram, node_index: int) -> AtfDiagram:
     """Cut along the full eigenline through the node, apply the monodromy
     (or its inverse) to one side, and re-glue so the cut leaves the node on
     the opposite side.  The old cut end flattens to an edge-interior point
-    and the opposite exit point becomes a vertex."""
+    and the opposite exit point becomes a vertex.  The node must pass the
+    consistency check."""
+    node_index = range(len(d.nodes))[node_index]  # as list indexing does
+    if not _node_reports(d)[node_index].passed:
+        raise PreconditionError("node fails the consistency check")
     node = d.nodes[node_index]
     x0 = node.position
     ev = node.eigenvector
@@ -433,9 +446,10 @@ def _try_transfer(d, node_index, mat, side, sign1, x0, c_end, w_end, chain1, cha
 def node_boundary_lens(d: AtfDiagram, node_index: int) -> LensSpace:
     """Lens space traced out over a punctured neighborhood of the cut: read
     the corner at the cut end in a basis where the first boundary direction
-    is (1, 0)."""
+    is (1, 0).  The node must pass the consistency check, which the diagram
+    runs once and keeps."""
     node_index = range(len(d.nodes))[node_index]  # as list indexing does
-    if not _node_report(d, node_index).passed:
+    if not _node_reports(d)[node_index].passed:
         raise PreconditionError("node fails the consistency check")
     verts, end = d.frame.vertices, d.frame.cut_ends[node_index]
     if end not in verts:

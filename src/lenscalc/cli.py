@@ -1,6 +1,7 @@
 """Command-line front end: enumeration, verification sweeps, diagram
 construction, and JSON/SVG emission.  All output is deterministic; errors
-go to stderr as machine-readable JSON with a nonzero exit status."""
+go to stderr as machine-readable JSON with a nonzero exit status, and so
+does each library warning, one JSON object a line."""
 
 from __future__ import annotations
 
@@ -8,6 +9,7 @@ import argparse
 import json
 import re
 import sys
+import warnings
 from fractions import Fraction
 
 from . import atf, farey, handles, lens, markov, svg, verify
@@ -16,15 +18,17 @@ from .errors import LenscalcError, PreconditionError
 DEPTH_CAP = 16
 
 
-def _dump(obj) -> None:
-    print(json.dumps(obj, separators=(",", ":")))
+def _dump(obj, file=None) -> None:
+    print(json.dumps(obj, separators=(",", ":")), file=file)
 
 
 def _emit_error(code: str, message: str) -> None:
-    print(
-        json.dumps({"error": code, "message": message}, separators=(",", ":")),
-        file=sys.stderr,
-    )
+    _dump({"error": code, "message": message}, sys.stderr)
+
+
+def _emit_warning(message, category, filename, lineno, file=None, line=None) -> None:
+    """`warnings.showwarning` for the CLI: one JSON object on stderr."""
+    _dump({"warning": category.__name__, "message": str(message)}, sys.stderr)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -281,6 +285,13 @@ def build_parser() -> _Parser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    with warnings.catch_warnings():
+        warnings.simplefilter("always")
+        warnings.showwarning = _emit_warning
+        return _main(argv)
+
+
+def _main(argv: list[str] | None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

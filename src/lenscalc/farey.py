@@ -184,24 +184,37 @@ def minimal_path(src: Slope, dst: Slope) -> list[Slope]:
     vertex is step*e + w, where step is the largest integer strictly below
     xn/xd, and (next, -e) is the next frame.  The path ends when xd = 1,
     that is when dst is Farey-adjacent to the current vertex.
+
+    Each vertex is primitive by construction (its frame has det 1), so it
+    is built in place, as `Slope._primitive` builds one: a bare instance,
+    its orientation fixed inline and its two slots set directly.
     """
-    if src == dst:
+    sn, sd, tn, td = src.num, src.den, dst.num, dst.den
+    if sn == tn and sd == td:
         raise PreconditionError("path endpoints must be distinct")
-    x, y = _bezout(src.num, src.den)
-    en, ed, wn, wd = src.num, src.den, -y, x
-    xn = dst.num * wd - dst.den * wn
-    xd = en * dst.den - ed * dst.num
+    x, y = _bezout(sn, sd)
+    en, ed, wn, wd = sn, sd, -y, x
+    xn = tn * wd - td * wn
+    xd = en * td - ed * tn
     if xd < 0:
         xn, xd = -xn, -xd
     path = [src]
-    primitive = Slope._primitive
+    append = path.append
+    new, cls, set_num, set_den = object.__new__, Slope, _set_num, _set_den
     while xd != 1:
         step = (xn - 1) // xd
         nn, nd = step * en + wn, step * ed + wd
-        path.append(primitive(nn, nd))
+        s = new(cls)
+        if nd < 0 or (nd == 0 and nn < 0):
+            set_num(s, -nn)
+            set_den(s, -nd)
+        else:
+            set_num(s, nn)
+            set_den(s, nd)
+        append(s)
         en, ed, wn, wd = nn, nd, -en, -ed
         xn, xd = -xd, xn - step * xd
-    path.append(dst)
+    append(dst)
     return path
 
 
@@ -239,45 +252,69 @@ def _json_int(x) -> int:
     raise InvariantError(f"not an integer: {x!r:.40}")
 
 
-@dataclass(frozen=True, slots=True)
+def _json_fraction(x) -> Fraction:
+    """A rational coordinate of a JSON document: an int that is not a bool,
+    or a string that `Fraction` parses, such as the "n/d" each `to_json_obj`
+    writes.  Floats, booleans and anything else raise InvariantError."""
+    if type(x) in (int, str):
+        try:
+            return Fraction(x)
+        except (ValueError, ZeroDivisionError):
+            pass
+    raise InvariantError(f"not a rational: {x!r:.40}")
+
+
+@dataclass(frozen=True, slots=True, init=False)
 class DecoratedPath:
-    """A strictly clockwise Farey path with signed edges."""
+    """A strictly clockwise Farey path with signed edges.
+
+    `__init__` stores both sequences as tuples and validates the path in
+    one loop over its edges.  Errors come in this order: too few slopes, a
+    sign count that does not match the edges, the first edge whose ends are
+    not Farey-adjacent (anywhere along the path), then the first vertex
+    that returns to the anchor or breaks clockwise order.  The loop keeps
+    that first order failure and raises it only after every edge has passed
+    the adjacency test.
+    """
 
     slopes: tuple[Slope, ...]
     signs: tuple[EdgeSign, ...]
 
-    def __post_init__(self) -> None:
-        slopes, signs = self.slopes, self.signs
+    def __init__(self, slopes, signs) -> None:
         if type(slopes) is not tuple:
             slopes = tuple(slopes)
-            _set_slopes(self, slopes)
         if type(signs) is not tuple:
             signs = tuple(signs)
-            _set_signs(self, signs)
+        _set_slopes(self, slopes)
+        _set_signs(self, signs)
         if len(slopes) < 2:
             raise InvariantError("a decorated path needs at least one edge")
         if len(signs) != len(slopes) - 1:
             raise InvariantError("need exactly one sign per edge")
-        for u, v in zip(slopes, slopes[1:]):
-            if abs(u.num * v.den - u.den * v.num) != 1:
-                raise InvariantError(f"{u} and {v} are not Farey-adjacent")
         # Rank each slope by (wrapped, slope) in clockwise order from the
         # anchor: wrapped slopes precede the anchor in the linear order.
         # Both tests are `_before` on the integers; the anchor itself
         # ranks first, so it can stand as the first predecessor.
-        anchor = slopes[0]
-        an, ad = anchor.num, anchor.den
+        u = slopes[0]
+        an, ad = u.num, u.den
         pn, pd, prev_wrapped = an, ad, False
-        for s in slopes[1:]:
-            n, d = s.num, s.den
-            if n == an and d == ad:
-                raise InvariantError("path returns to its starting slope")
-            wrapped = d == 0 or (ad != 0 and an * d >= n * ad)
-            if prev_wrapped > wrapped or (
-                prev_wrapped == wrapped and (d == 0 or (pd != 0 and pn * d >= n * pd))
-            ):
-                raise InvariantError("path is not strictly clockwise")
-            pn, pd, prev_wrapped = n, d, wrapped
+        disorder = None
+        for v in slopes[1:]:
+            n, d = v.num, v.den
+            if abs(pn * d - pd * n) != 1:
+                raise InvariantError(f"{u} and {v} are not Farey-adjacent")
+            if disorder is None:
+                wrapped = d == 0 or (ad != 0 and an * d >= n * ad)
+                if n == an and d == ad:
+                    disorder = "path returns to its starting slope"
+                elif prev_wrapped > wrapped or (
+                    prev_wrapped == wrapped and (d == 0 or (pd != 0 and pn * d >= n * pd))
+                ):
+                    disorder = "path is not strictly clockwise"
+                prev_wrapped = wrapped
+            u, pn, pd = v, n, d
+        if disorder is not None:
+            raise InvariantError(disorder)
 
     def is_minimal(self) -> bool:
         # Ear lemma: a chord closes a Farey-triangulated polygon, one of whose

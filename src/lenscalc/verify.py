@@ -273,8 +273,11 @@ def crit7_farey_oracle(max_den: int = 20) -> CriterionResult:
     is taken in the clockwise-monotone subgraph, which is where minimality
     lives: clockwise means numerically increasing here.
     """
-    from collections import deque
-
+    # Bound here, when the criterion runs, so wrappers installed on the
+    # module or the class (as a tracer does) still see every call.
+    minimal_path = farey.minimal_path
+    decorated = farey.DecoratedPath
+    plus = EdgeSign.PLUS
     verts, succ = _oracle_graph(2 * max_den)
     n = len(verts)
     sources = [i for i, s in enumerate(verts) if s.den <= max_den]
@@ -282,24 +285,28 @@ def crit7_farey_oracle(max_den: int = 20) -> CriterionResult:
     bad = []
     for k, si in enumerate(sources):
         src = verts[si]
+        # breadth-first search, one level at a time
         dist = [-1] * n
         dist[si] = 0
-        queue = deque([si])
-        while queue:
-            i = queue.popleft()
-            for j in succ[i]:
-                if dist[j] < 0:
-                    dist[j] = dist[i] + 1
-                    queue.append(j)
+        level, depth = [si], 0
+        while level:
+            depth += 1
+            following = []
+            for i in level:
+                for j in succ[i]:
+                    if dist[j] < 0:
+                        dist[j] = depth
+                        following.append(j)
+            level = following
         for di in sources[k + 1 :]:
             dst = verts[di]
             cases += 1
-            path = farey.minimal_path(src, dst)
-            if len(path) - 1 != dist[di]:
-                bad.append(f"{src}->{dst}: length {len(path) - 1} vs {dist[di]}")
+            path = minimal_path(src, dst)
+            edges = len(path) - 1
+            if edges != dist[di]:
+                bad.append(f"{src}->{dst}: length {edges} vs {dist[di]}")
                 continue
-            deco = farey.DecoratedPath(tuple(path), (EdgeSign.PLUS,) * (len(path) - 1))
-            if not deco.is_minimal():
+            if not decorated(tuple(path), (plus,) * edges).is_minimal():
                 bad.append(f"{src}->{dst}: path has a chord")
     return CriterionResult(
         7,

@@ -184,6 +184,17 @@ class TestTransferCut:
             d = transfer_cut(d, 0)
             assert len(d.nodes) == 3 and is_consistent(d)
 
+    def test_negative_index_counts_from_the_end(self):
+        d = traded_triangle()
+        assert transfer_cut(d, -1) == transfer_cut(d, 2)
+
+    def test_inconsistent_node_rejected(self):
+        d = traded_triangle()
+        moved = AtfDiagram((pt(1, 1),) + d.vertices[1:], d.nodes)
+        assert not check_consistency(moved)[0].passed
+        with pytest.raises(PreconditionError):
+            transfer_cut(moved, 0)
+
 
 class TestConsistencyChecker:
     def test_perturbed_eigenvector_fails(self):
@@ -197,6 +208,25 @@ class TestConsistencyChecker:
         reports = check_consistency(broken)
         assert not reports[0].passed
         assert all(r.passed for r in reports[1:])
+
+    def test_reports_are_computed_once(self, monkeypatch):
+        calls = []
+        real = atf._node_report
+
+        def counted(d, i):
+            calls.append(i)
+            return real(d, i)
+
+        monkeypatch.setattr(atf, "_node_report", counted)
+        d = atf_for_markov(MarkovTriple(1, 2, 5))
+        reports = check_consistency(d)
+        assert is_consistent(d)
+        readouts = [node_boundary_lens(d, i) for i in range(3)]
+        assert calls == [0, 1, 2]
+        # a caller's list is a copy, so changing it leaves the diagram's own
+        reports.clear()
+        assert len(check_consistency(d)) == 3 and calls == [0, 1, 2]
+        assert [node_boundary_lens(d, i) for i in range(3)] == readouts
 
     def test_cut_end_off_the_vertices_is_an_internal_error(self, monkeypatch):
         # no node passes the check with its cut end inside an edge, so force

@@ -6,6 +6,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import warnings
 from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import replace
 
@@ -18,7 +19,7 @@ from lenscalc.atf import AtfDiagram, affinely_equivalent, atf_for_markov
 from lenscalc.errors import LenscalcError
 from lenscalc.farey import DecoratedPath
 from lenscalc.handles import build_X
-from lenscalc.markov import MarkovTriple, derive_q, replay
+from lenscalc.markov import MarkovTriple, derive_q, enumerate_tree, replay
 from lenscalc.svg import render_svg
 
 
@@ -220,6 +221,9 @@ def damaged(draw, doc):
 
 HANDLE_DOC = build_X(MarkovTriple(1, 2, 5), derive_q(MarkovTriple(1, 2, 5))).to_json_obj()
 ATF_DOC = atf_for_markov(MarkovTriple(1, 1, 2)).to_json_obj()
+ATF_ROOT_DOC = atf_for_markov(MarkovTriple(1, 1, 1)).to_json_obj()
+# the first vertex moved off node 0's cut end, so node 0 fails its check
+ATF_BAD_END_DOC = {**ATF_ROOT_DOC, "vertices": [["1/1", "1/1"]] + ATF_ROOT_DOC["vertices"][1:]}
 INF_MU = {
     **HANDLE_DOC,
     "curves": [{**HANDLE_DOC["curves"][0], "mu": float("inf")}] + HANDLE_DOC["curves"][1:],
@@ -257,8 +261,9 @@ class TestDiagramLoaderFuzz:
 
 
 class TestIntegerFields:
-    """Integer fields read only ints and decimal strings: a float or a
-    boolean is an error, not a truncation."""
+    """Integer fields read only ints and decimal strings, and rational
+    coordinates only ints and strings: a float or a boolean is an error,
+    not a truncation."""
 
     def check_rejected(self, capsys, tmp_path, argv, doc):
         f = tmp_path / "input.json"
@@ -299,6 +304,150 @@ class TestIntegerFields:
     def test_infinity(self, capsys, tmp_path, argv, doc):
         self.check_rejected(capsys, tmp_path, argv, doc)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("vertex", [False, 0.0]),
+            ("vertex", [0.0, "0/1"]),
+            ("vertex", ["0/1", True]),
+            ("vertex", ["1/0", "0/1"]),
+            ("vertex", [None, "0/1"]),
+            ("position", [0.75, "3/4"]),
+            ("position", ["3/4", "three quarters"]),
+            ("cut_end", ["0/1", False]),
+            ("cut_end", [0.0, 0]),
+        ],
+    )
+    def test_float_and_bool_coordinates(self, capsys, tmp_path, field, value):
+        doc = json.loads(json.dumps(ATF_ROOT_DOC))
+        if field == "vertex":
+            doc["vertices"][0] = value
+        else:
+            doc["nodes"][0][field] = value
+        for move in (["--transfer", "0"], ["--transfer", "1"], ["--slide", "1", "1/2"]):
+            self.check_rejected(capsys, tmp_path, ["atf", "move", *move], doc)
+
+
+# Argv for every subcommand, each value in range or not: depths (in range
+# only up to 3, so the sweeps stay cheap), integers up to 2^256 and past
+# int()'s 4300-digit limit, non-integers, 0/0, equal endpoints, node
+# indices and slide parameters.  A file argument is a "@name" the test
+# replaces by a path it writes.  `farey path` from a negative or to a
+# positive huge integer is not drawn: its path has about that many vertices.
+HUGE = st.one_of(st.integers(-(2**256), 2**256).map(str), st.just("9" * 5000))
+NOT_INTS = st.sampled_from(["", "x", "1.5", "1/2", "1e3", "0x10", "inf", "nan", "--"])
+INTS = st.one_of(st.integers(-12, 40).map(str), HUGE, NOT_INTS)
+BAD_DEPTHS = st.one_of(st.integers(-9, -1).map(str), st.integers(17, 2**64).map(str), HUGE, NOT_INTS)
+DEPTHS = st.one_of(st.integers(0, 3).map(str), BAD_DEPTHS)
+TRIPLES = st.one_of(
+    st.sampled_from([t.entries() for t, _ in enumerate_tree(3)])
+    .flatmap(st.permutations)
+    .map(lambda t: [str(p) for p in t]),
+    st.lists(INTS, min_size=3, max_size=3),
+)
+SLOPE_TEXTS = st.one_of(
+    st.builds("{}/{}".format, st.integers(-30, 30), st.integers(-30, 30)),
+    st.integers(-30, 30).map(str),
+    st.sampled_from(["0/0", "5/0", "inf", "-inf", "1/0", "x", "", "1/2/3", "/", "9" * 5000]),
+)
+FAREY_ENDPOINTS = st.one_of(
+    st.tuples(SLOPE_TEXTS, SLOPE_TEXTS),
+    st.one_of(SLOPE_TEXTS, HUGE).map(lambda s: (s, s)),
+    # a positive integer is Farey-adjacent to inf, so this path stays short
+    st.tuples(st.integers(2**64, 2**256).map(str), SLOPE_TEXTS),
+)
+INDICES = st.one_of(st.integers(-4, 4).map(str), HUGE, NOT_INTS)
+SLIDE_PARAMS = st.one_of(
+    st.builds("{}/{}".format, st.integers(-4, 4), st.integers(-4, 4)),
+    st.sampled_from(["0/0", "1/0", "1/2", "0", "-1", "2", "x", "", "1.5", "nan", "inf"]),
+    HUGE,
+)
+FILES = st.sampled_from(["@path", "@handle", "@atf", "@atf-bad-end", "@missing", "@dir", "@garbage"])
+SVG_TARGETS = st.sampled_from([[], ["--svg", "@out.svg"], ["--svg", "@dir"], ["--svg", "@missing"]])
+ARGVS = st.one_of(
+    DEPTHS.map(lambda d: ["markov", "tree", "--depth", d]),
+    TRIPLES.map(lambda t: ["markov", "derive-q", *t]),
+    DEPTHS.map(lambda d: ["markov", "verify", "--depth", d]),
+    FAREY_ENDPOINTS.map(lambda e: ["farey", "path", *e]),
+    FILES.map(lambda f: ["farey", "classify", f]),
+    st.one_of(
+        st.lists(st.integers(-12, 12).map(str), min_size=4, max_size=4),
+        st.lists(INTS, min_size=4, max_size=4),
+    ).map(lambda v: ["lens", "surgery", "--knot", *v[:2], "--ambient", *v[2:]]),
+    st.tuples(TRIPLES, st.sampled_from([[], ["--json"]])).map(
+        lambda a: ["handle", "build-x", *a[0], *a[1]]
+    ),
+    FILES.map(lambda f: ["handle", "recognize", f]),
+    st.tuples(FILES, st.sampled_from(["first", "second", "third", ""])).map(
+        lambda a: ["handle", "mutate", a[0], "--slot", a[1]]
+    ),
+    st.tuples(TRIPLES, SVG_TARGETS).map(lambda a: ["atf", "build", *a[0], *a[1]]),
+    st.tuples(FILES, INDICES).map(lambda a: ["atf", "move", a[0], "--transfer", a[1]]),
+    st.tuples(FILES, INDICES, SLIDE_PARAMS).map(
+        lambda a: ["atf", "move", a[0], "--slide", a[1], a[2]]
+    ),
+    BAD_DEPTHS.map(lambda d: ["verify", "all", "--depth", d]),
+    st.sampled_from(
+        [
+            [],
+            ["bogus"],
+            ["markov"],
+            ["verify"],
+            ["farey", "path", "1"],
+            ["lens", "surgery", "--knot", "1"],
+            ["atf", "move", "@atf"],
+            ["atf", "move", "@atf", "--transfer", "0", "--slide", "0", "1/2"],
+        ]
+    ),
+)
+
+
+@pytest.fixture(scope="module")
+def argv_files(tmp_path_factory):
+    """The files an argv's "@name" stands for."""
+    root = tmp_path_factory.mktemp("argv")
+    docs = {
+        "@path": {"slopes": [["-2", "1"], ["-1", "1"], ["0", "1"]], "signs": ["o", "o"]},
+        "@handle": HANDLE_DOC,
+        "@atf": ATF_ROOT_DOC,
+        "@atf-bad-end": ATF_BAD_END_DOC,
+    }
+    files = {"@dir": str(root), "@missing": str(root / "missing" / "x"), "@out.svg": str(root / "out.svg")}
+    for name, doc in docs.items():
+        files[name] = str(root / f"{name[1:]}.json")
+        (root / f"{name[1:]}.json").write_text(json.dumps(doc))
+    files["@garbage"] = str(root / "garbage.json")
+    (root / "garbage.json").write_text("{not json")
+    return files
+
+
+class TestArgvFuzz:
+    @given(ARGVS)
+    @example(["lens", "surgery", "--knot", "1", "-2", "--ambient", "7", "2"])  # warns, exit 0
+    @example(["lens", "surgery", "--knot", "1", "2", "--ambient", "5", "2"])  # warns, exit 2
+    @example(["atf", "move", "@atf-bad-end", "--transfer", "0"])
+    @settings(max_examples=300, deadline=None)
+    def test_every_argv_ends_in_json(self, argv_files, argv):
+        """Exit 0 or 1 with JSON on stdout (text for `handle build-x`
+        without --json), or 2 with an error object as the last stderr line;
+        every other stderr line is a warning object, and nothing raises,
+        not even a warning that escapes the CLI."""
+        argv = [argv_files.get(a, a) for a in argv]
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err), warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = cli.main(argv)
+        assert code in (0, 1, 2)
+        notes = [json.loads(line) for line in err.getvalue().splitlines()]
+        if code == 2:
+            assert out.getvalue() == ""
+            assert set(notes.pop()) == {"error", "message"}
+        elif argv[:2] == ["handle", "build-x"] and "--json" not in argv:
+            assert out.getvalue().startswith("diagram for ")
+        else:
+            json.loads(out.getvalue())
+        assert all(set(n) == {"warning", "message"} for n in notes)
+
 
 class TestLensCommands:
     def test_surgery_exact_output(self, capsys):
@@ -307,6 +456,17 @@ class TestLensCommands:
         )
         assert code == 0
         assert out == '[{"lens":[8,5]},{"lens":[7,3]}]\n'
+
+    def test_disagreeing_readings_warn_in_json(self, capsys):
+        code, out, err = run(
+            capsys, "lens", "surgery", "--knot", "1", "-2", "--ambient", "7", "2"
+        )
+        assert code == 0
+        assert out == '[{"lens":[2,1]},{"lens":[3,2]}]\n'
+        assert json.loads(err) == {
+            "warning": "UserWarning",
+            "message": "the |q|=1 and |p|=1 triviality readings disagree for T_(1,-2); using |q|=1",
+        }
 
     def test_surgery_rejects_trivial_knot(self, capsys):
         code, _, err = run(
@@ -372,6 +532,17 @@ class TestAtfCommands:
         assert code == 0
         d = AtfDiagram.from_json_obj(json.loads(out))
         assert len(d.nodes) == 3
+
+    def test_move_transfer_of_an_inconsistent_node(self, capsys, tmp_path):
+        f = tmp_path / "diagram.json"
+        f.write_text(json.dumps(ATF_BAD_END_DOC))
+        code, out, err = run(capsys, "atf", "move", str(f), "--transfer", "0")
+        assert code == 2
+        assert out == ""
+        assert json.loads(err) == {
+            "error": "precondition-failed",
+            "message": "node fails the consistency check",
+        }
 
     def test_build_and_transfer_twice_at_depth_6(self, capsys, tmp_path):
         code, out, _ = run(capsys, "atf", "build", "433", "37666", "48928105")
