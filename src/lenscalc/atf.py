@@ -6,7 +6,11 @@ Points are pairs of Fractions; eigenvectors are primitive integer vectors.
 Every move returns a new diagram.  Incidence and sign predicates run on
 integer pairs: the points involved, scaled once by the lcm of their
 denominators (`_integral`).  Each diagram holds its own points in such a
-frame (`AtfDiagram.frame`), built once when the diagram is made.
+frame (`AtfDiagram.frame`), built once when the diagram is made.  Two
+diagrams are equal up to integral-affine maps iff their integer keys
+(`AtfDiagram.normal_form`) are; a transfer of a cut applies the one
+re-gluing that flattens the old cut end.  Coordinates read from JSON are
+integers or "n/d" strings.
 """
 
 from __future__ import annotations
@@ -171,6 +175,56 @@ class AtfDiagram:
                 raise InvariantError("vertices must be strictly convex counterclockwise")
         frame = IntegralFrame(den, tuple(ints[:n]), tuple(ints[n::2]), tuple(ints[n + 1 :: 2]))
         object.__setattr__(self, "frame", frame)
+
+    def normal_form(self) -> tuple:
+        """A key of integers that two diagrams share iff an integral affine
+        map (GL(2,Z) linear part, rational translation) takes one onto the
+        other: the vertices in the same cyclic order or its reverse, the
+        nodes as a multiset, each eigenvector up to sign.
+
+        For each start vertex and direction, the one GL(2,Z) map that sends
+        the first edge to (l, 0) with l > 0 and the second edge to (s, t)
+        with 0 <= s < t takes the points, relative to the start; the key is
+        the least of these 2n images.  The gcd of the frame's denominator
+        and the coordinates relative to a vertex is the same for every
+        vertex and every GL(2,Z) map.  Dividing it out leaves the relative
+        points in lowest terms, so no rational translation changes the
+        key."""
+        den, *groups = self.frame
+        ox, oy = groups[0][0]
+        g = gcd(den, *(c for pts in groups for x, y in pts for c in (x - ox, y - oy)))
+        verts, positions, ends = (
+            tuple(((x - ox) // g, (y - oy) // g) for x, y in pts) for pts in groups
+        )
+        eigens = []
+        for a, b in (nd.eigenvector for nd in self.nodes):
+            k = gcd(a, b) or 1  # a JSON document can hold (0, 0)
+            eigens.append((a // k, b // k))
+        n = len(verts)
+        keys = []
+        for j in range(n):
+            o = verts[j]
+            for step in (1, -1):
+                a, b = _primitive(_sub(verts[(j + step) % n], o))
+                ex, ey = _sub(verts[(j + 2 * step) % n], verts[(j + step) % n])
+                # rows (x, y) and (-b, a) send (a, b) to (1, 0); the sign of
+                # the second row puts the second edge at t > 0, and a shear
+                # of the first row puts it at 0 <= s < t
+                x, y = _bezout(a, b)
+                sign = 1 if a * ey - b * ex > 0 else -1
+                k = (x * ex + y * ey) // (sign * (a * ey - b * ex))
+                m = IntMat2(x + k * sign * b, y - k * sign * a, -sign * b, sign * a)
+
+                def image(p: IntVec) -> IntVec:
+                    return m.apply_vec(p[0] - o[0], p[1] - o[1])
+
+                nodes = sorted(
+                    (image(p), max(m.apply_vec(u, v), m.apply_vec(-u, -v)), image(e))
+                    for p, (u, v), e in zip(positions, eigens, ends)
+                )
+                ring = tuple(image(verts[(j + step * i) % n]) for i in range(1, n))
+                keys.append((ring, tuple(nodes)))
+        return (den // g, *min(keys))
 
     def to_json_obj(self) -> dict:
         def frac(x: Fraction) -> str:
@@ -364,10 +418,17 @@ def _boundary_ring(d: AtfDiagram, extra: list[Point]) -> list[Point]:
 
 def transfer_cut(d: AtfDiagram, node_index: int) -> AtfDiagram:
     """Cut along the full eigenline through the node, apply the monodromy
-    (or its inverse) to one side, and re-glue so the cut leaves the node on
-    the opposite side.  The old cut end flattens to an edge-interior point
-    and the opposite exit point becomes a vertex.  The node must pass the
-    consistency check."""
+    to the side that follows the cut end counterclockwise (`chain1`), and
+    re-glue so the cut leaves the node on the opposite side.  The old cut
+    end c flattens to an edge-interior point and the opposite exit point
+    becomes a vertex.  The node must pass the consistency check.
+
+    This is the one re-gluing that can flatten c.  The cut direction e lies
+    strictly inside the corner at c, and the monodromy v -> v + det(e, v) e
+    turns the direction from c to its successor towards -e, where it can
+    meet the direction to its predecessor; it turns that one towards +e,
+    never parallel to the successor's.  Applying the inverse to the other
+    side gives the same polygon moved by the inverse."""
     node_index = range(len(d.nodes))[node_index]  # as list indexing does
     if not _node_reports(d)[node_index].passed:
         raise PreconditionError("node fails the consistency check")
@@ -394,52 +455,31 @@ def transfer_cut(d: AtfDiagram, node_index: int) -> AtfDiagram:
     chain2 = [ring[(i_w + k) % m] for k in range(1, (i_c - i_w) % m)]
     if not chain1 or not chain2:
         raise UnsupportedConfigurationError("eigenline runs along the boundary")
-    sign1 = 1 if det(ev, _sub(chain1[0], x0)) > 0 else -1
-    for mat in (monodromy(*ev), transvection(*ev, -1)):
-        for side in (1, 2):
-            result = _try_transfer(d, node_index, mat, side, sign1, x0, c_end, w_end, chain1, chain2)
-            if result is not None:
-                return result
-    raise UnsupportedConfigurationError("no monodromy re-gluing flattens the old cut end")
-
-
-def _try_transfer(d, node_index, mat, side, sign1, x0, c_end, w_end, chain1, chain2):
-    node = d.nodes[node_index]
+    mat = monodromy(*ev)
 
     def transform(p: Point) -> Point:
         return _add(x0, mat.apply_vec(*_sub(p, x0)))
 
-    new_chain1 = [transform(p) for p in chain1] if side == 1 else list(chain1)
-    new_chain2 = [transform(p) for p in chain2] if side == 2 else list(chain2)
-    loop = [c_end] + new_chain1 + [w_end] + new_chain2
-    prev_p = loop[-1]
-    next_p = loop[1]
-    if det(_sub(c_end, prev_p), _sub(next_p, c_end)) != 0:
-        return None  # old cut end does not flatten under this re-gluing
-    loop = loop[1:]
-    transformed_sign = sign1 if side == 1 else -sign1
-
-    def on_transformed_side(p: Point) -> bool:
-        c = det(node.eigenvector, _sub(p, x0))
-        return c != 0 and (1 if c > 0 else -1) == transformed_sign
-
+    new_chain1 = [transform(p) for p in chain1]
+    if det(_sub(c_end, chain2[-1]), _sub(new_chain1[0], c_end)) != 0:
+        raise InternalConsistencyError("the monodromy does not flatten the old cut end")
+    upper = det(ev, _sub(chain1[0], x0)) > 0  # the side of chain1
     new_nodes = []
     for j, other in enumerate(d.nodes):
         if j == node_index:
-            new_nodes.append(AtfNode(x0, node.eigenvector, w_end))
-        elif on_transformed_side(other.position):
-            eig = _primitive(mat.apply_vec(*other.eigenvector))
-            new_nodes.append(
-                AtfNode(transform(other.position), eig, transform(other.cut_end))
-            )
+            other = AtfNode(x0, ev, w_end)
         else:
-            new_nodes.append(other)
+            side = det(ev, _sub(other.position, x0))
+            if side != 0 and (side > 0) == upper:
+                eig = _primitive(mat.apply_vec(*other.eigenvector))
+                other = AtfNode(transform(other.position), eig, transform(other.cut_end))
+        new_nodes.append(other)
     try:
-        out = AtfDiagram(tuple(loop), tuple(new_nodes))
+        out = AtfDiagram(tuple(new_chain1 + [w_end] + chain2), tuple(new_nodes))
     except InvariantError:
-        return None
+        raise UnsupportedConfigurationError("the re-glued polygon is not convex") from None
     if not is_consistent(out):
-        return None
+        raise UnsupportedConfigurationError("the re-glued diagram is inconsistent")
     return out
 
 
@@ -539,51 +579,4 @@ def atf_for_markov(t: MarkovTriple) -> AtfDiagram:
 def affinely_equivalent(d1: AtfDiagram, d2: AtfDiagram) -> bool:
     """Equality up to an integral affine map (GL(2,Z) linear part, rational
     translation), allowing any cyclic relabeling or reflection of vertices."""
-    n = len(d1.vertices)
-    if n != len(d2.vertices) or len(d1.nodes) != len(d2.nodes):
-        return False
-    v1 = list(d1.vertices)
-    for j in range(n):
-        for step in (1, -1):
-            v2 = [d2.vertices[(j + step * k) % n] for k in range(n)]
-            u1, w1 = _sub(v1[1], v1[0]), _sub(v1[-1], v1[0])
-            u2, w2 = _sub(v2[1], v2[0]), _sub(v2[-1], v2[0])
-            det1 = det(u1, w1)
-            if det1 == 0:
-                continue
-            # solve M*u1 = u2, M*w1 = w2
-            ma = (u2[0] * w1[1] - w2[0] * u1[1]) / det1
-            mb = (w2[0] * u1[0] - u2[0] * w1[0]) / det1
-            mc = (u2[1] * w1[1] - w2[1] * u1[1]) / det1
-            md = (w2[1] * u1[0] - u2[1] * w1[0]) / det1
-            if any(x.denominator != 1 for x in (ma, mb, mc, md)):
-                continue
-            mat = IntMat2(int(ma), int(mb), int(mc), int(md))
-            if abs(mat.det()) != 1:
-                continue
-            shift = _sub(v2[0], mat.apply_vec(*v1[0]))
-
-            def image(p: Point) -> Point:
-                return _add(mat.apply_vec(*p), shift)
-
-            if any(image(v1[k]) != v2[k] for k in range(n)):
-                continue
-            targets = list(d2.nodes)
-            ok = True
-            for nd in d1.nodes:
-                match = None
-                for k, cand in enumerate(targets):
-                    if (
-                        image(nd.position) == cand.position
-                        and image(nd.cut_end) == cand.cut_end
-                        and _parallel(mat.apply_vec(*nd.eigenvector), cand.eigenvector)
-                    ):
-                        match = k
-                        break
-                if match is None:
-                    ok = False
-                    break
-                targets.pop(match)
-            if ok:
-                return True
-    return False
+    return d1.normal_form() == d2.normal_form()

@@ -10,7 +10,6 @@ import json
 import re
 import sys
 import warnings
-from fractions import Fraction
 
 from . import atf, farey, handles, lens, markov, svg, verify
 from .errors import LenscalcError, PreconditionError
@@ -180,7 +179,7 @@ def _cmd_atf_move(args) -> int:
         index, param = args.slide
         node = d.nodes[_node_index(d, index)]
         try:
-            factor = Fraction(param)
+            factor = farey._rational(param)
         except ZeroDivisionError:
             raise ValueError(f"slide parameter {param} has denominator 0") from None
         if factor <= 0:

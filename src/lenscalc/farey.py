@@ -67,15 +67,6 @@ class Slope:
         _set_den(s, d)
         return s
 
-    @property
-    def is_infinity(self) -> bool:
-        return self.den == 0
-
-    def as_fraction(self) -> Fraction:
-        if self.den == 0:
-            raise DegenerateInputError("infinity has no finite value")
-        return Fraction(self.num, self.den)
-
     @classmethod
     def parse(cls, text: str) -> "Slope":
         text = text.strip()
@@ -236,6 +227,7 @@ class Classification(Enum):
 
 
 _DECIMAL = re.compile(r"-?[0-9]+")
+_RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
 
 
 def _json_int(x) -> int:
@@ -252,13 +244,25 @@ def _json_int(x) -> int:
     raise InvariantError(f"not an integer: {x!r:.40}")
 
 
+def _rational(text: str) -> Fraction:
+    """A rational written "n" or "n/d" in decimal digits, the forms each
+    `to_json_obj` writes.  Anything else, such as "1.5" or "1e999999999"
+    (whose power of ten `Fraction` would compute), raises ValueError; d = 0
+    raises ZeroDivisionError."""
+    if not _RATIONAL.fullmatch(text):
+        raise ValueError(f"not an integer or n/d: {text!r:.40}")
+    return Fraction(text)
+
+
 def _json_fraction(x) -> Fraction:
     """A rational coordinate of a JSON document: an int that is not a bool,
-    or a string that `Fraction` parses, such as the "n/d" each `to_json_obj`
-    writes.  Floats, booleans and anything else raise InvariantError."""
-    if type(x) in (int, str):
+    or a string that `_rational` reads.  Floats, booleans and anything else
+    raise InvariantError."""
+    if type(x) is int:
+        return Fraction(x)
+    if type(x) is str:
         try:
-            return Fraction(x)
+            return _rational(x)
         except (ValueError, ZeroDivisionError):
             pass
     raise InvariantError(f"not a rational: {x!r:.40}")

@@ -17,6 +17,19 @@ The Fraction construction is the closed-form `atf_for_markov` as it was
 when its Lagrange reduction stepped the Fraction corners themselves.  The
 library now steps the integer second-moment form and applies the product
 map once; both must give the same diagram, JSON for JSON.
+
+The map search is the original `affinely_equivalent`: for each labelling
+of the second diagram's vertices it solves for the linear map in
+Fractions and matches the nodes pair by pair.  The library compares
+integer normal forms (`AtfDiagram.normal_form`); both must give the same
+verdict, except on an eigenvector (0, 0), which the search calls unequal
+even to itself.
+
+The transfer search is the original `transfer_cut`, which tried the
+monodromy and its inverse on either side of the eigenline and kept the
+first re-gluing that flattens the old cut end.  The library applies the
+one re-gluing that can; both must give the same diagram, or raise the same
+error with the same message.
 """
 
 from __future__ import annotations
@@ -28,6 +41,12 @@ from lenscalc.atf import (
     AtfDiagram,
     AtfNode,
     NodeReport,
+    _add,
+    _boundary_ring,
+    _integral,
+    _node_reports,
+    _ray_exit,
+    is_consistent,
     monodromy,
     nodal_slide,
     nodal_trade,
@@ -35,11 +54,12 @@ from lenscalc.atf import (
     transfer_cut,
 )
 from lenscalc.errors import (
+    InternalConsistencyError,
     InvariantError,
     PreconditionError,
     UnsupportedConfigurationError,
 )
-from lenscalc.farey import _bezout
+from lenscalc.farey import IntMat2, _bezout, det, transvection
 from lenscalc.lens import S1XS2, S3, LensSpace
 from lenscalc.markov import MarkovTriple, mutation_path
 
@@ -304,3 +324,143 @@ def fraction_atf_for_markov(t: MarkovTriple) -> AtfDiagram:
         for v in corners
     )
     return AtfDiagram(tuple((1 + v[0], 1 + v[1]) for v in corners), nodes)
+
+
+# --- the map search ----------------------------------------------------------
+
+
+def affinely_equivalent(d1: AtfDiagram, d2: AtfDiagram) -> bool:
+    """Equality up to an integral affine map (GL(2,Z) linear part, rational
+    translation), allowing any cyclic relabeling or reflection of vertices."""
+    n = len(d1.vertices)
+    if n != len(d2.vertices) or len(d1.nodes) != len(d2.nodes):
+        return False
+    v1 = list(d1.vertices)
+    for j in range(n):
+        for step in (1, -1):
+            v2 = [d2.vertices[(j + step * k) % n] for k in range(n)]
+            u1, w1 = _sub(v1[1], v1[0]), _sub(v1[-1], v1[0])
+            u2, w2 = _sub(v2[1], v2[0]), _sub(v2[-1], v2[0])
+            det1 = det(u1, w1)
+            if det1 == 0:
+                continue
+            # solve M*u1 = u2, M*w1 = w2
+            ma = (u2[0] * w1[1] - w2[0] * u1[1]) / det1
+            mb = (w2[0] * u1[0] - u2[0] * w1[0]) / det1
+            mc = (u2[1] * w1[1] - w2[1] * u1[1]) / det1
+            md = (w2[1] * u1[0] - u2[1] * w1[0]) / det1
+            if any(x.denominator != 1 for x in (ma, mb, mc, md)):
+                continue
+            mat = IntMat2(int(ma), int(mb), int(mc), int(md))
+            if abs(mat.det()) != 1:
+                continue
+            shift = _sub(v2[0], mat.apply_vec(*v1[0]))
+
+            def image(p: Point) -> Point:
+                return _add(mat.apply_vec(*p), shift)
+
+            if any(image(v1[k]) != v2[k] for k in range(n)):
+                continue
+            targets = list(d2.nodes)
+            ok = True
+            for nd in d1.nodes:
+                match = None
+                for k, cand in enumerate(targets):
+                    if (
+                        image(nd.position) == cand.position
+                        and image(nd.cut_end) == cand.cut_end
+                        and _parallel(mat.apply_vec(*nd.eigenvector), cand.eigenvector)
+                    ):
+                        match = k
+                        break
+                if match is None:
+                    ok = False
+                    break
+                targets.pop(match)
+            if ok:
+                return True
+    return False
+
+
+# --- the transfer search -----------------------------------------------------
+
+
+def transfer_cut_search(d: AtfDiagram, node_index: int) -> AtfDiagram:
+    """Cut along the full eigenline through the node, apply the monodromy
+    (or its inverse) to one side, and re-glue so the cut leaves the node on
+    the opposite side.  The old cut end flattens to an edge-interior point
+    and the opposite exit point becomes a vertex.  The node must pass the
+    consistency check."""
+    node_index = range(len(d.nodes))[node_index]  # as list indexing does
+    if not _node_reports(d)[node_index].passed:
+        raise PreconditionError("node fails the consistency check")
+    node = d.nodes[node_index]
+    x0 = node.position
+    ev = node.eigenvector
+    c_end = node.cut_end
+    away = _sub(x0, c_end)  # direction from cut end through the node
+    _, w_end = _ray_exit(d, x0, away)
+    if w_end == c_end:
+        raise InternalConsistencyError("eigenline exits where it entered")
+    others = [p for j, o in enumerate(d.nodes) if j != node_index for p in (o.position, o.cut_end)]
+    _, (c, w, *rest) = _integral([c_end, w_end] + others)
+    for pos, end in zip(rest[::2], rest[1::2]):
+        if _on_segment(pos, c, w) or _segments_intersect(c, w, pos, end):
+            raise UnsupportedConfigurationError(
+                "eigenline meets another node or cut; slide the nodes first"
+            )
+    ring = _boundary_ring(d, [c_end, w_end])
+    i_c = ring.index(c_end)
+    i_w = ring.index(w_end)
+    m = len(ring)
+    chain1 = [ring[(i_c + k) % m] for k in range(1, (i_w - i_c) % m)]
+    chain2 = [ring[(i_w + k) % m] for k in range(1, (i_c - i_w) % m)]
+    if not chain1 or not chain2:
+        raise UnsupportedConfigurationError("eigenline runs along the boundary")
+    sign1 = 1 if det(ev, _sub(chain1[0], x0)) > 0 else -1
+    for mat in (monodromy(*ev), transvection(*ev, -1)):
+        for side in (1, 2):
+            result = _try_transfer(d, node_index, mat, side, sign1, x0, c_end, w_end, chain1, chain2)
+            if result is not None:
+                return result
+    raise UnsupportedConfigurationError("no monodromy re-gluing flattens the old cut end")
+
+
+def _try_transfer(d, node_index, mat, side, sign1, x0, c_end, w_end, chain1, chain2):
+    node = d.nodes[node_index]
+
+    def transform(p: Point) -> Point:
+        return _add(x0, mat.apply_vec(*_sub(p, x0)))
+
+    new_chain1 = [transform(p) for p in chain1] if side == 1 else list(chain1)
+    new_chain2 = [transform(p) for p in chain2] if side == 2 else list(chain2)
+    loop = [c_end] + new_chain1 + [w_end] + new_chain2
+    prev_p = loop[-1]
+    next_p = loop[1]
+    if det(_sub(c_end, prev_p), _sub(next_p, c_end)) != 0:
+        return None  # old cut end does not flatten under this re-gluing
+    loop = loop[1:]
+    transformed_sign = sign1 if side == 1 else -sign1
+
+    def on_transformed_side(p: Point) -> bool:
+        c = det(node.eigenvector, _sub(p, x0))
+        return c != 0 and (1 if c > 0 else -1) == transformed_sign
+
+    new_nodes = []
+    for j, other in enumerate(d.nodes):
+        if j == node_index:
+            new_nodes.append(AtfNode(x0, node.eigenvector, w_end))
+        elif on_transformed_side(other.position):
+            eig = _primitive(mat.apply_vec(*other.eigenvector))
+            new_nodes.append(
+                AtfNode(transform(other.position), eig, transform(other.cut_end))
+            )
+        else:
+            new_nodes.append(other)
+    try:
+        out = AtfDiagram(tuple(loop), tuple(new_nodes))
+    except InvariantError:
+        return None
+    if not is_consistent(out):
+        return None
+    return out

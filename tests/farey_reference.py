@@ -48,7 +48,7 @@ def is_farey_edge(u: Slope, v: Slope) -> bool:
 
 
 def _linear_key(s: Slope):
-    if s.is_infinity:
+    if s.den == 0:
         return (0, 0)
     return (1, Fraction(s.num, s.den))
 

@@ -3,6 +3,7 @@ verification criteria at full depth and asserts the stated time budget
 where one applies."""
 
 import time
+from fractions import Fraction
 
 from lenscalc import verify
 from lenscalc.farey import Slope, is_farey_edge
@@ -62,7 +63,7 @@ def test_criterion_7_oracle_graph_matches_pair_scan():
                 s = Slope(num, den)
                 if s.den == den:
                     verts.append(s)
-        verts.sort(key=Slope.as_fraction)
+        verts.sort(key=lambda s: Fraction(s.num, s.den))
         succ = [
             [j for j in range(i + 1, len(verts)) if is_farey_edge(verts[i], verts[j])]
             for i in range(len(verts))

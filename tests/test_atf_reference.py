@@ -15,10 +15,17 @@ slid diagrams, on perturbed diagrams, and on all of these read back from
 JSON.  Both must give equal reports and lens spaces, or raise the same
 exception type.  Each of these diagrams must also hold the integral frame
 of its own points.
+
+`affinely_equivalent`, which compares integer normal forms, must give the
+verdict of the original map search on these diagrams paired with their
+images under random integral affine maps, with near misses of those
+images, and with each other.  `transfer_cut`, which applies one re-gluing,
+must give the diagram, or the error, of the original four-candidate search.
 """
 
 import json
 from fractions import Fraction
+from functools import cache
 from itertools import permutations
 from math import gcd, lcm
 
@@ -41,6 +48,7 @@ from lenscalc.atf import (
     transfer_cut,
 )
 from lenscalc.errors import LenscalcError, PreconditionError, UnsupportedConfigurationError
+from lenscalc.farey import IntMat2
 from lenscalc.markov import enumerate_tree
 
 DEPTH = 5
@@ -134,6 +142,21 @@ def test_checker_matches_fraction_checker_after_transfers(t):
         read_back = from_json(d)
         assert read_back == d
         assert_checkers_agree(read_back)
+
+
+def moved(fn, d, i):
+    """The JSON of fn(d, i), or the type and message of its error."""
+    try:
+        return fn(d, i).to_json_obj()
+    except LenscalcError as exc:  # compared, not swallowed
+        return (type(exc), str(exc))
+
+
+@pytest.mark.parametrize("t", TRIPLES_TO_6, ids=str)
+def test_transfer_matches_search_after_transfers(t):
+    for d in transferred(t):
+        for i in range(3):
+            assert moved(transfer_cut, d, i) == moved(ref.transfer_cut_search, d, i)
 
 
 @pytest.mark.parametrize("order", list(permutations(range(3))), ids=str)
@@ -257,32 +280,40 @@ def slid(d, i, s):
     return nodal_slide(d, i, (ex + (px - ex) * s, ey + (py - ey) * s))
 
 
-@settings(max_examples=200, deadline=None)
-@given(
-    st.integers(0, 2),
-    st.lists(
-        st.fractions(0, 2, max_denominator=24).filter(lambda s: s > 0), min_size=3, max_size=3
-    ),
-)
-@example(0, [Fraction(1), Fraction(6, 5), Fraction(1)])  # a cut stops short of it
-@example(0, [Fraction(1), Fraction(3, 2), Fraction(1)])  # a cut crosses the eigenline
-@example(0, [Fraction(1), Fraction(4, 3), Fraction(1)])  # a node on the eigenline
-def test_transfer_blocking_matches_reference(k, factors):
-    # in the traded triangle each node halves its eigenline, so the
-    # eigenline of node k ends at 2 * position - cut_end
+def over_blocking_cases(test):
+    """Run test(k, factors) on node k of the traded triangle, the other two
+    nodes to be slid so that their cuts have the given factors of their
+    lengths."""
+    test = example(0, [Fraction(1), Fraction(4, 3), Fraction(1)])(test)  # a node on the eigenline
+    test = example(0, [Fraction(1), Fraction(3, 2), Fraction(1)])(test)  # a cut crosses the eigenline
+    test = example(0, [Fraction(1), Fraction(6, 5), Fraction(1)])(test)  # a cut stops short of it
+    factors = st.fractions(0, 2, max_denominator=24).filter(lambda s: s > 0)
+    test = given(st.integers(0, 2), st.lists(factors, min_size=3, max_size=3))(test)
+    return settings(max_examples=200, deadline=None)(test)
+
+
+def blocking_case(k, factors):
+    """The traded triangle with every node but k slid by its factor."""
     d = standard_cp2()
     for i in range(3):
         d = nodal_trade(d, i)
-    ends = [
-        (2 * n.position[0] - n.cut_end[0], 2 * n.position[1] - n.cut_end[1]) for n in d.nodes
-    ]
     try:
         for i, s in enumerate(factors):
             if i != k:
                 d = slid(d, i, s)
     except LenscalcError:
         assume(False)
-    c, w = d.nodes[k].cut_end, ends[k]
+    return d
+
+
+@over_blocking_cases
+def test_transfer_blocking_matches_reference(k, factors):
+    d = blocking_case(k, factors)
+    # in the traded triangle each node halves its eigenline, so the
+    # eigenline of node k ends at 2 * position - cut_end, and a slide of
+    # the other nodes leaves node k as it was
+    n = d.nodes[k]
+    c, w = n.cut_end, (2 * n.position[0] - n.cut_end[0], 2 * n.position[1] - n.cut_end[1])
     blocked = any(
         ref._on_segment(o.position, c, w)
         or ref._segments_intersect(c, w, o.position, o.cut_end)
@@ -295,6 +326,12 @@ def test_transfer_blocking_matches_reference(k, factors):
         assert blocked and "meets another node or cut" in str(exc)
     else:
         assert not blocked
+
+
+@over_blocking_cases
+def test_transfer_matches_search_on_blocking_cases(k, factors):
+    d = blocking_case(k, factors)
+    assert moved(transfer_cut, d, k) == moved(ref.transfer_cut_search, d, k)
 
 
 POINTS = st.tuples(rationals(3, 3), rationals(3, 3))
@@ -312,3 +349,133 @@ def test_vertex_validation_matches_reference(vertices):
     want = outcome(ref.validate_vertices, vertices)[0]
     got = outcome(AtfDiagram, tuple(vertices))[0]
     assert got == want
+
+
+@cache
+def small_transferred():
+    return [d for t in SMALL_TRIPLES for d in transferred(t)]
+
+
+@st.composite
+def generated(draw):
+    """A diagram of the kinds the tests above generate: transferred, slid,
+    perturbed, or the standard triangle with some corners traded."""
+    kind = draw(st.sampled_from(["transferred", "slid", "perturbed", "traded"]))
+    if kind == "transferred":
+        return draw(st.sampled_from(small_transferred()))
+    if kind == "perturbed":
+        return draw(perturbed())
+    if kind == "slid":
+        d = atf_for_markov(draw(st.sampled_from(SMALL_TRIPLES)))
+        s = draw(st.fractions(0, 2, max_denominator=24).filter(lambda s: s > 0))
+        try:
+            return slid(d, draw(st.integers(0, 2)), s)
+        except LenscalcError:
+            return d
+    d = standard_cp2()
+    for i in draw(st.permutations(range(3)))[: draw(st.integers(0, 3))]:
+        d = nodal_trade(d, i)
+    return d
+
+
+ELEMENTARY = st.one_of(
+    st.integers(-3, 3).map(lambda k: IntMat2(1, k, 0, 1)),
+    st.integers(-3, 3).map(lambda k: IntMat2(1, 0, k, 1)),
+    st.just(IntMat2(0, 1, -1, 0)),
+    st.just(IntMat2(1, 0, 0, -1)),
+)
+
+
+@st.composite
+def images(draw, d):
+    """d under a random integral affine map (det +-1, rational translation),
+    its vertices relabelled cyclically, its nodes shuffled, and each
+    eigenvector times 1, -1, 2 or -3."""
+    m = IntMat2.identity()
+    for step in draw(st.lists(ELEMENTARY, max_size=5)):
+        m = step @ m
+    shift = (draw(rationals(5, 12)), draw(rationals(5, 12)))
+
+    def image(p):
+        x, y = m.apply_vec(*p)
+        return (x + shift[0], y + shift[1])
+
+    verts = [image(v) for v in d.vertices]
+    if m.det() < 0:
+        verts.reverse()  # a reflection turns the vertices clockwise
+    r = draw(st.integers(0, len(verts) - 1))
+    factors = st.lists(st.sampled_from([1, -1, 2, -3]), min_size=len(d.nodes), max_size=len(d.nodes))
+    nodes = [
+        AtfNode(image(nd.position), tuple(k * c for c in m.apply_vec(*nd.eigenvector)), image(nd.cut_end))
+        for nd, k in zip(d.nodes, draw(factors))
+    ]
+    return AtfDiagram(tuple(verts[r:] + verts[:r]), tuple(draw(st.permutations(nodes))))
+
+
+@st.composite
+def near_misses(draw, d):
+    """An image of d with one node's position or cut end moved by 1/97."""
+    d = draw(images(d))
+    if not d.nodes:
+        return d
+    nodes = list(d.nodes)
+    i = draw(st.integers(0, len(nodes) - 1))
+    dx, dy = draw(st.sampled_from([(1, 0), (0, 1), (-1, 1)]))
+
+    def nudged(p):
+        return (p[0] + Fraction(dx, 97), p[1] + Fraction(dy, 97))
+
+    node = nodes[i]
+    if draw(st.booleans()):
+        nodes[i] = AtfNode(nudged(node.position), node.eigenvector, node.cut_end)
+    else:
+        nodes[i] = AtfNode(node.position, node.eigenvector, nudged(node.cut_end))
+    return AtfDiagram(d.vertices, tuple(nodes))
+
+
+@st.composite
+def pairs(draw):
+    """A generated diagram with its image, a near miss of it, or an image of
+    another generated diagram."""
+    d = draw(generated())
+    kind = draw(st.sampled_from(["image", "near-miss", "other"]))
+    if kind == "image":
+        return kind, d, draw(images(d))
+    if kind == "near-miss":
+        return kind, d, draw(near_misses(d))
+    return kind, d, draw(images(draw(generated())))
+
+
+def flatten(key):
+    for part in key:
+        if isinstance(part, tuple):
+            yield from flatten(part)
+        else:
+            yield part
+
+
+@settings(max_examples=400, deadline=None)
+@given(pairs())
+def test_normal_form_matches_map_search(pair):
+    kind, d1, d2 = pair
+    want = ref.affinely_equivalent(d1, d2)
+    assert affinely_equivalent(d1, d2) == want
+    assert affinely_equivalent(d2, d1) == want
+    if kind == "image":
+        assert want
+    k1, k2 = d1.normal_form(), d2.normal_form()
+    assert all(type(c) is int for c in flatten(k1))
+    assert len({k1, k2}) == (1 if want else 2)
+    assert from_json(d1).normal_form() == k1
+
+
+def test_zero_eigenvector_equals_itself_by_normal_form():
+    # only a JSON document can hold an eigenvector (0, 0); the map search
+    # calls such a diagram unequal even to itself, the key does not
+    doc = atf_for_markov(SMALL_TRIPLES[0]).to_json_obj()
+    doc["nodes"][0]["eigenvector"] = ["0", "0"]
+    d = AtfDiagram.from_json_obj(doc)
+    assert d.normal_form() == from_json(d).normal_form()
+    assert affinely_equivalent(d, d)
+    assert not ref.affinely_equivalent(d, d)
+    assert not affinely_equivalent(d, atf_for_markov(SMALL_TRIPLES[0]))

@@ -127,7 +127,11 @@ JSON_VALUES = st.recursive(
     | st.dictionaries(st.text(max_size=6), kids, max_size=4),
     max_leaves=10,
 )
-ENTRIES = st.one_of(st.integers(-4, 4), st.integers(-4, 4).map(str), SCALARS)
+# "1e999999999" would make `Fraction` compute a power of ten with a billion
+# digits, were it not rejected first
+ENTRIES = st.one_of(
+    st.integers(-4, 4), st.integers(-4, 4).map(str), st.just("1e999999999"), SCALARS
+)
 SIGNS = st.one_of(st.sampled_from(["o", "+", "-", "∘", "x", "", "++"]), JSON_VALUES)
 
 
@@ -229,6 +233,7 @@ INF_MU = {
     "curves": [{**HANDLE_DOC["curves"][0], "mu": float("inf")}] + HANDLE_DOC["curves"][1:],
 }
 INF_VERTEX = {**ATF_DOC, "vertices": [[float("inf"), "1/1"]] + ATF_DOC["vertices"][1:]}
+EXPONENT_VERTEX = {**ATF_ROOT_DOC, "vertices": [["1e999999999", "0/1"]] + ATF_ROOT_DOC["vertices"][1:]}
 INF_EIGEN = {
     **ATF_DOC,
     "nodes": [{**ATF_DOC["nodes"][0], "eigenvector": [float("inf"), "1"]}] + ATF_DOC["nodes"][1:],
@@ -255,6 +260,7 @@ class TestDiagramLoaderFuzz:
     @given(damaged(ATF_DOC), st.sampled_from([["--transfer", "0"], ["--slide", "0", "1/2"]]))
     @example(INF_VERTEX, ["--transfer", "0"])
     @example(INF_EIGEN, ["--transfer", "0"])
+    @example(EXPONENT_VERTEX, ["--transfer", "0"])
     @settings(max_examples=150, deadline=None)
     def test_atf_move_ends_in_json(self, obj, move):
         ends_in_json(["atf", "move", *move], obj, "vertices")
@@ -262,8 +268,9 @@ class TestDiagramLoaderFuzz:
 
 class TestIntegerFields:
     """Integer fields read only ints and decimal strings, and rational
-    coordinates only ints and strings: a float or a boolean is an error,
-    not a truncation."""
+    coordinates only ints and "n" or "n/d" strings: a float or a boolean is
+    an error, not a truncation, and a decimal point or an exponent is an
+    error too."""
 
     def check_rejected(self, capsys, tmp_path, argv, doc):
         f = tmp_path / "input.json"
@@ -316,6 +323,11 @@ class TestIntegerFields:
             ("position", ["3/4", "three quarters"]),
             ("cut_end", ["0/1", False]),
             ("cut_end", [0.0, 0]),
+            ("vertex", ["1e999999999", "0/1"]),
+            ("vertex", ["1.5", "0/1"]),
+            ("position", ["3/4", " 3/4"]),
+            ("cut_end", ["+0", "0/1"]),
+            ("cut_end", ["0/1", "1/-1"]),
         ],
     )
     def test_float_and_bool_coordinates(self, capsys, tmp_path, field, value):
@@ -337,7 +349,13 @@ class TestIntegerFields:
 HUGE = st.one_of(st.integers(-(2**256), 2**256).map(str), st.just("9" * 5000))
 NOT_INTS = st.sampled_from(["", "x", "1.5", "1/2", "1e3", "0x10", "inf", "nan", "--"])
 INTS = st.one_of(st.integers(-12, 40).map(str), HUGE, NOT_INTS)
-BAD_DEPTHS = st.one_of(st.integers(-9, -1).map(str), st.integers(17, 2**64).map(str), HUGE, NOT_INTS)
+# HUGE draws small integers too; a depth in 0..16 is not bad
+BAD_DEPTHS = st.one_of(
+    st.integers(-9, -1).map(str),
+    st.integers(17, 2**64).map(str),
+    HUGE.filter(lambda s: s not in {str(d) for d in range(17)}),
+    NOT_INTS,
+)
 DEPTHS = st.one_of(st.integers(0, 3).map(str), BAD_DEPTHS)
 TRIPLES = st.one_of(
     st.sampled_from([t.entries() for t, _ in enumerate_tree(3)])
@@ -359,10 +377,14 @@ FAREY_ENDPOINTS = st.one_of(
 INDICES = st.one_of(st.integers(-4, 4).map(str), HUGE, NOT_INTS)
 SLIDE_PARAMS = st.one_of(
     st.builds("{}/{}".format, st.integers(-4, 4), st.integers(-4, 4)),
-    st.sampled_from(["0/0", "1/0", "1/2", "0", "-1", "2", "x", "", "1.5", "nan", "inf"]),
+    st.sampled_from(
+        ["0/0", "1/0", "1/2", "0", "-1", "2", "x", "", "1.5", "nan", "inf", "1e999999999"]
+    ),
     HUGE,
 )
-FILES = st.sampled_from(["@path", "@handle", "@atf", "@atf-bad-end", "@missing", "@dir", "@garbage"])
+FILES = st.sampled_from(
+    ["@path", "@handle", "@atf", "@atf-bad-end", "@atf-exponent", "@missing", "@dir", "@garbage"]
+)
 SVG_TARGETS = st.sampled_from([[], ["--svg", "@out.svg"], ["--svg", "@dir"], ["--svg", "@missing"]])
 ARGVS = st.one_of(
     DEPTHS.map(lambda d: ["markov", "tree", "--depth", d]),
@@ -411,6 +433,7 @@ def argv_files(tmp_path_factory):
         "@handle": HANDLE_DOC,
         "@atf": ATF_ROOT_DOC,
         "@atf-bad-end": ATF_BAD_END_DOC,
+        "@atf-exponent": EXPONENT_VERTEX,
     }
     files = {"@dir": str(root), "@missing": str(root / "missing" / "x"), "@out.svg": str(root / "out.svg")}
     for name, doc in docs.items():
@@ -426,6 +449,8 @@ class TestArgvFuzz:
     @example(["lens", "surgery", "--knot", "1", "-2", "--ambient", "7", "2"])  # warns, exit 0
     @example(["lens", "surgery", "--knot", "1", "2", "--ambient", "5", "2"])  # warns, exit 2
     @example(["atf", "move", "@atf-bad-end", "--transfer", "0"])
+    @example(["atf", "move", "@atf", "--slide", "0", "1e999999999"])
+    @example(["atf", "move", "@atf-exponent", "--slide", "0", "1/2"])
     @settings(max_examples=300, deadline=None)
     def test_every_argv_ends_in_json(self, argv_files, argv):
         """Exit 0 or 1 with JSON on stdout (text for `handle build-x`
@@ -585,6 +610,8 @@ class TestAtfCommands:
             ["--slide", "3", "1/2"],
             ["--transfer", "-1"],
             ["--transfer", "3"],
+            ["--slide", "0", "1.5"],
+            ["--slide", "0", "1e999999999"],
         ],
     )
     def test_move_bad_input(self, capsys, tmp_path, move):

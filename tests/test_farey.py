@@ -40,7 +40,7 @@ class TestSlope:
 
     def test_infinity_representative(self):
         assert Slope(-5, 0) == Slope(1, 0)
-        assert Slope(1, 0).is_infinity
+        assert (Slope(-5, 0).num, Slope(-5, 0).den) == (1, 0)
 
     def test_zero_zero_rejected(self):
         with pytest.raises(DegenerateInputError):
