@@ -15,6 +15,9 @@ from . import atf, farey, handles, lens, markov, svg, verify
 from .errors import LenscalcError, PreconditionError
 
 DEPTH_CAP = 16
+# The most vertices `farey path` prints: a path costs memory in proportion
+# to its length, and `farey path -N 0` has N + 1 vertices.
+PATH_CAP = 200_000
 
 
 def _dump(obj, file=None) -> None:
@@ -100,6 +103,11 @@ def _cmd_markov_verify(args) -> int:
 def _cmd_farey_path(args) -> int:
     src = farey.Slope.parse(args.src)
     dst = farey.Slope.parse(args.dst)
+    length = farey.minimal_path_length(src, dst)
+    if length > PATH_CAP:
+        raise PreconditionError(
+            f"the minimal path has {length} vertices, more than the cap of {PATH_CAP}"
+        )
     path = farey.minimal_path(src, dst)
     _dump({"slopes": [[str(s.num), str(s.den)] for s in path]})
     return 0
@@ -223,7 +231,12 @@ def build_parser() -> _Parser:
 
     p_farey = sub.add_parser("farey", help="Farey paths and classification")
     farey_sub = p_farey.add_subparsers(dest="subcommand", required=True)
-    p = farey_sub.add_parser("path", help="minimal clockwise path between slopes")
+    p = farey_sub.add_parser(
+        "path",
+        help="minimal clockwise path between slopes",
+        description="Print the minimal clockwise Farey path from SRC to DST. "
+        f"A path of more than {PATH_CAP} vertices is an error.",
+    )
     p.add_argument("src")
     p.add_argument("dst")
     p.set_defaults(func=_cmd_farey_path)

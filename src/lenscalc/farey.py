@@ -209,6 +209,39 @@ def minimal_path(src: Slope, dst: Slope) -> list[Slope]:
     return path
 
 
+def minimal_path_length(src: Slope, dst: Slope) -> int:
+    """len(minimal_path(src, dst)), without building a vertex.
+
+    The descent of minimal_path, on dst's coordinates (xn, xd) alone, with
+    each run of steps -2 taken in one division.  A step is -2 exactly when
+    d = xn + xd lies in (-xd, 0) (d = 0 would need xd = 1, as xn and xd
+    are coprime); it keeps d and lowers xd by |d|, so a run takes
+    (xd - 1) // |d| steps.  The other steps follow the partial quotients
+    of the continued fraction of dst in src's frame, so the loop runs
+    O(log) times.
+    """
+    sn, sd, tn, td = src.num, src.den, dst.num, dst.den
+    if sn == tn and sd == td:
+        raise PreconditionError("path endpoints must be distinct")
+    x, y = _bezout(sn, sd)
+    xn = tn * x + td * y
+    xd = sn * td - sd * tn
+    if xd < 0:
+        xn, xd = -xn, -xd
+    count = 2
+    while xd != 1:
+        d = xn + xd
+        if -xd < d < 0:
+            run = (xd - 1) // -d
+            count += run
+            xd += run * d
+            xn = d - xd
+        else:
+            count += 1
+            xn, xd = -xd, xn - (xn - 1) // xd * xd
+    return count
+
+
 class EdgeSign(Enum):
     PLUS = "+"
     MINUS = "-"

@@ -272,21 +272,33 @@ def crit7_farey_oracle(max_den: int = 20) -> CriterionResult:
     endpoints'); test pairs have denominator at most max_den.  The geodesic
     is taken in the clockwise-monotone subgraph, which is where minimality
     lives: clockwise means numerically increasing here.
+
+    Each source's search keeps its breadth-first tree (the slope each slope
+    was first reached from) and fails if a slope is reached twice at one
+    depth, so every geodesic in the tree is the only one.  Each path must
+    equal the geodesic to its destination, vertex for vertex, endpoints
+    included.  Equality implies every property of a minimal clockwise path
+    with those endpoints: each oracle edge is a Farey edge between
+    increasing slopes, so the path is adjacent and clockwise, and a chord
+    would be an oracle edge that gives a shorter path, so there is none.
+    A wrong path is a failure in the result, never an exception.
     """
     # Bound here, when the criterion runs, so wrappers installed on the
     # module or the class (as a tracer does) still see every call.
     minimal_path = farey.minimal_path
-    decorated = farey.DecoratedPath
-    plus = EdgeSign.PLUS
     verts, succ = _oracle_graph(2 * max_den)
+    nums = [s.num for s in verts]
+    dens = [s.den for s in verts]
     n = len(verts)
     sources = [i for i, s in enumerate(verts) if s.den <= max_den]
     cases = 0
     bad = []
     for k, si in enumerate(sources):
         src = verts[si]
-        # breadth-first search, one level at a time
+        # breadth-first search, one level at a time, keeping each slope's
+        # parent in the tree
         dist = [-1] * n
+        parent = [-1] * n
         dist[si] = 0
         level, depth = [si], 0
         while level:
@@ -294,9 +306,13 @@ def crit7_farey_oracle(max_den: int = 20) -> CriterionResult:
             following = []
             for i in level:
                 for j in succ[i]:
-                    if dist[j] < 0:
+                    dj = dist[j]
+                    if dj < 0:
                         dist[j] = depth
+                        parent[j] = i
                         following.append(j)
+                    elif dj == depth:
+                        bad.append(f"{src}->{verts[j]}: two geodesics")
             level = following
         for di in sources[k + 1 :]:
             dst = verts[di]
@@ -306,8 +322,13 @@ def crit7_farey_oracle(max_den: int = 20) -> CriterionResult:
             if edges != dist[di]:
                 bad.append(f"{src}->{dst}: length {edges} vs {dist[di]}")
                 continue
-            if not decorated(tuple(path), (plus,) * edges).is_minimal():
-                bad.append(f"{src}->{dst}: path has a chord")
+            # walk the path from dst back to src along the tree
+            j = di
+            for s in reversed(path):
+                if s.num != nums[j] or s.den != dens[j]:
+                    bad.append(f"{src}->{dst}: vertex {s} is off the oracle geodesic")
+                    break
+                j = parent[j]
     return CriterionResult(
         7,
         f"minimal_path vs BFS oracle, denominators <= {max_den}",

@@ -5,7 +5,9 @@ where one applies."""
 import time
 from fractions import Fraction
 
-from lenscalc import verify
+import pytest
+
+from lenscalc import farey, verify
 from lenscalc.farey import Slope, is_farey_edge
 
 
@@ -69,6 +71,39 @@ def test_criterion_7_oracle_graph_matches_pair_scan():
             for i in range(len(verts))
         ]
         assert verify._oracle_graph(den_limit) == (verts, succ), den_limit
+
+
+def _drop_interior_vertex(path):
+    return path[:1] + path[2:] if len(path) > 2 else path
+
+
+def _wrong_first_vertex(path):
+    return [Slope(-2, 1), *path[1:]]
+
+
+def _mediant_detour(path):
+    if len(path) != 2:
+        return path
+    u, v = path
+    return [u, Slope(u.num + v.num, u.den + v.den), v]
+
+
+@pytest.mark.parametrize(
+    "mutate, failure",
+    [
+        (_drop_interior_vertex, ": length "),
+        (_wrong_first_vertex, " is off the oracle geodesic"),
+        (_mediant_detour, ": length "),
+    ],
+    ids=["dropped-vertex", "wrong-first-vertex", "mediant-detour"],
+)
+def test_criterion_7_reports_a_bad_path(monkeypatch, mutate, failure):
+    # a wrong path is a failed criterion, not an exception
+    real = farey.minimal_path
+    monkeypatch.setattr(farey, "minimal_path", lambda src, dst: mutate(real(src, dst)))
+    result = verify.crit7_farey_oracle(8)
+    assert not result.passed
+    assert failure in result.detail
 
 
 def test_criterion_8_atf_pipeline():

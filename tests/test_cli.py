@@ -6,6 +6,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import time
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import replace
@@ -84,6 +85,26 @@ class TestFareyCommands:
         assert json.loads(out) == {
             "slopes": [["-8", "5"], ["-3", "2"], ["-1", "1"], ["0", "1"]]
         }
+
+    def test_path_over_the_cap(self, capsys):
+        # counted, not built: the error comes at once
+        start = time.perf_counter()
+        code, out, err = run(capsys, "farey", "path", "-1000000000000", "0")
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (2, "")
+        assert json.loads(err) == {
+            "error": "precondition-failed",
+            "message": "the minimal path has 1000000000001 vertices, more than the cap of 200000",
+        }
+
+    def test_path_cap_is_inclusive(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "PATH_CAP", 10)
+        code, out, _ = run(capsys, "farey", "path", "-9", "0")
+        assert code == 0
+        assert len(json.loads(out)["slopes"]) == 10
+        code, out, err = run(capsys, "farey", "path", "-10", "0")
+        assert (code, out) == (2, "")
+        assert json.loads(err)["error"] == "precondition-failed"
 
     def test_classify_file(self, capsys, tmp_path):
         doc = {
@@ -344,8 +365,9 @@ class TestIntegerFields:
 # only up to 3, so the sweeps stay cheap), integers up to 2^256 and past
 # int()'s 4300-digit limit, non-integers, 0/0, equal endpoints, node
 # indices and slide parameters.  A file argument is a "@name" the test
-# replaces by a path it writes.  `farey path` from a negative or to a
-# positive huge integer is not drawn: its path has about that many vertices.
+# replaces by a path it writes.  `farey path` from a huge negative integer
+# to 0, or from 0 to a huge positive one, has about that many vertices, more
+# than `cli.PATH_CAP`: it must be rejected before the path is built.
 HUGE = st.one_of(st.integers(-(2**256), 2**256).map(str), st.just("9" * 5000))
 NOT_INTS = st.sampled_from(["", "x", "1.5", "1/2", "1e3", "0x10", "inf", "nan", "--"])
 INTS = st.one_of(st.integers(-12, 40).map(str), HUGE, NOT_INTS)
@@ -373,6 +395,8 @@ FAREY_ENDPOINTS = st.one_of(
     st.one_of(SLOPE_TEXTS, HUGE).map(lambda s: (s, s)),
     # a positive integer is Farey-adjacent to inf, so this path stays short
     st.tuples(st.integers(2**64, 2**256).map(str), SLOPE_TEXTS),
+    st.tuples(st.integers(-(2**256), -(10**6)).map(str), st.just("0")),
+    st.tuples(st.just("0"), st.integers(10**6, 2**256).map(str)),
 )
 INDICES = st.one_of(st.integers(-4, 4).map(str), HUGE, NOT_INTS)
 SLIDE_PARAMS = st.one_of(
@@ -451,6 +475,7 @@ class TestArgvFuzz:
     @example(["atf", "move", "@atf-bad-end", "--transfer", "0"])
     @example(["atf", "move", "@atf", "--slide", "0", "1e999999999"])
     @example(["atf", "move", "@atf-exponent", "--slide", "0", "1/2"])
+    @example(["farey", "path", "-1000000000000", "0"])  # over the vertex cap
     @settings(max_examples=300, deadline=None)
     def test_every_argv_ends_in_json(self, argv_files, argv):
         """Exit 0 or 1 with JSON on stdout (text for `handle build-x`
@@ -648,6 +673,24 @@ class TestVerifyCommand:
             "ok 9 - one-curve boundary cross-check, p <= 30 (278 pairs checked)",
             "all criteria passed",
         ]
+
+    def test_full_sweep_golden(self, capsys):
+        # the ten lines of `verify all --depth 8`, byte for byte, with
+        # criterion 5's timing masked
+        code, out, err = run(capsys, "verify", "all", "--depth", "8")
+        assert (code, err) == (0, "")
+        assert re.sub(r"slowest \d+ us", "slowest N us", out) == (
+            "ok 1 - q-triple derivation conditions, tree depth 8 (129 triples checked)\n"
+            "ok 2 - CP^2 recognition sweep, tree depth 8 (129 diagrams checked)\n"
+            "ok 3 - two-curve boundary identity, tree depth 8 (129 boundaries checked)\n"
+            "ok 4 - torus-framed surgery splitting, tree depth 6 (33 splittings checked)\n"
+            "ok 5 - decorated-path classifications of the figure paths (slowest N us)\n"
+            "ok 6 - mutation handle slide identities, tree depth 8 (129 triples checked)\n"
+            "ok 7 - minimal_path vs BFS oracle, denominators <= 20 (32896 pairs checked)\n"
+            "ok 8 - almost toric pipeline, tree depth 8 (129 diagrams generated)\n"
+            "ok 9 - one-curve boundary cross-check, p <= 30 (278 pairs checked)\n"
+            "all criteria passed\n"
+        )
 
 
 def sha256(text):

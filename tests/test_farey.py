@@ -18,6 +18,7 @@ from lenscalc.farey import (
     det,
     is_farey_edge,
     minimal_path,
+    minimal_path_length,
     shorten,
     totally_inconsistent_path,
     transvection,
@@ -142,6 +143,49 @@ class TestMinimalPath:
         # consecutive vertices adjacent, no chords, valid as a decorated path
         deco = DecoratedPath(tuple(path), tuple(EdgeSign.PLUS for _ in path[1:]))
         assert deco.is_minimal()
+
+    def test_decorated_path_agrees_on_the_oracle_range(self):
+        # criterion 7 compares minimal_path with its oracle's geodesics and
+        # builds no DecoratedPath, so validation and is_minimal are checked
+        # here on every pair of slopes in [-2, 0] with denominator <= 12:
+        # the path validates and is minimal, and a mediant detour on any
+        # one edge validates and is not
+        pts = sorted(
+            (Slope(num, den) for den in range(1, 13) for num in range(-2 * den, 1)
+             if gcd(num, den) == 1),
+            key=lambda p: Fraction(p.num, p.den),
+        )
+        for i, u in enumerate(pts):
+            for v in pts[i + 1 :]:
+                path = minimal_path(u, v)
+                plus = (EdgeSign.PLUS,) * len(path)
+                assert DecoratedPath(tuple(path), plus[1:]).is_minimal(), (u, v)
+                for k in range(len(path) - 1):
+                    detour = (*path[: k + 1], mediant(path[k], path[k + 1]), *path[k + 1 :])
+                    assert not DecoratedPath(detour, plus).is_minimal(), (u, v, k)
+
+
+class TestMinimalPathLength:
+    def test_equals_the_path_length_on_small_pairs(self):
+        pts = {Slope(num, den) for num in range(-13, 14) for den in range(9) if num or den}
+        for u in pts:
+            for v in pts - {u}:
+                assert minimal_path_length(u, v) == len(minimal_path(u, v)), (u, v)
+
+    @given(slopes_st(3000), slopes_st(3000))
+    @settings(max_examples=200)
+    def test_equals_the_path_length(self, u, v):
+        if u != v:
+            assert minimal_path_length(u, v) == len(minimal_path(u, v))
+
+    def test_long_paths_without_building_them(self):
+        assert minimal_path_length(s("-1000000000000"), s("0")) == 10**12 + 1
+        assert minimal_path_length(s("0"), Slope(2**64, 1)) == 2**64 + 1
+        assert minimal_path_length(s("-100000"), s("0")) == 100_001
+
+    def test_equal_endpoints_rejected(self):
+        with pytest.raises(PreconditionError, match="path endpoints must be distinct"):
+            minimal_path_length(s("1/2"), s("1/2"))
 
 
 def _insert_mediants(path, times):
