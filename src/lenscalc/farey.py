@@ -54,20 +54,6 @@ class Slope:
         _set_den(self, d)
 
     @classmethod
-    def _primitive(cls, n: int, d: int) -> "Slope":
-        """A slope from a vector that is primitive by construction (an image
-        under a det +-1 matrix, the mediant of an edge): only the orientation
-        is fixed, with no gcd.  The fields are set through the slot
-        descriptors `_set_num` and `_set_den`, which bypass the frozen
-        `__setattr__` as `object.__setattr__` does, at a lower cost."""
-        if d < 0 or (d == 0 and n < 0):
-            n, d = -n, -d
-        s = object.__new__(cls)
-        _set_num(s, n)
-        _set_den(s, d)
-        return s
-
-    @classmethod
     def parse(cls, text: str) -> "Slope":
         text = text.strip()
         if text in ("inf", "-inf", "1/0"):
@@ -177,8 +163,8 @@ def minimal_path(src: Slope, dst: Slope) -> list[Slope]:
     that is when dst is Farey-adjacent to the current vertex.
 
     Each vertex is primitive by construction (its frame has det 1), so it
-    is built in place, as `Slope._primitive` builds one: a bare instance,
-    its orientation fixed inline and its two slots set directly.
+    is built in place with no gcd: a bare instance, its orientation fixed
+    inline and its two slots set directly.
     """
     sn, sd, tn, td = src.num, src.den, dst.num, dst.den
     if sn == tn and sd == td:

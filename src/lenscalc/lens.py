@@ -87,14 +87,6 @@ class Orientation(Enum):
     EITHER = "either"
 
 
-def lens_homeomorphic(l1: LensSpace, l2: LensSpace, orientation: Orientation) -> bool:
-    if l1.canonical == l2.canonical:
-        return True
-    if orientation is Orientation.EITHER:
-        return l1.canonical == l2.mirror_canonical
-    return False
-
-
 def boundary_Bpq(p: int, q: int) -> LensSpace:
     """Boundary of the rational homology ball B_{p,q}: L(p^2, pq-1)."""
     if p < 1:
@@ -134,17 +126,12 @@ class ThreeManifold:
         return hash(tuple(sorted(l.canonical for l in self.summands)))
 
     def homeomorphic(self, other: "ThreeManifold", orientation: Orientation) -> bool:
+        """Equality, or with Orientation.EITHER equality up to mirroring each
+        summand: a lens space and its mirror have the same pair of normal
+        forms, so the lesser of the two is a key of the pair."""
         if orientation is Orientation.PRESERVING:
             return self == other
-        mine = sorted(l.canonical for l in self.summands)
-        for flips in range(1 << len(other.summands)):
-            theirs = sorted(
-                l.mirror_canonical if flips >> i & 1 else l.canonical
-                for i, l in enumerate(other.summands)
-            )
-            if mine == theirs:
-                return True
-        return False
+        return _unoriented(self) == _unoriented(other)
 
     def to_json_obj(self) -> list:
         return [{"lens": list(l.canonical)} for l in self.summands]
@@ -153,6 +140,10 @@ class ThreeManifold:
         if self.is_s3():
             return "S3"
         return " # ".join(str(l) for l in self.summands)
+
+
+def _unoriented(m: ThreeManifold) -> list[tuple[int, int]]:
+    return sorted(min(l.canonical, l.mirror_canonical) for l in m.summands)
 
 
 @dataclass(frozen=True)

@@ -1,12 +1,20 @@
-"""Verification sweeps shared by the CLI and the acceptance tests.
+"""Verification criteria shared by the CLI and the acceptance tests.
 
-Each criterion returns (passed, detail).  Depths follow the documented
+`CRITERIA` is the table of the nine criteria, and `run` runs any subset of
+it.  Six check each triple of the Markov tree: `run` walks the tree once
+for all of them, and each triple's `TripleRecord` derives its q-triple,
+diagram X, two-curve subdiagram and boundary once, on first use, for all
+their checks.  The other three run whole.  Depths follow the documented
 acceptance levels; the CLI can lower them for quick runs.
 """
 
 from __future__ import annotations
 
+import time
+from bisect import bisect_right
+from collections.abc import Collection
 from dataclasses import dataclass
+from math import gcd
 
 from . import atf, farey, handles, lens, markov
 from .farey import EdgeSign, IntMat2, Slope, _bezout
@@ -20,8 +28,42 @@ class CriterionResult:
     detail: str
 
 
-def _tree(depth: int) -> list[markov.MarkovTriple]:
-    return [t for t, _ in markov.enumerate_tree(depth)]
+def _result(number: int, title: str, lead: str, bad: list) -> CriterionResult:
+    return CriterionResult(number, title, not bad, lead + (f"; failures: {bad}" if bad else ""))
+
+
+class TripleRecord:
+    """A triple of the walk and the values its checks share, each derived on first
+    use; on Python 3.11, `cached_property` would take a lock for each one."""
+
+    __slots__ = ("t", "_q", "_x", "_sub", "_boundary")
+
+    def __init__(self, t: markov.MarkovTriple):
+        self.t, self._q, self._x, self._sub, self._boundary = t, None, None, None, None
+
+    @property
+    def q(self) -> markov.QTriple:
+        if self._q is None:
+            self._q = markov.derive_q(self.t)
+        return self._q
+
+    @property
+    def x(self) -> handles.HorizontalDiagram:
+        if self._x is None:
+            self._x = handles.build_X(self.t, self.q)
+        return self._x
+
+    @property
+    def sub(self) -> handles.HorizontalDiagram:
+        if self._sub is None:
+            self._sub = handles.two_curve_subdiagram(self.x)
+        return self._sub
+
+    @property
+    def boundary(self) -> lens.ThreeManifold:
+        if self._boundary is None:
+            self._boundary = handles.boundary_of_diagram(self.sub)
+        return self._boundary
 
 
 def q_sweep(depth: int) -> tuple[int, dict[str, bool], list[str]]:
@@ -30,8 +72,8 @@ def q_sweep(depth: int) -> tuple[int, dict[str, bool], list[str]]:
     that fail a condition `QReport.passed` requires (3_all is not required)."""
     conditions = {"1": True, "2": True, "3_some": True, "3_all": True, "4": True}
     failures = []
-    triples = _tree(depth)
-    for t in triples:
+    triples = markov.enumerate_tree(depth)
+    for t, _ in triples:
         rep = markov.verify_q(t, markov.derive_q(t))
         conditions["1"] &= rep.cond1
         conditions["2"] &= rep.cond2
@@ -43,137 +85,77 @@ def q_sweep(depth: int) -> tuple[int, dict[str, bool], list[str]]:
     return len(triples), conditions, failures
 
 
-def crit1_q_sweep(depth: int = 8) -> CriterionResult:
-    """Every derived q-triple passes its verification conditions."""
-    count, _, bad = q_sweep(depth)
-    return CriterionResult(
-        1,
-        f"q-triple derivation conditions, tree depth {depth}",
-        not bad,
-        f"{count} triples checked" + (f"; failures: {bad}" if bad else ""),
-    )
+def crit1_q_sweep(r: TripleRecord) -> list[str]:
+    """The derived q-triple passes its verification conditions."""
+    return [] if markov.verify_q(r.t, r.q).passed else [str(r.t)]
 
 
-def crit2_cp2_recognition(depth: int = 8) -> CriterionResult:
-    """recognize_cp2 accepts every diagram built from a derived q-triple."""
-    bad = []
-    count = 0
-    spots = {
-        (1, 1, 1): (3, -6, -3),
-        (1, 2, 5): (6, -87, -15),
-    }
-    for t in _tree(depth):
-        count += 1
-        ok, x = handles.recognize_cp2(handles.build_X(t, markov.derive_q(t)))
-        if not ok:
-            bad.append(f"{t}: x={x}")
-        want = spots.get(t.entries())
-        if want is not None and x != want:
-            bad.append(f"{t}: spot x={x}, expected {want}")
-    return CriterionResult(
-        2,
-        f"CP^2 recognition sweep, tree depth {depth}",
-        not bad,
-        f"{count} diagrams checked" + (f"; failures: {bad}" if bad else ""),
-    )
+def crit2_cp2_recognition(r: TripleRecord) -> list[str]:
+    """recognize_cp2 accepts the diagram built from the derived q-triple."""
+    ok, x = handles.recognize_cp2(r.x)
+    bad = [] if ok else [f"{r.t}: x={x}"]
+    want = {(1, 1, 1): (3, -6, -3), (1, 2, 5): (6, -87, -15)}.get(r.t.entries())
+    if want is not None and x != want:
+        bad.append(f"{r.t}: spot x={x}, expected {want}")
+    return bad
 
 
-def crit3_two_curve_boundary(depth: int = 8) -> CriterionResult:
+def crit3_two_curve_boundary(r: TripleRecord) -> list[str]:
     """Boundary of the first two curves is L(-p3^2, p3*q3 - 1)."""
-    bad = []
-    count = 0
-    for t in _tree(depth):
-        count += 1
-        q = markov.derive_q(t)
-        sub = handles.two_curve_subdiagram(handles.build_X(t, q))
-        got = handles.boundary_of_diagram(sub)
-        want = lens.ThreeManifold((lens.LensSpace(-t.p3 * t.p3, t.p3 * q.q3 - 1),))
-        if got != want:
-            bad.append(f"{t}: {got} != {want}")
-        if t.entries() == (1, 2, 5):
-            mat = handles.composite_twist(sub)
-            vec = mat.apply_vec(1, 0)
-            if vec != (-29, -25):
-                bad.append(f"(1,2,5): pushed class {vec}, expected (-29, -25)")
-    return CriterionResult(
-        3,
-        f"two-curve boundary identity, tree depth {depth}",
-        not bad,
-        f"{count} boundaries checked" + (f"; failures: {bad}" if bad else ""),
-    )
+    p3 = r.t.p3
+    want = lens.ThreeManifold((lens.LensSpace(-p3 * p3, p3 * r.q.q3 - 1),))
+    bad = [] if r.boundary == want else [f"{r.t}: {r.boundary} != {want}"]
+    if r.t.entries() == (1, 2, 5):
+        vec = handles.composite_twist(r.sub).apply_vec(1, 0)
+        if vec != (-29, -25):
+            bad.append(f"(1,2,5): pushed class {vec}, expected (-29, -25)")
+    return bad
 
 
-def crit4_surgery(depth: int = 6) -> CriterionResult:
-    """The worked surgery example and the dual-knot splitting sweep."""
-    bad = []
+def _surgery_example() -> list[str]:
+    """The worked example: torus-framed surgery on T(5,-8) in L(3,1)."""
     knot = lens.TorusKnot(5, -8, lens.LensSpace(3, 1))
     got = lens.nonloose_surgery_result(knot)
     want = lens.ThreeManifold((lens.LensSpace(8, 5), lens.LensSpace(7, 3)))
-    if got != want:
-        bad.append(f"T_(5,-8) in L(3,1): {got} != {want}")
-    count = 0
-    for t in _tree(depth):
-        count += 1
-        q = markov.derive_q(t)
-        p1, p2, p3 = t.entries()
-        # Meridian slopes of the two sides of the two-curve diagram, read on
-        # the Heegaard torus between the curves; the dual knot is the
-        # longitude (slope 0) there.
-        g1 = handles.TorusCurve(-p2, q.q2)
-        g2 = handles.TorusCurve(p1, q.q1)
-        lam, mu = handles.twist_matrix(g1).apply_vec(1, 0)
-        m_in = Slope(mu, lam)
-        lam, mu = handles.twist_matrix(g2).inverse().apply_vec(1, 0)
-        m_out = Slope(mu, lam)
-        ambient = lens.lens_from_meridian_slopes(m_in, m_out)
-        if ambient != lens.LensSpace(-p3 * p3, p3 * q.q3 - 1):
-            bad.append(f"{t}: ambient {ambient} is not L(-p3^2, p3 q3 - 1)")
-            continue
-        # change basis so the outer meridian reads 0, as in the surgery op
-        u, v = _bezout(m_out.num, m_out.den)
-        basis = IntMat2(m_out.den, -m_out.num, u, v)
-        split = lens.surgery_splitting(basis.apply(Slope(0, 1)), basis.apply(m_in))
-        want = lens.ThreeManifold(
-            (
-                lens.LensSpace(p1 * p1, p1 * q.q1 - 1),
-                lens.LensSpace(p2 * p2, p2 * q.q2 - 1),
-            )
-        )
-        if not split.homeomorphic(want, lens.Orientation.EITHER):
-            bad.append(f"{t}: {split} != {want}")
-    return CriterionResult(
-        4,
-        f"torus-framed surgery splitting, tree depth {depth}",
-        not bad,
-        f"{count} splittings checked" + (f"; failures: {bad}" if bad else ""),
-    )
+    return [] if got == want else [f"T_(5,-8) in L(3,1): {got} != {want}"]
 
 
-def _fig_paths():
-    s = Slope.parse
-    overtwisted = farey.totally_inconsistent_path(s("-3"), s("-8/5"))
-    right = farey.DecoratedPath(
-        (s("-8/5"), s("-3/2"), s("-1"), s("0")),
-        (EdgeSign.RING, EdgeSign.MINUS, EdgeSign.RING),
+def crit4_surgery(r: TripleRecord) -> list[str]:
+    """Surgery on the dual knot splits the ambient lens space into the
+    boundaries of the balls B_{p1,q1} and B_{p2,q2}."""
+    t, q = r.t, r.q
+    p1, p2, p3 = t.entries()
+    # Meridian slopes of the two sides of the two-curve diagram, read on the
+    # Heegaard torus between the curves; the dual knot is the longitude there.
+    lam, mu = handles.twist_matrix(handles.TorusCurve(-p2, q.q2)).apply_vec(1, 0)
+    m_in = Slope(mu, lam)
+    lam, mu = handles.twist_matrix(handles.TorusCurve(p1, q.q1)).inverse().apply_vec(1, 0)
+    m_out = Slope(mu, lam)
+    ambient = lens.lens_from_meridian_slopes(m_in, m_out)
+    if ambient != lens.LensSpace(-p3 * p3, p3 * q.q3 - 1):
+        return [f"{t}: ambient {ambient} is not L(-p3^2, p3 q3 - 1)"]
+    # change basis so the outer meridian reads 0, as in the surgery op
+    u, v = _bezout(m_out.num, m_out.den)
+    basis = IntMat2(m_out.den, -m_out.num, u, v)
+    split = lens.surgery_splitting(basis.apply(Slope(0, 1)), basis.apply(m_in))
+    want = lens.ThreeManifold(
+        (lens.LensSpace(p1 * p1, p1 * q.q1 - 1), lens.LensSpace(p2 * p2, p2 * q.q2 - 1))
     )
-    left = farey.DecoratedPath(
-        (s("-3"), s("-2"), s("-5/3"), s("-8/5")),
-        (EdgeSign.RING, EdgeSign.MINUS, EdgeSign.RING),
-    )
-    return overtwisted, right, left
+    return [] if split.homeomorphic(want, lens.Orientation.EITHER) else [f"{t}: {split} != {want}"]
 
 
 def crit5_decorated_paths() -> CriterionResult:
     """The figure paths classify as stated."""
-    import time
-
-    overtwisted, right, left = _fig_paths()
-    bad = []
+    s = Slope.parse
+    signs = (EdgeSign.RING, EdgeSign.MINUS, EdgeSign.RING)
+    tight = farey.Classification.UNIVERSALLY_TIGHT
+    overtwisted = farey.totally_inconsistent_path(s("-3"), s("-8/5"))
     expect = [
         (overtwisted, farey.Classification.OVERTWISTED),
-        (right, farey.Classification.UNIVERSALLY_TIGHT),
-        (left, farey.Classification.UNIVERSALLY_TIGHT),
+        (farey.DecoratedPath((s("-8/5"), s("-3/2"), s("-1"), s("0")), signs), tight),
+        (farey.DecoratedPath((s("-3"), s("-2"), s("-5/3"), s("-8/5")), signs), tight),
     ]
+    bad = []
     sign_spot = tuple(s.value for s in overtwisted.signs)
     if sign_spot != ("o", "+", "+", "-", "-", "o"):
         bad.append(f"inconsistent-path signs {sign_spot}")
@@ -190,42 +172,28 @@ def crit5_decorated_paths() -> CriterionResult:
             bad.append(f"{[str(x) for x in path.slopes]}: {got} != {want}")
     if slowest >= 0.001:
         bad.append(f"classification took {slowest * 1000:.3f} ms")
-    return CriterionResult(
-        5,
-        "decorated-path classifications of the figure paths",
-        not bad,
-        f"slowest {slowest * 1e6:.0f} us" + (f"; failures: {bad}" if bad else ""),
-    )
+    title = "decorated-path classifications of the figure paths"
+    return _result(5, title, f"slowest {slowest * 1e6:.0f} us", bad)
 
 
-def crit6_mutation_slide(depth: int = 8) -> CriterionResult:
+def crit6_mutation_slide(r: TripleRecord) -> list[str]:
     """Mutation slide identities and boundary preservation."""
+    t, q, sub = r.t, r.q, r.sub
+    p1, p2, p3 = t.entries()
     bad = []
-    count = 0
-    for t in _tree(depth):
-        count += 1
-        q = markov.derive_q(t)
-        p1, p2, p3 = t.entries()
-        sub = handles.two_curve_subdiagram(handles.build_X(t, q))
-        before = handles.boundary_of_diagram(sub)
-        first = handles.slide_mutation(sub, handles.Slot.FIRST)
-        moved = first.curves[1]
-        if (moved.mu, moved.lam) != (3 * p2 * p3 - p1, 3 * q.q2 * p3 + q.q1):
-            bad.append(f"{t} first: got ({moved.mu},{moved.lam})")
-        second = handles.slide_mutation(sub, handles.Slot.SECOND)
-        moved = second.curves[1]
-        if (moved.mu, moved.lam) != (3 * p1 * p3 - p2, 3 * q.q1 * p3 + q.q2):
-            bad.append(f"{t} second: got ({moved.mu},{moved.lam})")
-        for slid in (first, second):
-            after = handles.boundary_of_diagram(slid)
-            if not before.homeomorphic(after, lens.Orientation.EITHER):
-                bad.append(f"{t}: boundary {before} became {after}")
-    return CriterionResult(
-        6,
-        f"mutation handle slide identities, tree depth {depth}",
-        not bad,
-        f"{count} triples checked" + (f"; failures: {bad}" if bad else ""),
-    )
+    first = handles.slide_mutation(sub, handles.Slot.FIRST)
+    moved = first.curves[1]
+    if (moved.mu, moved.lam) != (3 * p2 * p3 - p1, 3 * q.q2 * p3 + q.q1):
+        bad.append(f"{t} first: got ({moved.mu},{moved.lam})")
+    second = handles.slide_mutation(sub, handles.Slot.SECOND)
+    moved = second.curves[1]
+    if (moved.mu, moved.lam) != (3 * p1 * p3 - p2, 3 * q.q1 * p3 + q.q2):
+        bad.append(f"{t} second: got ({moved.mu},{moved.lam})")
+    for slid in (first, second):
+        after = handles.boundary_of_diagram(slid)
+        if not r.boundary.homeomorphic(after, lens.Orientation.EITHER):
+            bad.append(f"{t}: boundary {r.boundary} became {after}")
+    return bad
 
 
 def _stern_brocot(u, v, den_limit: int, verts: list, edges: list) -> None:
@@ -261,7 +229,7 @@ def _oracle_graph(den_limit: int) -> tuple[list[Slope], list[list[int]]]:
         succ[index[u]].append(index[v])
     for out in succ:
         out.sort()
-    return [Slope._primitive(n, d) for n, d in verts], succ
+    return [Slope(n, d) for n, d in verts], succ
 
 
 def crit7_farey_oracle(max_den: int = 20) -> CriterionResult:
@@ -329,86 +297,117 @@ def crit7_farey_oracle(max_den: int = 20) -> CriterionResult:
                     bad.append(f"{src}->{dst}: vertex {s} is off the oracle geodesic")
                     break
                 j = parent[j]
-    return CriterionResult(
-        7,
-        f"minimal_path vs BFS oracle, denominators <= {max_den}",
-        not bad,
-        f"{cases} pairs checked" + (f"; failures: {bad[:5]}" if bad else ""),
-    )
+    title = f"minimal_path vs BFS oracle, denominators <= {max_den}"
+    return _result(7, title, f"{cases} pairs checked", bad[:5])
 
 
-def crit8_atf_pipeline(depth: int = 8) -> CriterionResult:
-    """Almost toric generation: consistency, readouts, and double transfer.
-    The corners read L(p_i^2, p_i q_i - 1) for the derived q-triple."""
+def crit8_atf_pipeline(r: TripleRecord) -> list[str]:
+    """The almost toric diagram is consistent and its corners read
+    L(p_i^2, p_i q_i - 1) for the derived q-triple."""
+    t = r.t
+    d = atf.atf_for_markov(t)
+    if not atf.is_consistent(d):
+        return [f"{t}: inconsistent diagram"]
     bad = []
-    count = 0
-    for t in _tree(depth):
-        count += 1
-        d = atf.atf_for_markov(t)
-        if not atf.is_consistent(d):
-            bad.append(f"{t}: inconsistent diagram")
-            continue
-        readouts = [atf.node_boundary_lens(d, i) for i in range(len(d.nodes))]
-        want = sorted(
-            lens.LensSpace(p * p, p * q - 1).canonical
-            for p, q in zip(t.entries(), markov.derive_q(t).entries())
-        )
-        if sorted(l.canonical for l in readouts) != want:
-            bad.append(f"{t}: readouts {[str(l) for l in readouts]} != {want}")
-        if t.entries() == (1, 1, 2):
-            traded = [l for l in readouts if not l.is_s3()]
-            if len(traded) != 1 or traded[0].canonical != (4, 1):
-                bad.append(f"(1,1,2): traded corner reads {[str(l) for l in readouts]}")
+    readouts = [atf.node_boundary_lens(d, i) for i in range(len(d.nodes))]
+    pq = zip(t.entries(), r.q.entries())
+    want = sorted(lens.LensSpace(p * p, p * q - 1).canonical for p, q in pq)
+    if sorted(l.canonical for l in readouts) != want:
+        bad.append(f"{t}: readouts {[str(l) for l in readouts]} != {want}")
+    if t.entries() == (1, 1, 2):
+        traded = [l for l in readouts if not l.is_s3()]
+        if len(traded) != 1 or traded[0].canonical != (4, 1):
+            bad.append(f"(1,1,2): traded corner reads {[str(l) for l in readouts]}")
+    return bad
+
+
+def _double_transfer() -> list[str]:
+    """Transferring a cut twice gives the diagram back."""
     base = atf.atf_for_markov(markov.MarkovTriple(1, 1, 1))
     twice = atf.transfer_cut(atf.transfer_cut(base, 0), 0)
-    if not atf.affinely_equivalent(base, twice):
-        bad.append("double transfer is not the identity up to integral-affine maps")
-    return CriterionResult(
-        8,
-        f"almost toric pipeline, tree depth {depth}",
-        not bad,
-        f"{count} diagrams generated" + (f"; failures: {bad}" if bad else ""),
-    )
+    ok = atf.affinely_equivalent(base, twice)
+    return [] if ok else ["double transfer is not the identity up to integral-affine maps"]
 
 
 def crit9_boundary_cross_check(pmax: int = 30) -> CriterionResult:
     """boundary_Bpq against the one-curve handle diagram."""
-    from math import gcd
-
     bad = []
     count = 0
     for p in range(1, pmax + 1):
-        qs = [1] if p == 1 else [q for q in range(1, p) if gcd(p, q) == 1]
-        for q in qs:
+        for q in [1] if p == 1 else [q for q in range(1, p) if gcd(p, q) == 1]:
             count += 1
             want = lens.ThreeManifold((lens.boundary_Bpq(p, q),))
             diagram = handles.HorizontalDiagram((handles.TorusCurve(-p, q),))
             got = handles.boundary_of_diagram(diagram)
             if got != want:
                 bad.append(f"B_({p},{q}): {got} != {want}")
-    return CriterionResult(
-        9,
-        f"one-curve boundary cross-check, p <= {pmax}",
-        not bad,
-        f"{count} pairs checked" + (f"; failures: {bad}" if bad else ""),
-    )
+    title = f"one-curve boundary cross-check, p <= {pmax}"
+    return _result(9, title, f"{count} pairs checked", bad)
 
 
-# The criteria in order, each run at its size for a given tree depth.  The
-# entries look each criterion up by name when called, so a wrapper installed
-# on this module's functions sees every run.
+@dataclass(frozen=True)
+class Criterion:
+    """A row of `CRITERIA`, naming its checks.  A tree criterion's check turns
+    each `TripleRecord` to the sweep's depth, or to `reach` if less, into
+    failure strings; `before` and `after` run once per sweep, their failures
+    first and last.  Any other criterion's check runs it whole, at its own
+    size, and returns the `CriterionResult`."""
+
+    number: int
+    check: str
+    title: str = ""
+    noun: str = ""
+    reach: int | None = None
+    before: str | None = None
+    after: str | None = None
+
+
 CRITERIA = (
-    lambda depth: crit1_q_sweep(depth),
-    lambda depth: crit2_cp2_recognition(depth),
-    lambda depth: crit3_two_curve_boundary(depth),
-    lambda depth: crit4_surgery(min(depth, 6)),
-    lambda depth: crit5_decorated_paths(),
-    lambda depth: crit6_mutation_slide(depth),
-    lambda depth: crit7_farey_oracle(20),
-    lambda depth: crit8_atf_pipeline(depth),
-    lambda depth: crit9_boundary_cross_check(30),
+    Criterion(1, "crit1_q_sweep", "q-triple derivation conditions", "triples checked"),
+    Criterion(2, "crit2_cp2_recognition", "CP^2 recognition sweep", "diagrams checked"),
+    Criterion(3, "crit3_two_curve_boundary", "two-curve boundary identity", "boundaries checked"),
+    Criterion(4, "crit4_surgery", "torus-framed surgery splitting", "splittings checked", 6,
+              before="_surgery_example"),
+    Criterion(5, "crit5_decorated_paths"),
+    Criterion(6, "crit6_mutation_slide", "mutation handle slide identities", "triples checked"),
+    Criterion(7, "crit7_farey_oracle"),
+    Criterion(8, "crit8_atf_pipeline", "almost toric pipeline", "diagrams generated",
+              after="_double_transfer"),
+    Criterion(9, "crit9_boundary_cross_check"),
 )
 
 
+def run(numbers: Collection[int], depth: int = 8) -> list[CriterionResult]:
+    """The criteria with the given numbers, in table order, at a tree depth.
+    One walk of the tree, as deep as they reach, serves all their triple
+    checks.  Each check is looked up in this module when it is called, so a
+    wrapper installed here sees every call."""
+    fns = globals()
+    rows = [c for c in CRITERIA if c.number in numbers]
+    tree = [c for c in rows if c.title]
+    reach = {c.number: depth if c.reach is None else min(depth, c.reach) for c in tree}
+    bad = {c.number: fns[c.before]() if c.before else [] for c in tree}
+    walk = markov.enumerate_tree(max(reach.values())) if tree else []
+    # breadth first (a word has one letter per level): each reach's triples are a prefix
+    count = {n: bisect_right(walk, level, key=lambda e: len(e[1])) for n, level in reach.items()}
+    walk = [t for t, _ in walk]  # the words are not kept through the checks
+    checks = [(count[c.number], bad[c.number].extend, c.check) for c in tree]
+    for i, t in enumerate(walk):
+        record = TripleRecord(t)
+        for end, extend, check in checks:
+            if i < end:
+                extend(fns[check](record))
+    results = []
+    for c in rows:
+        if not c.title:
+            results.append(fns[c.check]())
+            continue
+        n = c.number
+        bad[n] += fns[c.after]() if c.after else []
+        description = f"{c.title}, tree depth {reach[n]}"
+        results.append(_result(n, description, f"{count[n]} {c.noun}", bad[n]))
+    return results
+
+
 def run_all(depth: int = 8) -> list[CriterionResult]:
-    return [criterion(depth) for criterion in CRITERIA]
+    return run(range(1, len(CRITERIA) + 1), depth)

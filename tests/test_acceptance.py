@@ -2,12 +2,14 @@
 verification criteria at full depth and asserts the stated time budget
 where one applies."""
 
+import re
 import time
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
-from lenscalc import farey, verify
+from lenscalc import farey, markov, verify
 from lenscalc.farey import Slope, is_farey_edge
 
 
@@ -17,24 +19,29 @@ def _timed(fn, *args):
     return result, time.perf_counter() - start
 
 
+def _one(number, depth):
+    [result] = verify.run([number], depth)
+    return result
+
+
 def test_criterion_1_q_triple_sweep():
-    result, elapsed = _timed(verify.crit1_q_sweep, 8)
+    result, elapsed = _timed(_one, 1, 8)
     assert result.passed, result.detail
     assert elapsed < 10.0
 
 
 def test_criterion_2_cp2_recognition():
-    result = verify.crit2_cp2_recognition(8)
+    result = _one(2, 8)
     assert result.passed, result.detail
 
 
 def test_criterion_3_two_curve_boundary():
-    result = verify.crit3_two_curve_boundary(8)
+    result = _one(3, 8)
     assert result.passed, result.detail
 
 
 def test_criterion_4_surgery_splitting():
-    result = verify.crit4_surgery(6)
+    result = _one(4, 6)
     assert result.passed, result.detail
 
 
@@ -45,7 +52,7 @@ def test_criterion_5_decorated_path_classification():
 
 
 def test_criterion_6_mutation_slide():
-    result = verify.crit6_mutation_slide(8)
+    result = _one(6, 8)
     assert result.passed, result.detail
 
 
@@ -107,7 +114,7 @@ def test_criterion_7_reports_a_bad_path(monkeypatch, mutate, failure):
 
 
 def test_criterion_8_atf_pipeline():
-    result = verify.crit8_atf_pipeline(8)
+    result = _one(8, 8)
     assert result.passed, result.detail
 
 
@@ -120,3 +127,48 @@ def test_run_all_reports_nine_passes():
     results = verify.run_all(4)
     assert [r.number for r in results] == list(range(1, 10))
     assert all(r.passed for r in results)
+
+
+def _masked(result):
+    # criterion 5 reports a measured time
+    return replace(result, detail=re.sub(r"slowest \d+ us", "slowest N us", result.detail))
+
+
+@pytest.mark.parametrize("depth", range(7))
+def test_run_all_matches_single_criterion_runs(depth):
+    shared = [_masked(r) for r in verify.run_all(depth)]
+    alone = [_masked(_one(n, depth)) for n in range(1, 10)]
+    assert shared == alone
+
+
+def test_run_all_walks_the_tree_once(monkeypatch):
+    # one walk for all six tree criteria, one q-triple per triple
+    calls = {"enumerate_tree": 0, "derive_q": []}
+    real_tree, real_q = markov.enumerate_tree, markov.derive_q
+
+    def enumerate_tree(depth):
+        calls["enumerate_tree"] += 1
+        return real_tree(depth)
+
+    def derive_q(t):
+        calls["derive_q"].append(t)
+        return real_q(t)
+
+    monkeypatch.setattr(markov, "enumerate_tree", enumerate_tree)
+    monkeypatch.setattr(markov, "derive_q", derive_q)
+    results = verify.run_all(6)
+    assert all(r.passed for r in results)
+    triples = [t for t, _ in real_tree(6)]
+    assert calls["enumerate_tree"] == 1
+    assert calls["derive_q"] == triples
+
+
+def test_run_calls_each_check_through_the_module(monkeypatch):
+    # a wrapper installed on the module, as bench/tracer.py installs one,
+    # sees every triple
+    seen = []
+    real = verify.crit3_two_curve_boundary
+    monkeypatch.setattr(verify, "crit3_two_curve_boundary", lambda r: seen.append(r.t) or real(r))
+    [result] = verify.run([3], 4)
+    assert result.passed
+    assert seen == [t for t, _ in markov.enumerate_tree(4)]

@@ -24,7 +24,7 @@ from lenscalc.atf import (
 )
 from lenscalc.errors import InternalConsistencyError, InvariantError, PreconditionError
 from lenscalc.farey import IntMat2
-from lenscalc.lens import LensSpace, Orientation, boundary_Bpq, lens_homeomorphic
+from lenscalc.lens import LensSpace, boundary_Bpq
 from lenscalc.markov import MarkovTriple, derive_q, enumerate_tree
 
 # the depth-6 triples whose diagrams the mutation replay could not build

@@ -68,7 +68,7 @@ class TestMarkovCommands:
         assert code == 1
         obj = json.loads(out)
         assert obj["conditions"]["2"] is False and obj["pass"] is False
-        result = verify.crit1_q_sweep(4)
+        [result] = verify.run([1], 4)
         assert not result.passed
         assert result.detail == "9 triples checked; failures: ['(1,2,5)']"
 

@@ -333,18 +333,6 @@ class TestDecoratedPathValidation:
         assert DecoratedPath.from_json_obj(p.to_json_obj()) == p
 
 
-@st.composite
-def primitive_vectors(draw):
-    """A primitive integer vector (n, d) of either orientation, d = 0 and
-    n = 0 included."""
-    n = draw(st.integers(-(2**70), 2**70))
-    d = draw(st.integers(-(2**70), 2**70))
-    if (n, d) == (0, 0):
-        return draw(st.sampled_from([(1, 0), (-1, 0), (0, 1), (0, -1)]))
-    g = gcd(n, d)
-    return n // g, d // g
-
-
 class TestValueSemantics:
     """Slotted frozen dataclasses: no instance dict, no assignment, and the
     repr, equality and hash of the field values."""
@@ -368,17 +356,6 @@ class TestValueSemantics:
         assert (u == v) == ((u.num, u.den) == (v.num, v.den))
         assert hash(u) == hash((u.num, u.den))
         assert len({u, v, Slope(u.num, u.den)}) == (1 if u == v else 2)
-
-    @given(primitive_vectors())
-    @settings(max_examples=300)
-    def test_primitive_matches_checked_constructor(self, vec):
-        n, d = vec
-        for a, b in ((n, d), (-n, -d)):
-            fast = Slope._primitive(a, b)
-            assert fast == Slope(a, b)
-            assert type(fast) is Slope
-            assert hash(fast) == hash(Slope(a, b))
-            assert fast.den >= 0
 
     def test_decorated_path_stores_tuples(self):
         slopes = [s("-3"), s("-2"), s("-1"), s("0")]

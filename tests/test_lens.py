@@ -16,7 +16,6 @@ from lenscalc.lens import (
     boundary_Bpq,
     classify_torus_knot,
     lens_from_meridian_slopes,
-    lens_homeomorphic,
     nonloose_surgery_result,
     surgery_splitting,
 )
@@ -25,23 +24,27 @@ from lenscalc.markov import derive_q, enumerate_tree
 s = Slope.parse
 
 
+def homeomorphic_either(a: LensSpace, b: LensSpace) -> bool:
+    return ThreeManifold((a,)).homeomorphic(ThreeManifold((b,)), Orientation.EITHER)
+
+
 class TestNormalForm:
     def test_inverse_mod_r(self):
-        assert lens_homeomorphic(LensSpace(7, 3), LensSpace(7, 5), Orientation.PRESERVING)
+        assert LensSpace(7, 3) == LensSpace(7, 5)
 
     def test_ball_boundary_pair(self):
         p, q = 2, 3
         a = LensSpace(p * p, p * q - 1)
         b = LensSpace(p * p, -p * q - 1)
-        assert lens_homeomorphic(a, b, Orientation.PRESERVING)
+        assert a == b
 
     def test_different_order(self):
-        assert not lens_homeomorphic(LensSpace(7, 3), LensSpace(5, 3), Orientation.EITHER)
+        assert not homeomorphic_either(LensSpace(7, 3), LensSpace(5, 3))
 
     def test_mirror_needs_either(self):
         a, b = LensSpace(7, 3), LensSpace(7, 2)
-        assert not lens_homeomorphic(a, b, Orientation.PRESERVING)
-        assert lens_homeomorphic(a, b, Orientation.EITHER)
+        assert a != b
+        assert homeomorphic_either(a, b)
 
     def test_negative_r_is_orientation_reversal(self):
         assert LensSpace(-7, 3) == LensSpace(7, -3)
@@ -163,9 +166,9 @@ class TestMeridianGluing:
         before = lens_from_meridian_slopes(m1, m2)
         after = lens_from_meridian_slopes(g.apply(m1), g.apply(m2))
         if g.det() == 1:
-            assert lens_homeomorphic(before, after, Orientation.PRESERVING)
+            assert before == after
         else:
-            assert lens_homeomorphic(before, after, Orientation.EITHER)
+            assert homeomorphic_either(before, after)
 
 
 class TestSurgerySplitting:

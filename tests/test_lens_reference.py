@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 import lens_reference as ref
 from lenscalc.errors import PreconditionError
-from lenscalc.lens import LensSpace, Orientation, ThreeManifold, lens_homeomorphic
+from lenscalc.lens import LensSpace, Orientation, ThreeManifold
 
 BIG = 2**4096
 COEFFICIENTS = st.one_of(
@@ -81,11 +81,9 @@ def test_equality_and_hash_match_reference(pair):
     assert (l1 == l2) == same
     if same:
         assert hash(l1) == hash(l2)
-    for orientation in Orientation:
-        want = same or (
-            orientation is Orientation.EITHER and ref.canonical(l1) == ref.mirror_canonical(l2)
-        )
-        assert lens_homeomorphic(l1, l2, orientation) == want
+    either = same or ref.canonical(l1) == ref.mirror_canonical(l2)
+    m1, m2 = ThreeManifold((l1,)), ThreeManifold((l2,))
+    assert m1.homeomorphic(m2, Orientation.EITHER) == either
 
 
 @st.composite
