@@ -180,16 +180,20 @@ def minimal_path(src: Slope, dst: Slope) -> list[Slope]:
     new, cls, set_num, set_den = object.__new__, Slope, _set_num, _set_den
     while xd != 1:
         step = (xn - 1) // xd
-        nn, nd = step * en + wn, step * ed + wd
+        nn = step * en + wn
+        nd = step * ed + wd
         s = new(cls)
-        if nd < 0 or (nd == 0 and nn < 0):
-            set_num(s, -nn)
-            set_den(s, -nd)
-        else:
+        if nd > 0 or (nd == 0 and nn > 0):
             set_num(s, nn)
             set_den(s, nd)
+        else:
+            set_num(s, -nn)
+            set_den(s, -nd)
         append(s)
-        en, ed, wn, wd = nn, nd, -en, -ed
+        wn = -en
+        wd = -ed
+        en = nn
+        ed = nd
         xn, xd = -xd, xn - step * xd
     append(dst)
     return path

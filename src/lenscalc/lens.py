@@ -4,11 +4,18 @@ and the connected-sum output of surgery along the torus framing.
 Convention: L(r,s) is -r/s surgery on the unknot, so L(-r,s) is the
 orientation reversal L(r,-s).  A torus knot T_{p,q} sits on the Heegaard
 torus in class p*lambda + q*mu and has Farey point q/p, project-wide.
+
+Equality is the residue rule of Reidemeister and Brody: L(r,s) and L(r,s')
+are homeomorphic by an orientation-preserving map iff s' = s or
+s*s' = 1 (mod r), one product and no modular inverse.  The normal forms,
+which need an inverse, are computed only for hashing, printing, JSON and
+homeomorphism up to orientation.
 """
 
 from __future__ import annotations
 
 import warnings
+from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
 from math import gcd
@@ -35,8 +42,9 @@ def _normal_forms(r: int, s: int) -> tuple[tuple[int, int], tuple[int, int]]:
 
 @dataclass(frozen=True)
 class LensSpace:
-    """L(r,s); the raw coefficients are kept, equality and hashing use the
-    orientation-preserving normal form."""
+    """L(r,s); the raw coefficients are kept.  Equality is the residue rule
+    (module docstring); hashing uses the orientation-preserving normal form,
+    which the rule agrees with."""
 
     r: int
     s: int
@@ -69,7 +77,15 @@ class LensSpace:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, LensSpace):
             return NotImplemented
-        return self.canonical == other.canonical
+        r, s, r2, s2 = self.r, self.s, other.r, other.s
+        if r < 0:
+            r, s = -r, -s
+        if r2 < 0:
+            r2, s2 = -r2, -s2
+        if r != r2:
+            return False
+        # orders 0 and 1 have one space each, S^1 x S^2 and S^3
+        return r < 2 or (s - s2) % r == 0 or (s * s2 - 1) % r == 0
 
     def __hash__(self) -> int:
         return hash(self.canonical)
@@ -118,9 +134,7 @@ class ThreeManifold:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ThreeManifold):
             return NotImplemented
-        return sorted(l.canonical for l in self.summands) == sorted(
-            l.canonical for l in other.summands
-        )
+        return same_lens_spaces(self.summands, other.summands)
 
     def __hash__(self) -> int:
         return hash(tuple(sorted(l.canonical for l in self.summands)))
@@ -140,6 +154,23 @@ class ThreeManifold:
         if self.is_s3():
             return "S3"
         return " # ".join(str(l) for l in self.summands)
+
+
+def same_lens_spaces(a: Sequence[LensSpace], b: Sequence[LensSpace]) -> bool:
+    """Whether a and b hold the same lens spaces with the same multiplicities,
+    by ==.  Matching each of a greedily with the first equal one of b not
+    yet matched is exact, since == is an equivalence relation."""
+    if len(a) != len(b):
+        return False
+    rest = list(b)
+    for l in a:
+        for i, m in enumerate(rest):
+            if l == m:
+                del rest[i]
+                break
+        else:
+            return False
+    return True
 
 
 def _unoriented(m: ThreeManifold) -> list[tuple[int, int]]:
@@ -175,6 +206,10 @@ def ambient_slope(l: LensSpace) -> Slope:
 
 
 def classify_torus_knot(k: TorusKnot) -> KnotClass:
+    if k.ambient.is_s1xs2():
+        # the ambient slope is the meridian 0 itself, so the clockwise arc
+        # from 0 to it is empty and no knot could read positive
+        raise DegenerateInputError("ambient S1xS2: its slope 0 is a Heegaard-torus meridian slope")
     sigma = k.farey_point
     amb = ambient_slope(k.ambient)
     if sigma == amb or sigma == ZERO:

@@ -311,12 +311,13 @@ def crit8_atf_pipeline(r: TripleRecord) -> list[str]:
     bad = []
     readouts = [atf.node_boundary_lens(d, i) for i in range(len(d.nodes))]
     pq = zip(t.entries(), r.q.entries())
-    want = sorted(lens.LensSpace(p * p, p * q - 1).canonical for p, q in pq)
-    if sorted(l.canonical for l in readouts) != want:
-        bad.append(f"{t}: readouts {[str(l) for l in readouts]} != {want}")
+    want = [lens.LensSpace(p * p, p * q - 1) for p, q in pq]
+    if not lens.same_lens_spaces(readouts, want):
+        forms = sorted(l.canonical for l in want)
+        bad.append(f"{t}: readouts {[str(l) for l in readouts]} != {forms}")
     if t.entries() == (1, 1, 2):
         traded = [l for l in readouts if not l.is_s3()]
-        if len(traded) != 1 or traded[0].canonical != (4, 1):
+        if len(traded) != 1 or traded[0] != lens.LensSpace(4, 1):
             bad.append(f"(1,1,2): traded corner reads {[str(l) for l in readouts]}")
     return bad
 

@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import pytest
 
-from lenscalc import farey, markov, verify
+from lenscalc import atf, farey, lens, markov, verify
 from lenscalc.farey import Slope, is_farey_edge
 
 
@@ -118,9 +118,48 @@ def test_criterion_8_atf_pipeline():
     assert result.passed, result.detail
 
 
+def _mirror_each(readouts):
+    # L(p^2, pq - 1) is never its own mirror for p >= 2
+    return [lens.LensSpace(l.r, -l.s) if abs(l.r) >= 4 else l for l in readouts]
+
+
+def _sphere_at_largest(readouts):
+    i = max(range(len(readouts)), key=lambda j: abs(readouts[j].r))
+    return [lens.S3 if j == i else l for j, l in enumerate(readouts)]
+
+
+@pytest.mark.parametrize("mutate", [_mirror_each, _sphere_at_largest], ids=["mirror", "sphere"])
+def test_criterion_8_reports_wrong_readouts(monkeypatch, mutate):
+    # a wrong readout is a failed criterion, not an exception; the mirror
+    # case keeps the comparison orientation-sensitive
+    real = atf.node_boundary_lens
+
+    def readout(d, i):
+        return mutate([real(d, j) for j in range(len(d.nodes))])[i]
+
+    monkeypatch.setattr(atf, "node_boundary_lens", readout)
+    result = _one(8, 4)
+    assert not result.passed
+    for t, _ in markov.enumerate_tree(4):
+        # only (1, 1, 1) reads S^3 at every corner
+        assert (f"{t}: readouts " in result.detail) == (t.entries() != (1, 1, 1)), t
+    assert "(1,1,2): traded corner reads" in result.detail
+
+
 def test_criterion_9_boundary_cross_check():
     result = verify.crit9_boundary_cross_check(30)
     assert result.passed, result.detail
+
+
+def test_lens_criteria_compute_no_normal_form(monkeypatch):
+    # criteria 3, 8 and 9 compare lens spaces by the residue rule alone
+    def no_normal_forms(r, s):
+        raise AssertionError("a normal form was computed")
+
+    monkeypatch.setattr(lens, "_normal_forms", no_normal_forms)
+    results = verify.run([3, 8, 9], 6)
+    assert [r.number for r in results] == [3, 8, 9]
+    assert all(r.passed for r in results), results
 
 
 def test_run_all_reports_nine_passes():

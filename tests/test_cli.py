@@ -518,6 +518,13 @@ class TestLensCommands:
             "message": "the |q|=1 and |p|=1 triviality readings disagree for T_(1,-2); using |q|=1",
         }
 
+    @pytest.mark.parametrize("ambient", [["0", "1"], ["0", "-1"]])
+    def test_surgery_rejects_s1xs2_ambient(self, capsys, ambient):
+        code, out, err = run(capsys, "lens", "surgery", "--knot", "5", "-8", "--ambient", *ambient)
+        assert code == 2
+        assert out == ""
+        assert json.loads(err)["error"] == "degenerate-input"
+
     def test_surgery_rejects_trivial_knot(self, capsys):
         code, _, err = run(
             capsys, "lens", "surgery", "--knot", "1", "1", "--ambient", "3", "1"

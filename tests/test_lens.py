@@ -93,6 +93,13 @@ class TestThreeManifold:
         b = ThreeManifold((LensSpace(7, 5), LensSpace(4, 1)))
         assert a == b
 
+    def test_multiset_counts_multiplicity(self):
+        a = ThreeManifold((LensSpace(7, 3), LensSpace(7, 2)))
+        assert a == ThreeManifold((LensSpace(7, 2), LensSpace(7, 5)))
+        assert a != ThreeManifold((LensSpace(7, 3), LensSpace(7, 5)))
+        assert a != ThreeManifold((LensSpace(7, 3),))
+        assert a != ThreeManifold((LensSpace(7, 3), LensSpace(7, 2), LensSpace(4, 1)))
+
     def test_mirror_per_summand(self):
         a = ThreeManifold((LensSpace(7, 3),))
         b = ThreeManifold((LensSpace(7, 2),))
@@ -125,6 +132,17 @@ class TestClassifyTorusKnot:
     def test_meridian_slope_rejected(self):
         with pytest.raises(DegenerateInputError):
             classify_torus_knot(TorusKnot(1, -3, LensSpace(3, 1)))
+
+    @pytest.mark.parametrize("s", [1, -1])
+    @pytest.mark.parametrize("p, q", [(5, -8), (3, 2), (1, 1), (-1, 2), (2, -3)])
+    def test_s1xs2_ambient_rejected(self, p, q, s):
+        # the ambient slope is the meridian 0 itself: the clockwise arc from
+        # 0 to it is empty, so no knot could read positive
+        k = TorusKnot(p, q, LensSpace(0, s))
+        with pytest.raises(DegenerateInputError):
+            classify_torus_knot(k)
+        with pytest.raises(DegenerateInputError):
+            nonloose_surgery_result(k)
 
     def test_disagreeing_triviality_readings_warn(self):
         k = TorusKnot(1, 5, LensSpace(3, 1))

@@ -2,7 +2,8 @@
 reference normal form kept in `lens_reference`.
 
 Coefficients range over r in {0, +-1, +-2}, small values of either sign and
-values of up to 4096 bits.  Pairs of lens spaces share their order and are
+values of up to 4096 bits, and orders of about 6600 bits, the size the
+depth-16 sweep reaches.  Pairs of lens spaces share their order and are
 related by an inverse, a mirror or a shift by r as often as not, so that
 equal and mirror pairs are drawn as well as unrelated ones.
 """
@@ -14,6 +15,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import lens_reference as ref
+from lenscalc import lens
 from lenscalc.errors import PreconditionError
 from lenscalc.lens import LensSpace, Orientation, ThreeManifold
 
@@ -87,11 +89,11 @@ def test_equality_and_hash_match_reference(pair):
 
 
 @st.composite
-def manifold_pairs(draw):
+def manifold_pairs(draw, spaces=lens_spaces()):
     """A connected sum of up to three lens spaces, and one built from a
     shuffle of relatives of its summands, each side with S^3 summands mixed
     in."""
-    first = draw(st.lists(lens_spaces(), max_size=3))
+    first = draw(st.lists(spaces, max_size=3))
     second = [draw(relatives(l)) for l in first]
     second = draw(st.permutations(second))
     s3 = st.sampled_from([LensSpace(1, 0), LensSpace(-1, 7)])
@@ -112,6 +114,48 @@ def test_three_manifold_comparisons_match_reference(pair):
     for orientation in Orientation:
         assert m1.homeomorphic(m2, orientation) == ref.homeomorphic(m1, m2, orientation)
         assert m2.homeomorphic(m1, orientation) == ref.homeomorphic(m2, m1, orientation)
+
+
+DEEP = 2**6600
+
+
+@st.composite
+def deep_lens_spaces(draw):
+    """A lens space whose order has about 6600 bits."""
+    r = draw(st.integers(DEEP // 2, DEEP)) * draw(st.sampled_from([1, -1]))
+    s = draw(st.one_of(st.integers(-60, 60), st.integers(-DEEP, DEEP)))
+    assume(gcd(r, s) == 1)
+    return LensSpace(r, s)
+
+
+@st.composite
+def deep_lens_pairs(draw):
+    l = draw(deep_lens_spaces())
+    return l, draw(relatives(l))
+
+
+def _no_normal_forms(r, s):
+    raise AssertionError("a normal form was computed")
+
+
+@settings(max_examples=100, deadline=None)
+@given(deep_lens_pairs(), manifold_pairs(deep_lens_spaces()))
+def test_equality_computes_no_normal_form(pair, manifolds):
+    # the residue rule needs one product mod r; only hashing, printing, JSON
+    # and homeomorphism up to orientation compute a normal form
+    l1, l2 = pair
+    m1, m2 = manifolds
+    same = ref.canonical(l1) == ref.canonical(l2)
+    equal = ref.summands(m1) == ref.summands(m2)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lens, "_normal_forms", _no_normal_forms)
+        assert (l1 == l2) == same
+        assert (l1 != l2) == (not same)
+        assert (ThreeManifold((l1,)) == ThreeManifold((l2,))) == same
+        assert ThreeManifold((l1,)).homeomorphic(ThreeManifold((l2,)), Orientation.PRESERVING) == same
+        assert (m1 == m2) == equal
+        assert m1.homeomorphic(m2, Orientation.PRESERVING) == equal
+        assert m2.homeomorphic(m1, Orientation.PRESERVING) == equal
 
 
 @settings(max_examples=200, deadline=None)
