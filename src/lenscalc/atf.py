@@ -8,9 +8,11 @@ integer pairs: the points involved, scaled once by the lcm of their
 denominators (`_integral`).  Each diagram holds its own points in such a
 frame (`AtfDiagram.frame`), built once when the diagram is made.  Two
 diagrams are equal up to integral-affine maps iff their integer keys
-(`AtfDiagram.normal_form`) are; a transfer of a cut applies the one
-re-gluing that flattens the old cut end.  Coordinates read from JSON are
-integers or "n/d" strings.
+(`AtfDiagram.normal_form`) are.  A node that passes its check has its cut
+end at a vertex, so a transfer of a cut splices one point into the vertex
+loop, where the eigenline exits, and applies the one re-gluing that
+flattens the old cut end.  Coordinates read from JSON are integers or
+"n/d" strings.
 """
 
 from __future__ import annotations
@@ -339,10 +341,11 @@ def is_consistent(d: AtfDiagram) -> bool:
     return all(r.passed for r in check_consistency(d))
 
 
-def _ray_exit(d: AtfDiagram, origin: Point, direction: Vec) -> tuple[Fraction, Point]:
-    """Smallest t > 0 with origin + t*direction on the boundary."""
+def _ray_exit(d: AtfDiagram, origin: Point, direction: Vec) -> tuple[Fraction, Point, int]:
+    """Smallest t > 0 with origin + t*direction on the boundary, the point
+    there, and the index i of an edge (vertex i to vertex i + 1) holding it."""
     n = len(d.vertices)
-    best: tuple[Fraction, Point] | None = None
+    best: tuple[Fraction, Point, int] | None = None
     for i in range(n):
         a, b = d.vertices[i], d.vertices[(i + 1) % n]
         edge = _sub(b, a)
@@ -354,7 +357,7 @@ def _ray_exit(d: AtfDiagram, origin: Point, direction: Vec) -> tuple[Fraction, P
             continue
         hit = _add(origin, _scale(direction, t))
         if _on_segment(hit, a, b) and (best is None or t < best[0]):
-            best = (t, hit)
+            best = (t, hit, i)
     if best is None:
         raise UnsupportedConfigurationError("ray does not exit the polygon")
     return best
@@ -372,7 +375,7 @@ def nodal_trade(d: AtfDiagram, vertex_index: int) -> AtfDiagram:
     if abs(det(u, w)) != 1:
         raise PreconditionError("corner is not unimodular; cannot trade")
     eigen = _primitive((u[0] + w[0], u[1] + w[1]))
-    tstar, _ = _ray_exit(d, v, (Fraction(eigen[0]), Fraction(eigen[1])))
+    tstar, _, _ = _ray_exit(d, v, (Fraction(eigen[0]), Fraction(eigen[1])))
     position = _add(v, _scale((Fraction(eigen[0]), Fraction(eigen[1])), tstar / 2))
     node = AtfNode(position, eigen, v)
     out = AtfDiagram(d.vertices, d.nodes + (node,))
@@ -398,22 +401,19 @@ def nodal_slide(d: AtfDiagram, node_index: int, new_position: Point) -> AtfDiagr
     return out
 
 
-def _boundary_ring(d: AtfDiagram, extra: list[Point]) -> list[Point]:
-    """Vertex loop with the given boundary points spliced in where they are
-    edge-interior."""
-    n = len(d.vertices)
-    _, ints = _integral(d.vertices + tuple(extra))
-    verts, marks = ints[:n], ints[n:]
-    ring: list[Point] = []
-    for i in range(n):
-        a, b = verts[i], verts[(i + 1) % n]
-        ring.append(d.vertices[i])
-        inserts = [
-            k for k, p in enumerate(marks) if _on_segment(p, a, b) and p != a and p != b
-        ]
-        inserts.sort(key=lambda k: abs(marks[k][0] - a[0]) + abs(marks[k][1] - a[1]))
-        ring.extend(extra[k] for k in inserts)
-    return ring
+def _cut_vertex(d: AtfDiagram, node_index: int) -> tuple[int, int]:
+    """The node index, resolved as list indexing does, and the index of the
+    vertex at that node's cut end.  The node must pass the consistency
+    check, which the diagram runs once and keeps.  A passing node's cut end
+    is a vertex: at an edge-interior end the monodromy matches the edge only
+    when the cut runs along it, which puts the node on the boundary."""
+    node_index = range(len(d.nodes))[node_index]
+    if not _node_reports(d)[node_index].passed:
+        raise PreconditionError("node fails the consistency check")
+    verts, end = d.frame.vertices, d.frame.cut_ends[node_index]
+    if end not in verts:
+        raise InternalConsistencyError("cut end of a consistent node is not a polygon vertex")
+    return node_index, verts.index(end)
 
 
 def transfer_cut(d: AtfDiagram, node_index: int) -> AtfDiagram:
@@ -428,16 +428,18 @@ def transfer_cut(d: AtfDiagram, node_index: int) -> AtfDiagram:
     turns the direction from c to its successor towards -e, where it can
     meet the direction to its predecessor; it turns that one towards +e,
     never parallel to the successor's.  Applying the inverse to the other
-    side gives the same polygon moved by the inverse."""
-    node_index = range(len(d.nodes))[node_index]  # as list indexing does
-    if not _node_reports(d)[node_index].passed:
-        raise PreconditionError("node fails the consistency check")
+    side gives the same polygon moved by the inverse.
+
+    The cut end c is a vertex, so the loop the two chains come from is the
+    vertex loop with the exit point spliced in, unless that is a vertex
+    too."""
+    node_index, i_c = _cut_vertex(d, node_index)
     node = d.nodes[node_index]
     x0 = node.position
     ev = node.eigenvector
     c_end = node.cut_end
     away = _sub(x0, c_end)  # direction from cut end through the node
-    _, w_end = _ray_exit(d, x0, away)
+    _, w_end, edge = _ray_exit(d, x0, away)
     if w_end == c_end:
         raise InternalConsistencyError("eigenline exits where it entered")
     others = [p for j, o in enumerate(d.nodes) if j != node_index for p in (o.position, o.cut_end)]
@@ -447,9 +449,13 @@ def transfer_cut(d: AtfDiagram, node_index: int) -> AtfDiagram:
             raise UnsupportedConfigurationError(
                 "eigenline meets another node or cut; slide the nodes first"
             )
-    ring = _boundary_ring(d, [c_end, w_end])
-    i_c = ring.index(c_end)
-    i_w = ring.index(w_end)
+    ring = list(d.vertices)
+    if w_end in ring:
+        i_w = ring.index(w_end)
+    else:  # edge-interior: splice it in after the start of its edge
+        ring.insert(edge + 1, w_end)
+        i_w = edge + 1
+        i_c += i_c > edge
     m = len(ring)
     chain1 = [ring[(i_c + k) % m] for k in range(1, (i_w - i_c) % m)]
     chain2 = [ring[(i_w + k) % m] for k in range(1, (i_c - i_w) % m)]
@@ -488,16 +494,9 @@ def node_boundary_lens(d: AtfDiagram, node_index: int) -> LensSpace:
     the corner at the cut end in a basis where the first boundary direction
     is (1, 0).  The node must pass the consistency check, which the diagram
     runs once and keeps."""
-    node_index = range(len(d.nodes))[node_index]  # as list indexing does
-    if not _node_reports(d)[node_index].passed:
-        raise PreconditionError("node fails the consistency check")
-    verts, end = d.frame.vertices, d.frame.cut_ends[node_index]
-    if end not in verts:
-        # a consistent node's cut end is a vertex: at an edge-interior end
-        # the monodromy matches the edge only when the cut runs along it,
-        # which puts the node on the boundary
-        raise InternalConsistencyError("cut end of a consistent node is not a polygon vertex")
-    u1, u2 = _flanking(verts, end)
+    _, i = _cut_vertex(d, node_index)
+    verts = d.frame.vertices
+    u1, u2 = _flanking(verts, verts[i])
     a, b = _bezout(u1[0], u1[1])
     x = a * u2[0] + b * u2[1]
     y = det(u1, u2)

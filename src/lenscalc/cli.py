@@ -44,6 +44,14 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(2)
 
 
+def integer(text: str) -> int:
+    """An integer argument in decimal digits, the form every JSON reader
+    takes; anything else raises ValueError."""
+    if not farey._DECIMAL.fullmatch(text):
+        raise ValueError(f"invalid integer value: {text!r:.40}")
+    return int(text)
+
+
 def _check_depth(depth: int) -> int:
     if depth < 0 or depth > DEPTH_CAP:
         raise PreconditionError(f"depth must be between 0 and {DEPTH_CAP}")
@@ -218,15 +226,15 @@ def build_parser() -> _Parser:
     p_markov = sub.add_parser("markov", help="Markov triples and q-triples")
     markov_sub = p_markov.add_subparsers(dest="subcommand", required=True)
     p = markov_sub.add_parser("tree", help="enumerate the Markov tree")
-    p.add_argument("--depth", type=int, default=4)
+    p.add_argument("--depth", type=integer, default=4)
     p.set_defaults(func=_cmd_markov_tree)
     p = markov_sub.add_parser("derive-q", help="companion surgery coefficients")
-    p.add_argument("p1", type=int)
-    p.add_argument("p2", type=int)
-    p.add_argument("p3", type=int)
+    p.add_argument("p1", type=integer)
+    p.add_argument("p2", type=integer)
+    p.add_argument("p3", type=integer)
     p.set_defaults(func=_cmd_markov_derive_q)
     p = markov_sub.add_parser("verify", help="sweep the q-triple conditions")
-    p.add_argument("--depth", type=int, default=8)
+    p.add_argument("--depth", type=integer, default=8)
     p.set_defaults(func=_cmd_markov_verify)
 
     p_farey = sub.add_parser("farey", help="Farey paths and classification")
@@ -247,16 +255,16 @@ def build_parser() -> _Parser:
     p_lens = sub.add_parser("lens", help="lens-space surgery")
     lens_sub = p_lens.add_subparsers(dest="subcommand", required=True)
     p = lens_sub.add_parser("surgery", help="torus-framed surgery splitting")
-    p.add_argument("--knot", type=int, nargs=2, required=True, metavar=("P", "Q"))
-    p.add_argument("--ambient", type=int, nargs=2, required=True, metavar=("R", "S"))
+    p.add_argument("--knot", type=integer, nargs=2, required=True, metavar=("P", "Q"))
+    p.add_argument("--ambient", type=integer, nargs=2, required=True, metavar=("R", "S"))
     p.set_defaults(func=_cmd_lens_surgery)
 
     p_handle = sub.add_parser("handle", help="horizontal handle diagrams")
     handle_sub = p_handle.add_subparsers(dest="subcommand", required=True)
     p = handle_sub.add_parser("build-x", help="three-curve diagram for a triple")
-    p.add_argument("p1", type=int)
-    p.add_argument("p2", type=int)
-    p.add_argument("p3", type=int)
+    p.add_argument("p1", type=integer)
+    p.add_argument("p2", type=integer)
+    p.add_argument("p3", type=integer)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_handle_build_x)
     p = handle_sub.add_parser("recognize", help="CP^2 recognition test")
@@ -270,15 +278,15 @@ def build_parser() -> _Parser:
     p_atf = sub.add_parser("atf", help="almost toric base diagrams")
     atf_sub = p_atf.add_subparsers(dest="subcommand", required=True)
     p = atf_sub.add_parser("build", help="diagram for a Markov triple")
-    p.add_argument("p1", type=int)
-    p.add_argument("p2", type=int)
-    p.add_argument("p3", type=int)
+    p.add_argument("p1", type=integer)
+    p.add_argument("p2", type=integer)
+    p.add_argument("p3", type=integer)
     p.add_argument("--svg", metavar="OUT")
     p.set_defaults(func=_cmd_atf_build)
     p = atf_sub.add_parser("move", help="apply a transfer or a slide")
     p.add_argument("diagram")
     group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--transfer", type=int, metavar="N")
+    group.add_argument("--transfer", type=integer, metavar="N")
     group.add_argument(
         "--slide",
         nargs=2,
@@ -290,7 +298,7 @@ def build_parser() -> _Parser:
     p_verify = sub.add_parser("verify", help="acceptance sweeps")
     verify_sub = p_verify.add_subparsers(dest="subcommand", required=True)
     p = verify_sub.add_parser("all", help="run the full acceptance sweep")
-    p.add_argument("--depth", type=int, default=8)
+    p.add_argument("--depth", type=integer, default=8)
     p.set_defaults(func=_cmd_verify_all)
 
     return parser
@@ -308,7 +316,7 @@ def _main(argv: list[str] | None) -> int:
     try:
         args = parser.parse_args(argv)
         if getattr(args, "slide", None) is not None:
-            args.slide = (int(args.slide[0]), args.slide[1])
+            args.slide = (integer(args.slide[0]), args.slide[1])
         return args.func(args)
     except SystemExit as exc:
         return int(exc.code or 0)

@@ -17,6 +17,12 @@ from math import gcd
 from .errors import DegenerateInputError, InvariantError, PreconditionError
 
 
+# integers and rationals in ASCII decimal digits, the forms every JSON
+# reader and argument takes; int() would also take "1_0", " 3" or "٣"
+_DECIMAL = re.compile(r"-?[0-9]+")
+_RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
+
+
 def _bezout(a: int, b: int) -> tuple[int, int]:
     """Return (x, y) with a*x + b*y = 1; requires gcd(a, b) = 1."""
     old_r, r = a, b
@@ -55,13 +61,14 @@ class Slope:
 
     @classmethod
     def parse(cls, text: str) -> "Slope":
-        text = text.strip()
-        if text in ("inf", "-inf", "1/0"):
+        """A slope written "n" or "n/d" in decimal digits, or "inf" or
+        "-inf"; anything else raises ValueError."""
+        if text in ("inf", "-inf"):
             return cls(1, 0)
-        if "/" in text:
-            n, d = text.split("/", 1)
-            return cls(int(n), int(d))
-        return cls(int(text), 1)
+        if not _RATIONAL.fullmatch(text):
+            raise ValueError(f"not a slope n or n/d: {text!r:.40}")
+        n, _, d = text.partition("/")
+        return cls(int(n), int(d or 1))
 
     def __str__(self) -> str:
         if self.den == 0:
@@ -249,10 +256,6 @@ class Classification(Enum):
     UNDETERMINED = "Undetermined"
 
 
-_DECIMAL = re.compile(r"-?[0-9]+")
-_RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
-
-
 def _json_int(x) -> int:
     """An integer field of a JSON document: an int that is not a bool, or a
     decimal integer string, the form each `to_json_obj` writes.  Floats,
@@ -291,57 +294,54 @@ def _json_fraction(x) -> Fraction:
     raise InvariantError(f"not a rational: {x!r:.40}")
 
 
-@dataclass(frozen=True, slots=True, init=False)
+@dataclass(frozen=True, slots=True)
 class DecoratedPath:
     """A strictly clockwise Farey path with signed edges.
 
-    `__init__` stores both sequences as tuples and validates the path in
-    one loop over its edges.  Errors come in this order: too few slopes, a
-    sign count that does not match the edges, the first edge whose ends are
-    not Farey-adjacent (anywhere along the path), then the first vertex
-    that returns to the anchor or breaks clockwise order.  The loop keeps
-    that first order failure and raises it only after every edge has passed
-    the adjacency test.
+    Both sequences are stored as tuples.  Errors come in this order: too
+    few slopes, a sign count that does not match the edges, the first edge
+    whose ends are not Farey-adjacent (anywhere along the path), then the
+    first vertex that returns to the anchor or breaks clockwise order.
     """
 
     slopes: tuple[Slope, ...]
     signs: tuple[EdgeSign, ...]
 
-    def __init__(self, slopes, signs) -> None:
+    def __post_init__(self) -> None:
+        slopes, signs = self.slopes, self.signs
         if type(slopes) is not tuple:
             slopes = tuple(slopes)
+            object.__setattr__(self, "slopes", slopes)
         if type(signs) is not tuple:
             signs = tuple(signs)
-        _set_slopes(self, slopes)
-        _set_signs(self, signs)
+            object.__setattr__(self, "signs", signs)
         if len(slopes) < 2:
             raise InvariantError("a decorated path needs at least one edge")
         if len(signs) != len(slopes) - 1:
             raise InvariantError("need exactly one sign per edge")
-        # Rank each slope by (wrapped, slope) in clockwise order from the
-        # anchor: wrapped slopes precede the anchor in the linear order.
-        # Both tests are `_before` on the integers; the anchor itself
-        # ranks first, so it can stand as the first predecessor.
         u = slopes[0]
-        an, ad = u.num, u.den
-        pn, pd, prev_wrapped = an, ad, False
-        disorder = None
+        pn, pd = u.num, u.den
         for v in slopes[1:]:
             n, d = v.num, v.den
             if abs(pn * d - pd * n) != 1:
                 raise InvariantError(f"{u} and {v} are not Farey-adjacent")
-            if disorder is None:
-                wrapped = d == 0 or (ad != 0 and an * d >= n * ad)
-                if n == an and d == ad:
-                    disorder = "path returns to its starting slope"
-                elif prev_wrapped > wrapped or (
-                    prev_wrapped == wrapped and (d == 0 or (pd != 0 and pn * d >= n * pd))
-                ):
-                    disorder = "path is not strictly clockwise"
-                prev_wrapped = wrapped
             u, pn, pd = v, n, d
-        if disorder is not None:
-            raise InvariantError(disorder)
+        # Rank each slope by (wrapped, slope) in clockwise order from the
+        # anchor: wrapped slopes precede the anchor in the linear order.
+        # Both tests are `_before` on the integers; the anchor itself
+        # ranks first, so it can stand as the first predecessor.
+        an, ad = slopes[0].num, slopes[0].den
+        pn, pd, prev_wrapped = an, ad, False
+        for v in slopes[1:]:
+            n, d = v.num, v.den
+            if n == an and d == ad:
+                raise InvariantError("path returns to its starting slope")
+            wrapped = d == 0 or (ad != 0 and an * d >= n * ad)
+            if prev_wrapped > wrapped or (
+                prev_wrapped == wrapped and (d == 0 or (pd != 0 and pn * d >= n * pd))
+            ):
+                raise InvariantError("path is not strictly clockwise")
+            pn, pd, prev_wrapped = n, d, wrapped
 
     def is_minimal(self) -> bool:
         # Ear lemma: a chord closes a Farey-triangulated polygon, one of whose
@@ -373,10 +373,6 @@ class DecoratedPath:
         except (KeyError, TypeError, ValueError) as exc:
             raise InvariantError(f"malformed decorated path: {exc}") from exc
         return cls(slopes, signs)
-
-
-_set_slopes = DecoratedPath.slopes.__set__
-_set_signs = DecoratedPath.signs.__set__
 
 
 @dataclass(frozen=True)

@@ -137,13 +137,12 @@ def verify_q(t: MarkovTriple, q: QTriple) -> QReport:
     for pi, qi, oj, ok in ((p1, q1, p2, p3), (p2, q2, p1, p3), (p3, q3, p1, p2)):
         if pi == 1:
             continue
-        hits = []
-        for pj, pk in ((oj, ok), (ok, oj)):
-            if pk % pi == 0:
-                raise InternalConsistencyError(f"{pk} not invertible mod {pi}")
-            val = (3 * pj * pow(pk, -1, pi)) % pi
-            hits.append(qi % pi == val)
-            hits.append(qi % pi == (-val) % pi)
+        # p_k is a unit mod p_i (Markov entries are pairwise coprime), so
+        # q_i = +-3 p_j / p_k mod p_i iff q_i p_k -+ 3 p_j = 0 mod p_i, for
+        # (j, k) either way round
+        a, b = qi * ok, 3 * oj
+        c, d = qi * oj, 3 * ok
+        hits = ((a - b) % pi == 0, (a + b) % pi == 0, (c - d) % pi == 0, (c + d) % pi == 0)
         some_all = some_all and any(hits)
         all_all = all_all and all(hits)
     cond4 = q1 <= 0

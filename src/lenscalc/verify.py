@@ -122,9 +122,11 @@ def _surgery_example() -> list[str]:
 
 def crit4_surgery(r: TripleRecord) -> list[str]:
     """Surgery on the dual knot splits the ambient lens space into the
-    boundaries of the balls B_{p1,q1} and B_{p2,q2}."""
+    boundaries of the balls B_{p1,q1} and B_{p2,q2}; the root triple also
+    runs the worked example."""
     t, q = r.t, r.q
     p1, p2, p3 = t.entries()
+    bad = _surgery_example() if t.entries() == (1, 1, 1) else []
     # Meridian slopes of the two sides of the two-curve diagram, read on the
     # Heegaard torus between the curves; the dual knot is the longitude there.
     lam, mu = handles.twist_matrix(handles.TorusCurve(-p2, q.q2)).apply_vec(1, 0)
@@ -133,7 +135,7 @@ def crit4_surgery(r: TripleRecord) -> list[str]:
     m_out = Slope(mu, lam)
     ambient = lens.lens_from_meridian_slopes(m_in, m_out)
     if ambient != lens.LensSpace(-p3 * p3, p3 * q.q3 - 1):
-        return [f"{t}: ambient {ambient} is not L(-p3^2, p3 q3 - 1)"]
+        return bad + [f"{t}: ambient {ambient} is not L(-p3^2, p3 q3 - 1)"]
     # change basis so the outer meridian reads 0, as in the surgery op
     u, v = _bezout(m_out.num, m_out.den)
     basis = IntMat2(m_out.den, -m_out.num, u, v)
@@ -141,7 +143,9 @@ def crit4_surgery(r: TripleRecord) -> list[str]:
     want = lens.ThreeManifold(
         (lens.LensSpace(p1 * p1, p1 * q.q1 - 1), lens.LensSpace(p2 * p2, p2 * q.q2 - 1))
     )
-    return [] if split.homeomorphic(want, lens.Orientation.EITHER) else [f"{t}: {split} != {want}"]
+    if not split.homeomorphic(want, lens.Orientation.EITHER):
+        bad.append(f"{t}: {split} != {want}")
+    return bad
 
 
 def crit5_decorated_paths() -> CriterionResult:
@@ -303,7 +307,8 @@ def crit7_farey_oracle(max_den: int = 20) -> CriterionResult:
 
 def crit8_atf_pipeline(r: TripleRecord) -> list[str]:
     """The almost toric diagram is consistent and its corners read
-    L(p_i^2, p_i q_i - 1) for the derived q-triple."""
+    L(p_i^2, p_i q_i - 1) for the derived q-triple.  At the root, a cut
+    transferred twice gives the diagram back."""
     t = r.t
     d = atf.atf_for_markov(t)
     if not atf.is_consistent(d):
@@ -319,15 +324,11 @@ def crit8_atf_pipeline(r: TripleRecord) -> list[str]:
         traded = [l for l in readouts if not l.is_s3()]
         if len(traded) != 1 or traded[0] != lens.LensSpace(4, 1):
             bad.append(f"(1,1,2): traded corner reads {[str(l) for l in readouts]}")
+    if t.entries() == (1, 1, 1):
+        twice = atf.transfer_cut(atf.transfer_cut(d, 0), 0)
+        if not atf.affinely_equivalent(d, twice):
+            bad.append("double transfer is not the identity up to integral-affine maps")
     return bad
-
-
-def _double_transfer() -> list[str]:
-    """Transferring a cut twice gives the diagram back."""
-    base = atf.atf_for_markov(markov.MarkovTriple(1, 1, 1))
-    twice = atf.transfer_cut(atf.transfer_cut(base, 0), 0)
-    ok = atf.affinely_equivalent(base, twice)
-    return [] if ok else ["double transfer is not the identity up to integral-affine maps"]
 
 
 def crit9_boundary_cross_check(pmax: int = 30) -> CriterionResult:
@@ -348,10 +349,9 @@ def crit9_boundary_cross_check(pmax: int = 30) -> CriterionResult:
 
 @dataclass(frozen=True)
 class Criterion:
-    """A row of `CRITERIA`, naming its checks.  A tree criterion's check turns
+    """A row of `CRITERIA`, naming its check.  A tree criterion's check turns
     each `TripleRecord` to the sweep's depth, or to `reach` if less, into
-    failure strings; `before` and `after` run once per sweep, their failures
-    first and last.  Any other criterion's check runs it whole, at its own
+    failure strings.  Any other criterion's check runs it whole, at its own
     size, and returns the `CriterionResult`."""
 
     number: int
@@ -359,21 +359,17 @@ class Criterion:
     title: str = ""
     noun: str = ""
     reach: int | None = None
-    before: str | None = None
-    after: str | None = None
 
 
 CRITERIA = (
     Criterion(1, "crit1_q_sweep", "q-triple derivation conditions", "triples checked"),
     Criterion(2, "crit2_cp2_recognition", "CP^2 recognition sweep", "diagrams checked"),
     Criterion(3, "crit3_two_curve_boundary", "two-curve boundary identity", "boundaries checked"),
-    Criterion(4, "crit4_surgery", "torus-framed surgery splitting", "splittings checked", 6,
-              before="_surgery_example"),
+    Criterion(4, "crit4_surgery", "torus-framed surgery splitting", "splittings checked", 6),
     Criterion(5, "crit5_decorated_paths"),
     Criterion(6, "crit6_mutation_slide", "mutation handle slide identities", "triples checked"),
     Criterion(7, "crit7_farey_oracle"),
-    Criterion(8, "crit8_atf_pipeline", "almost toric pipeline", "diagrams generated",
-              after="_double_transfer"),
+    Criterion(8, "crit8_atf_pipeline", "almost toric pipeline", "diagrams generated"),
     Criterion(9, "crit9_boundary_cross_check"),
 )
 
@@ -387,7 +383,7 @@ def run(numbers: Collection[int], depth: int = 8) -> list[CriterionResult]:
     rows = [c for c in CRITERIA if c.number in numbers]
     tree = [c for c in rows if c.title]
     reach = {c.number: depth if c.reach is None else min(depth, c.reach) for c in tree}
-    bad = {c.number: fns[c.before]() if c.before else [] for c in tree}
+    bad = {c.number: [] for c in tree}
     walk = markov.enumerate_tree(max(reach.values())) if tree else []
     # breadth first (a word has one letter per level): each reach's triples are a prefix
     count = {n: bisect_right(walk, level, key=lambda e: len(e[1])) for n, level in reach.items()}
@@ -404,7 +400,6 @@ def run(numbers: Collection[int], depth: int = 8) -> list[CriterionResult]:
             results.append(fns[c.check]())
             continue
         n = c.number
-        bad[n] += fns[c.after]() if c.after else []
         description = f"{c.title}, tree depth {reach[n]}"
         results.append(_result(n, description, f"{count[n]} {c.noun}", bad[n]))
     return results

@@ -27,9 +27,12 @@ even to itself.
 
 The transfer search is the original `transfer_cut`, which tried the
 monodromy and its inverse on either side of the eigenline and kept the
-first re-gluing that flattens the old cut end.  The library applies the
-one re-gluing that can; both must give the same diagram, or raise the same
-error with the same message.
+first re-gluing that flattens the old cut end.  It finds the exit point
+and splices the boundary ring with its own copies of the original
+`_ray_exit` and `_boundary_ring`, on Fraction points.  The library applies
+the one re-gluing that can, on the vertex loop with the exit point spliced
+in; both must give the same diagram, or raise the same error with the same
+message.
 """
 
 from __future__ import annotations
@@ -42,10 +45,8 @@ from lenscalc.atf import (
     AtfNode,
     NodeReport,
     _add,
-    _boundary_ring,
     _integral,
     _node_reports,
-    _ray_exit,
     is_consistent,
     monodromy,
     nodal_slide,
@@ -383,6 +384,41 @@ def affinely_equivalent(d1: AtfDiagram, d2: AtfDiagram) -> bool:
 
 
 # --- the transfer search -----------------------------------------------------
+
+
+def _ray_exit(d: AtfDiagram, origin: Point, direction: Vec) -> tuple[Fraction, Point]:
+    """Smallest t > 0 with origin + t*direction on the boundary."""
+    n = len(d.vertices)
+    best: tuple[Fraction, Point] | None = None
+    for i in range(n):
+        a, b = d.vertices[i], d.vertices[(i + 1) % n]
+        edge = _sub(b, a)
+        denom = _cross(direction, edge)
+        if denom == 0:
+            continue
+        t = _cross(_sub(a, origin), edge) / denom
+        if t <= 0:
+            continue
+        hit = (origin[0] + direction[0] * t, origin[1] + direction[1] * t)
+        if _on_segment(hit, a, b) and (best is None or t < best[0]):
+            best = (t, hit)
+    if best is None:
+        raise UnsupportedConfigurationError("ray does not exit the polygon")
+    return best
+
+
+def _boundary_ring(d: AtfDiagram, extra: list[Point]) -> list[Point]:
+    """Vertex loop with the given boundary points spliced in where they are
+    edge-interior, each edge's in order from its start."""
+    n = len(d.vertices)
+    ring: list[Point] = []
+    for i in range(n):
+        a, b = d.vertices[i], d.vertices[(i + 1) % n]
+        ring.append(a)
+        inserts = [p for p in extra if _on_segment(p, a, b) and p != a and p != b]
+        inserts.sort(key=lambda p: abs(p[0] - a[0]) + abs(p[1] - a[1]))
+        ring.extend(inserts)
+    return ring
 
 
 def transfer_cut_search(d: AtfDiagram, node_index: int) -> AtfDiagram:

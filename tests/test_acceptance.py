@@ -211,3 +211,25 @@ def test_run_calls_each_check_through_the_module(monkeypatch):
     [result] = verify.run([3], 4)
     assert result.passed
     assert seen == [t for t, _ in markov.enumerate_tree(4)]
+
+
+def test_worked_examples_run_with_the_root_triple(monkeypatch):
+    # criterion 4's T(5,-8) surgery and criterion 8's double transfer run
+    # once each, on the root's record, and criterion 8 transfers the root's
+    # own diagram: one atf_for_markov call per triple
+    built = []
+    real_build = atf.atf_for_markov
+    monkeypatch.setattr(atf, "atf_for_markov", lambda t: built.append(t) or real_build(t))
+    monkeypatch.setattr(lens, "nonloose_surgery_result", lambda knot: lens.ThreeManifold((lens.S3,)))
+    monkeypatch.setattr(atf, "affinely_equivalent", lambda d1, d2: False)
+    surgery, pipeline = verify.run([4, 8], 3)
+    triples = [t for t, _ in markov.enumerate_tree(3)]
+    assert built == triples
+    assert surgery.detail == (
+        f"{len(triples)} splittings checked; failures: "
+        "['T_(5,-8) in L(3,1): S3 != L(8,5) # L(7,3)']"
+    )
+    assert pipeline.detail == (
+        f"{len(triples)} diagrams generated; failures: "
+        "['double transfer is not the identity up to integral-affine maps']"
+    )

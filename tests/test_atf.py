@@ -228,17 +228,21 @@ class TestConsistencyChecker:
         assert len(check_consistency(d)) == 3 and calls == [0, 1, 2]
         assert [node_boundary_lens(d, i) for i in range(3)] == readouts
 
-    def test_cut_end_off_the_vertices_is_an_internal_error(self, monkeypatch):
+    @pytest.mark.parametrize(
+        "move", [node_boundary_lens, transfer_cut], ids=["node_boundary_lens", "transfer_cut"]
+    )
+    def test_cut_end_off_the_vertices_is_an_internal_error(self, monkeypatch, move):
         # no node passes the check with its cut end inside an edge, so force
-        # the check to pass and see that the readout does not guess
+        # the check to pass and see that neither the readout nor the
+        # transfer guesses
         d = traded_triangle()
         node = d.nodes[0]
         edge_point = (Fraction(1), Fraction(0))
         odd = AtfDiagram(d.vertices, (AtfNode(node.position, node.eigenvector, edge_point),))
         passing = NodeReport(0, True, True, True, True, True, True)
         monkeypatch.setattr(atf, "_node_report", lambda d, i: passing)
-        with pytest.raises(InternalConsistencyError):
-            node_boundary_lens(odd, 0)
+        with pytest.raises(InternalConsistencyError, match="is not a polygon vertex"):
+            move(odd, 0)
 
 
 class TestMarkovPictures:

@@ -361,6 +361,55 @@ class TestIntegerFields:
             self.check_rejected(capsys, tmp_path, ["atf", "move", *move], doc)
 
 
+class TestDecimalArguments:
+    """Integers and slopes on the command line are read as the JSON readers
+    read them, in ASCII decimal digits; int() would read "1_0" as 10, " 3"
+    as 3 and the Arabic-Indic digit "٣" as 3."""
+
+    @pytest.mark.parametrize(
+        "argv, error",
+        [
+            (["farey", "path", "1_0", "0"], "bad-input"),
+            (["farey", "path", "٣", "0"], "bad-input"),
+            (["farey", "path", "-8/5", " 0"], "bad-input"),
+            (["farey", "path", "+1", "0"], "bad-input"),
+            (["farey", "path", "3/-2", "0"], "bad-input"),
+            (["farey", "path", "1/٢", "0"], "bad-input"),
+            (["markov", "derive-q", "1", "1", "٢"], "usage"),
+            (["markov", "derive-q", "1", "1", "0_2"], "usage"),
+            (["markov", "tree", "--depth", " 2"], "usage"),
+            (["markov", "verify", "--depth", "+2"], "usage"),
+            (["lens", "surgery", "--knot", "5", "-8", "--ambient", "3", "1_0"], "usage"),
+            (["handle", "build-x", "1", "2", "٥"], "usage"),
+            (["atf", "build", "1", "1", "1_0"], "usage"),
+            (["verify", "all", "--depth", "٠"], "usage"),
+            (["atf", "move", "@atf", "--transfer", "0_0"], "usage"),
+            (["atf", "move", "@atf", "--slide", "0_0", "1/2"], "bad-input"),
+            (["atf", "move", "@atf", "--slide", "٠", "1/2"], "bad-input"),
+        ],
+    )
+    def test_non_decimal_argument_is_an_error(self, capsys, tmp_path, argv, error):
+        f = tmp_path / "diagram.json"
+        f.write_text(json.dumps(atf_for_markov(MarkovTriple(1, 1, 1)).to_json_obj()))
+        argv = [str(f) if a == "@atf" else a for a in argv]
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert json.loads(err)["error"] == error
+
+    @pytest.mark.parametrize(
+        "argv, want",
+        [
+            (["farey", "path", "inf", "1"], [["1", "0"], ["1", "1"]]),
+            (["farey", "path", "-1/0", "1"], [["1", "0"], ["1", "1"]]),
+            (["farey", "path", "-08/05", "0"], [["-8", "5"], ["-3", "2"], ["-1", "1"], ["0", "1"]]),
+        ],
+    )
+    def test_decimal_slopes(self, capsys, argv, want):
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert json.loads(out) == {"slopes": want}
+
+
 # Argv for every subcommand, each value in range or not: depths (in range
 # only up to 3, so the sweeps stay cheap), integers up to 2^256 and past
 # int()'s 4300-digit limit, non-integers, 0/0, equal endpoints, node

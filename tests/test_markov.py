@@ -20,6 +20,23 @@ DEPTH = 6
 TREE = [t for t, _ in enumerate_tree(DEPTH)]
 
 
+def cond3_by_inverses(t, q):
+    """(cond3_some, cond3_all) read with a modular inverse per ordering:
+    q_i = +-3 p_j p_k^{-1} mod p_i, for (j, k) either way round."""
+    some = every = True
+    p1, p2, p3 = t.entries()
+    for pi, qi, oj, ok in ((p1, q.q1, p2, p3), (p2, q.q2, p1, p3), (p3, q.q3, p1, p2)):
+        if pi == 1:
+            continue
+        hits = []
+        for pj, pk in ((oj, ok), (ok, oj)):
+            val = 3 * pj * pow(pk, -1, pi) % pi
+            hits += [qi % pi == val, qi % pi == -val % pi]
+        some = some and any(hits)
+        every = every and all(hits)
+    return some, every
+
+
 class TestEquation:
     def test_solutions(self):
         assert is_markov(1, 1, 1)
@@ -139,6 +156,32 @@ class TestVerifyQ:
         q = derive_q(t)
         flipped = QTriple(-q.q1, q.q2, q.q3, q.bezout_x, q.bezout_y)
         assert not verify_q(t, flipped).cond4
+
+    def test_cond3_matches_the_inverse_reading(self):
+        # the derived q-triples and every q-triple in a box around them, so
+        # that each reading comes out False as well as True
+        outcomes = set()
+        for t in TREE[:12]:
+            q = derive_q(t)
+            for d1 in range(-3, 4):
+                for d2 in range(-3, 4):
+                    for d3 in range(-3, 4):
+                        near = QTriple(q.q1 + d1, q.q2 + d2, q.q3 + d3, 0, 0)
+                        rep = verify_q(t, near)
+                        got = (rep.cond3_some, rep.cond3_all)
+                        assert got == cond3_by_inverses(t, near), (t, near)
+                        outcomes.add(got)
+        assert outcomes == {(True, True), (True, False), (False, False)}
+
+    @given(
+        st.sampled_from([t for t, _ in enumerate_tree(10)]),
+        st.tuples(*[st.integers(-(10**60), 10**60)] * 3),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_cond3_on_arbitrary_q_triples(self, t, qs):
+        q = QTriple(*qs, 0, 0)
+        rep = verify_q(t, q)
+        assert (rep.cond3_some, rep.cond3_all) == cond3_by_inverses(t, q)
 
     def test_strict_reading_of_cond3_fails_somewhere(self):
         # the all-orderings reading of the congruence is not satisfiable
