@@ -28,8 +28,8 @@ from .errors import (
     PreconditionError,
     UnsupportedConfigurationError,
 )
-from .farey import IntMat2, _bezout, _json_fraction, _json_int, det, transvection
-from .lens import S1XS2, S3, LensSpace
+from .farey import IntMat2, Slope, _bezout, _json_fraction, _json_int, det, transvection
+from .lens import LensSpace, lens_from_meridian_slopes
 from .markov import MarkovTriple
 # unused here, but bench/test_bench.py checks that bench/tracer.py wraps this binding
 from .markov import mutation_path  # noqa: F401
@@ -490,22 +490,14 @@ def transfer_cut(d: AtfDiagram, node_index: int) -> AtfDiagram:
 
 
 def node_boundary_lens(d: AtfDiagram, node_index: int) -> LensSpace:
-    """Lens space traced out over a punctured neighborhood of the cut: read
-    the corner at the cut end in a basis where the first boundary direction
-    is (1, 0).  The node must pass the consistency check, which the diagram
-    runs once and keeps."""
+    """Lens space traced out over a punctured neighborhood of the cut: the
+    corner at the cut end glues two solid tori whose meridians are its two
+    boundary directions (Vianna, arXiv:1305.7512).  The node must pass the
+    consistency check, which the diagram runs once and keeps."""
     _, i = _cut_vertex(d, node_index)
     verts = d.frame.vertices
     u1, u2 = _flanking(verts, verts[i])
-    a, b = _bezout(u1[0], u1[1])
-    x = a * u2[0] + b * u2[1]
-    y = det(u1, u2)
-    order = abs(y)
-    if order == 0:
-        return S1XS2
-    if order == 1:
-        return S3
-    return LensSpace(order, x % order)
+    return lens_from_meridian_slopes(Slope(*u1), Slope(*u2))
 
 
 def _reducing_frame(vectors: list[IntVec]) -> IntMat2:

@@ -1,7 +1,7 @@
 """Command-line front end: enumeration, verification sweeps, diagram
-construction, and JSON/SVG emission.  All output is deterministic; errors
-go to stderr as machine-readable JSON with a nonzero exit status, and so
-does each library warning, one JSON object a line."""
+construction, and JSON/SVG emission.  All output is deterministic; an
+error goes to stderr as one machine-readable JSON object, with exit
+status 2, and stderr is otherwise empty."""
 
 from __future__ import annotations
 
@@ -9,7 +9,6 @@ import argparse
 import json
 import re
 import sys
-import warnings
 
 from . import atf, farey, handles, lens, markov, svg, verify
 from .errors import LenscalcError, PreconditionError
@@ -28,16 +27,11 @@ def _emit_error(code: str, message: str) -> None:
     _dump({"error": code, "message": message}, sys.stderr)
 
 
-def _emit_warning(message, category, filename, lineno, file=None, line=None) -> None:
-    """`warnings.showwarning` for the CLI: one JSON object on stderr."""
-    _dump({"warning": category.__name__, "message": str(message)}, sys.stderr)
-
-
 class _Parser(argparse.ArgumentParser):
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         # let slope arguments like -8/5 parse as positionals, not options
-        self._negative_number_matcher = re.compile(r"^-\d+(/\d+)?$")
+        self._negative_number_matcher = re.compile(r"^-([0-9]+(/[0-9]+)?|inf)$")
 
     def error(self, message):
         _emit_error("usage", message)
@@ -81,8 +75,7 @@ def _cmd_markov_tree(args) -> int:
 
 
 def _cmd_markov_derive_q(args) -> int:
-    t = markov.MarkovTriple(args.p1, args.p2, args.p3)
-    q = markov.derive_q(t)
+    t, q = _triple_and_q(args.p1, args.p2, args.p3)
     _dump(
         {
             "p": list(t.entries()),
@@ -136,8 +129,19 @@ def _cmd_lens_surgery(args) -> int:
 
 
 def _triple_and_q(p1: int, p2: int, p3: int):
+    """The triple and its q-triple, checked to print: `markov derive-q` and
+    `handle build-x` print these integers and the Bezout pair, which is
+    smaller than the entries.  The entries were read from decimal text, so
+    only a q can have more digits than `int` converts to a string."""
     t = markov.MarkovTriple(p1, p2, p3)
-    return t, markov.derive_q(t)
+    q = markov.derive_q(t)
+    limit = sys.get_int_max_str_digits()  # 0: no limit
+    if limit and max(abs(n) for n in q.entries()) >= 10**limit:
+        raise PreconditionError(
+            f"the q-triple has an integer of more than {limit} digits, "
+            "the output digit limit of int-to-str conversion"
+        )
+    return t, q
 
 
 def _cmd_handle_build_x(args) -> int:
@@ -305,13 +309,6 @@ def build_parser() -> _Parser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    with warnings.catch_warnings():
-        warnings.simplefilter("always")
-        warnings.showwarning = _emit_warning
-        return _main(argv)
-
-
-def _main(argv: list[str] | None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

@@ -2,8 +2,9 @@
 and the connected-sum output of surgery along the torus framing.
 
 Convention: L(r,s) is -r/s surgery on the unknot, so L(-r,s) is the
-orientation reversal L(r,-s).  A torus knot T_{p,q} sits on the Heegaard
-torus in class p*lambda + q*mu and has Farey point q/p, project-wide.
+orientation reversal L(r,-s), and `LensSpace` stores L(-r,-s) as L(r,s)
+with r >= 0.  A torus knot T_{p,q} sits on the Heegaard torus in class
+p*lambda + q*mu and has Farey point q/p, project-wide.
 
 Equality is the residue rule of Reidemeister and Brody: L(r,s) and L(r,s')
 are homeomorphic by an orientation-preserving map iff s' = s or
@@ -14,7 +15,6 @@ homeomorphism up to orientation.
 
 from __future__ import annotations
 
-import warnings
 from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
@@ -26,11 +26,9 @@ from .farey import ZERO, Slope, _bezout, cw_between
 
 def _normal_forms(r: int, s: int) -> tuple[tuple[int, int], tuple[int, int]]:
     """The orientation-preserving normal forms of L(r,s) and of its mirror
-    L(r,-s), from one modular inverse: r >= 0, s the smaller of
+    L(r,-s), from one modular inverse, for r >= 0: s the smaller of
     {s mod r, s^{-1} mod r}; S^3 is (1, 0) and S^1 x S^2 is (0, 1).  The
     mirror's residues are r - s and r - s^{-1}, so its form takes the larger."""
-    if r < 0:
-        r, s = -r, -s
     if r == 0:
         return (0, 1), (0, 1)
     if r == 1:
@@ -42,9 +40,9 @@ def _normal_forms(r: int, s: int) -> tuple[tuple[int, int], tuple[int, int]]:
 
 @dataclass(frozen=True)
 class LensSpace:
-    """L(r,s); the raw coefficients are kept.  Equality is the residue rule
-    (module docstring); hashing uses the orientation-preserving normal form,
-    which the rule agrees with."""
+    """L(r,s), stored with r >= 0: L(-r,-s) is the same space.  Equality is
+    the residue rule (module docstring); hashing uses the
+    orientation-preserving normal form, which the rule agrees with."""
 
     r: int
     s: int
@@ -54,6 +52,9 @@ class LensSpace:
     def __post_init__(self) -> None:
         if gcd(self.r, self.s) != 1:
             raise PreconditionError(f"gcd({self.r},{self.s}) != 1")
+        if self.r < 0:
+            object.__setattr__(self, "r", -self.r)
+            object.__setattr__(self, "s", -self.s)
 
     def _compute_forms(self) -> tuple[tuple[int, int], tuple[int, int]]:
         forms = _normal_forms(self.r, self.s)
@@ -69,7 +70,7 @@ class LensSpace:
         return (self._forms or self._compute_forms())[1]
 
     def is_s3(self) -> bool:
-        return abs(self.r) == 1
+        return self.r == 1
 
     def is_s1xs2(self) -> bool:
         return self.r == 0
@@ -77,12 +78,8 @@ class LensSpace:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, LensSpace):
             return NotImplemented
-        r, s, r2, s2 = self.r, self.s, other.r, other.s
-        if r < 0:
-            r, s = -r, -s
-        if r2 < 0:
-            r2, s2 = -r2, -s2
-        if r != r2:
+        r, s, s2 = self.r, self.s, other.s
+        if r != other.r:
             return False
         # orders 0 and 1 have one space each, S^1 x S^2 and S^3
         return r < 2 or (s - s2) % r == 0 or (s * s2 - 1) % r == 0
@@ -201,11 +198,15 @@ class KnotClass(Enum):
 
 
 def ambient_slope(l: LensSpace) -> Slope:
-    """The surgery slope -r/s of the ambient lens space (raw coefficients)."""
+    """The surgery slope -r/s of the ambient lens space."""
     return Slope(-l.r, l.s)
 
 
 def classify_torus_knot(k: TorusKnot) -> KnotClass:
+    """TRIVIAL when the knot is a core of a Heegaard solid torus, that is,
+    when it meets one of the two meridians once: |q| = 1 for the meridian 0,
+    |q s + p r| = 1 for the ambient meridian -r/s.  Otherwise POSITIVE when
+    its Farey point lies on the clockwise arc from 0 to -r/s, else NEGATIVE."""
     if k.ambient.is_s1xs2():
         # the ambient slope is the meridian 0 itself, so the clockwise arc
         # from 0 to it is empty and no knot could read positive
@@ -214,15 +215,7 @@ def classify_torus_knot(k: TorusKnot) -> KnotClass:
     amb = ambient_slope(k.ambient)
     if sigma == amb or sigma == ZERO:
         raise DegenerateInputError(f"slope {sigma} is a Heegaard-torus meridian slope")
-    trivial_q = abs(k.q) == 1
-    trivial_p = abs(k.p) == 1
-    if trivial_q != trivial_p and abs(k.p * k.ambient.r + k.q * k.ambient.s) != 1:
-        warnings.warn(
-            "the |q|=1 and |p|=1 triviality readings disagree for "
-            f"T_({k.p},{k.q}); using |q|=1",
-            stacklevel=2,
-        )
-    if abs(k.p * k.ambient.r + k.q * k.ambient.s) == 1 or trivial_q:
+    if abs(k.q) == 1 or abs(k.q * k.ambient.s + k.p * k.ambient.r) == 1:
         return KnotClass.TRIVIAL
     if cw_between(ZERO, sigma, amb):
         return KnotClass.POSITIVE
@@ -234,11 +227,9 @@ def lens_from_meridian_slopes(m1: Slope, m2: Slope) -> LensSpace:
     slopes on the splitting torus.
 
     A determinant +1 change of basis sends m2 to 0; the image a/b of m1
-    is read as L(a,-b).  The sign conventions are pinned by the surgery
-    examples in the test suite.
+    is read as L(a,-b), which is S^1 x S^2 when m1 = m2.  The sign
+    conventions are pinned by the surgery examples in the test suite.
     """
-    if m1 == m2:
-        return S1XS2
     u, v = _bezout(m2.num, m2.den)
     a = m2.den * m1.num - m2.num * m1.den
     b = u * m1.num + v * m1.den

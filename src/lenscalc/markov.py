@@ -111,9 +111,10 @@ def derive_q(t: MarkovTriple) -> QTriple:
 class QReport:
     """Per-condition verification of a q-triple against its Markov triple.
 
-    Condition (3) is congruence of q_i with +-3 p_j p_k^{-1} mod p_i; the
-    permutation clause is ambiguous, so both readings are reported:
-    `cond3_some` accepts any ordering/sign per index, `cond3_all` demands all.
+    Condition (3) is congruence of q_i with +-3 p_j p_k^{-1} mod p_i.  Both
+    orderings of (j, k) give the same residues, but the sign is ambiguous,
+    so both readings are reported: `cond3_some` accepts either sign per
+    index, `cond3_all` demands both.
     """
 
     cond1: bool
@@ -138,11 +139,11 @@ def verify_q(t: MarkovTriple, q: QTriple) -> QReport:
         if pi == 1:
             continue
         # p_k is a unit mod p_i (Markov entries are pairwise coprime), so
-        # q_i = +-3 p_j / p_k mod p_i iff q_i p_k -+ 3 p_j = 0 mod p_i, for
-        # (j, k) either way round
+        # q_i = +-3 p_j / p_k mod p_i iff q_i p_k -+ 3 p_j = 0 mod p_i.  As
+        # p_j^2 + p_k^2 = 0 mod p_i, p_j = u p_k with u^2 = -1, so 1/u = -u
+        # and swapping j and k gives the same two residues +-3u.
         a, b = qi * ok, 3 * oj
-        c, d = qi * oj, 3 * ok
-        hits = ((a - b) % pi == 0, (a + b) % pi == 0, (c - d) % pi == 0, (c + d) % pi == 0)
+        hits = ((a - b) % pi == 0, (a + b) % pi == 0)
         some_all = some_all and any(hits)
         all_all = all_all and all(hits)
     cond4 = q1 <= 0

@@ -162,6 +162,31 @@ def test_lens_criteria_compute_no_normal_form(monkeypatch):
     assert all(r.passed for r in results), results
 
 
+def _branch(mutation, depth):
+    t = markov.MarkovTriple(1, 1, 1)
+    for _ in range(depth):
+        t = markov.mutate(t, mutation)
+    return t
+
+
+@pytest.mark.parametrize(
+    "mutation, depth, budget",
+    [(markov.Mutation.LEFT, 20, 10.0), (markov.Mutation.RIGHT, 2000, 2.0)],
+    ids=["fastest-depth-20", "slowest-depth-2000"],
+)
+def test_triple_checks_pass_deep_on_both_extreme_branches(mutation, depth, budget):
+    # LEFT keeps the two largest entries every time (22 876-bit entries at
+    # depth 20); RIGHT keeps p1 = 1 and grows slowest
+    checks = [c.check for c in verify.CRITERIA if c.title]
+    assert len(checks) == 6
+    record = verify.TripleRecord(_branch(mutation, depth))
+    start = time.perf_counter()
+    bad = [f for check in checks for f in getattr(verify, check)(record)]
+    elapsed = time.perf_counter() - start
+    assert bad == []
+    assert elapsed < budget
+
+
 def test_run_all_reports_nine_passes():
     results = verify.run_all(4)
     assert [r.number for r in results] == list(range(1, 10))

@@ -1,9 +1,11 @@
+from math import gcd
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lenscalc.errors import DegenerateInputError, PreconditionError
-from lenscalc.farey import IntMat2, Slope
+from lenscalc.farey import ZERO, IntMat2, Slope
 from lenscalc.lens import (
     S3,
     S1XS2,
@@ -144,10 +146,26 @@ class TestClassifyTorusKnot:
         with pytest.raises(DegenerateInputError):
             nonloose_surgery_result(k)
 
-    def test_disagreeing_triviality_readings_warn(self):
-        k = TorusKnot(1, 5, LensSpace(3, 1))
-        with pytest.warns(UserWarning):
-            classify_torus_knot(k)
+    @pytest.mark.filterwarnings("error")
+    def test_trivial_iff_surgery_splits_off_at_most_one_summand(self):
+        # a knot is a core of a Heegaard solid torus iff surgery on it gives
+        # a lens space: the splitting has at most one summand that is not S^3
+        seen = set()
+        for r in range(2, 13):
+            for amb_s in range(-r, r + 1):
+                if gcd(r, amb_s) != 1:
+                    continue
+                ambient = LensSpace(r, amb_s)
+                amb = ambient_slope(ambient)
+                for p in range(-12, 13):
+                    for q in range(-12, 13):
+                        if gcd(p, q) != 1 or Slope(q, p) in (ZERO, amb):
+                            continue
+                        k = TorusKnot(p, q, ambient)
+                        lens_space = len(surgery_splitting(k.farey_point, amb).summands) <= 1
+                        assert (classify_torus_knot(k) is KnotClass.TRIVIAL) == lens_space, k
+                        seen.add(lens_space)
+        assert seen == {True, False}
 
 
 class TestMeridianGluing:
