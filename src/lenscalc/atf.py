@@ -6,8 +6,9 @@ Points are pairs of Fractions; eigenvectors are primitive integer vectors.
 Every move returns a new diagram.  Incidence and sign predicates run on
 integer pairs: the points involved, scaled once by the lcm of their
 denominators (`_integral`).  Each diagram holds its own points in such a
-frame (`AtfDiagram.frame`), built once when the diagram is made.  Two
-diagrams are equal up to integral-affine maps iff their integer keys
+frame, the `cached_property` `AtfDiagram.frame`, which the constructor
+reads, so it is built once, when the diagram is made.  Two diagrams are
+equal up to integral-affine maps iff their integer keys
 (`AtfDiagram.normal_form`) are.  A node that passes its check has its cut
 end at a vertex, so a transfer of a cut splices one point into the vertex
 loop, where the eigenline exits, and applies the one re-gluing that
@@ -20,6 +21,7 @@ from __future__ import annotations
 from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import gcd, lcm
 
 from .errors import (
@@ -153,30 +155,36 @@ IntegralFrame = namedtuple("IntegralFrame", "den vertices positions cut_ends")
 @dataclass(frozen=True)
 class AtfDiagram:
     """Strictly convex polygon (counterclockwise rational vertices) with
-    nodes.  `frame`, which is not a field, holds the diagram's integral
-    frame."""
+    nodes.  Its integral frame and its node reports, computed on the first
+    check, are cached properties, not fields."""
 
     vertices: tuple[Point, ...]
     nodes: tuple[AtfNode, ...] = ()
-    # the per-node consistency reports, set on first use; not a field
-    _reports = None
 
     def __post_init__(self) -> None:
         verts = tuple((Fraction(x), Fraction(y)) for x, y in self.vertices)
-        nodes = tuple(self.nodes)
         object.__setattr__(self, "vertices", verts)
-        object.__setattr__(self, "nodes", nodes)
+        object.__setattr__(self, "nodes", tuple(self.nodes))
         n = len(verts)
         if n < 3:
             raise InvariantError("polygon needs at least three vertices")
-        den, ints = _integral(verts + tuple(p for nd in nodes for p in (nd.position, nd.cut_end)))
+        ints = self.frame.vertices  # so the frame is built once, here
         for i in range(n):
             u = _sub(ints[(i + 1) % n], ints[i])
             w = _sub(ints[(i + 2) % n], ints[(i + 1) % n])
             if det(u, w) <= 0:
                 raise InvariantError("vertices must be strictly convex counterclockwise")
-        frame = IntegralFrame(den, tuple(ints[:n]), tuple(ints[n::2]), tuple(ints[n + 1 :: 2]))
-        object.__setattr__(self, "frame", frame)
+
+    @cached_property
+    def frame(self) -> IntegralFrame:
+        n = len(self.vertices)
+        marks = tuple(p for nd in self.nodes for p in (nd.position, nd.cut_end))
+        den, ints = _integral(self.vertices + marks)
+        return IntegralFrame(den, tuple(ints[:n]), tuple(ints[n::2]), tuple(ints[n + 1 :: 2]))
+
+    @cached_property
+    def _reports(self) -> tuple[NodeReport, ...]:
+        return tuple(_node_report(self, i) for i in range(len(self.nodes)))
 
     def normal_form(self) -> tuple:
         """A key of integers that two diagrams share iff an integral affine
@@ -321,20 +329,11 @@ def _node_report(d: AtfDiagram, i: int) -> NodeReport:
     )
 
 
-def _node_reports(d: AtfDiagram) -> tuple[NodeReport, ...]:
-    """The diagram's node reports, computed on its first check and kept."""
-    reports = d._reports
-    if reports is None:
-        reports = tuple(_node_report(d, i) for i in range(len(d.nodes)))
-        object.__setattr__(d, "_reports", reports)
-    return reports
-
-
 def check_consistency(d: AtfDiagram) -> list[NodeReport]:
     """Per-node consistency: the eigendirection is fixed by its monodromy,
     the cut runs along it to the boundary, and the boundary directions
     flanking the cut end are matched by the monodromy."""
-    return list(_node_reports(d))
+    return list(d._reports)
 
 
 def is_consistent(d: AtfDiagram) -> bool:
@@ -408,7 +407,7 @@ def _cut_vertex(d: AtfDiagram, node_index: int) -> tuple[int, int]:
     is a vertex: at an edge-interior end the monodromy matches the edge only
     when the cut runs along it, which puts the node on the boundary."""
     node_index = range(len(d.nodes))[node_index]
-    if not _node_reports(d)[node_index].passed:
+    if not d._reports[node_index].passed:
         raise PreconditionError("node fails the consistency check")
     verts, end = d.frame.vertices, d.frame.cut_ends[node_index]
     if end not in verts:

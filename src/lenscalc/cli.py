@@ -27,6 +27,27 @@ def _emit_error(code: str, message: str) -> None:
     _dump({"error": code, "message": message}, sys.stderr)
 
 
+def _printable(what: str, numbers) -> None:
+    """The one check of the integers a command prints that its input does not
+    bound: `str` writes at most `sys.get_int_max_str_digits()` digits (0: no
+    limit), a limit read here and never set."""
+    limit = sys.get_int_max_str_digits()
+    if limit and max(map(abs, numbers), default=0) >= 10**limit:
+        raise PreconditionError(
+            f"{what} has an integer of more than {limit} digits, "
+            "the output digit limit of int-to-str conversion"
+        )
+
+
+def _diagram_integers(d: atf.AtfDiagram) -> list[int]:
+    """The integers of `d.to_json_obj()`: the coordinates' numerators and
+    denominators, and the eigenvectors."""
+    coords = [c for p in d.vertices for c in p]
+    coords += [c for n in d.nodes for c in (*n.position, *n.cut_end)]
+    ints = [n for c in coords for n in (c.numerator, c.denominator)]
+    return ints + [c for n in d.nodes for c in n.eigenvector]
+
+
 class _Parser(argparse.ArgumentParser):
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
@@ -124,23 +145,18 @@ def _cmd_lens_surgery(args) -> int:
     p, q = args.knot
     r, s = args.ambient
     knot = lens.TorusKnot(p, q, lens.LensSpace(r, s))
-    _dump(lens.nonloose_surgery_result(knot).to_json_obj())
+    result = lens.nonloose_surgery_result(knot)
+    _printable("the splitting", (n for l in result.summands for n in l.canonical))
+    _dump(result.to_json_obj())
     return 0
 
 
 def _triple_and_q(p1: int, p2: int, p3: int):
-    """The triple and its q-triple, checked to print: `markov derive-q` and
-    `handle build-x` print these integers and the Bezout pair, which is
-    smaller than the entries.  The entries were read from decimal text, so
-    only a q can have more digits than `int` converts to a string."""
+    """The triple and its q-triple: of the integers `markov derive-q` and
+    `handle build-x` print, only the q's are not bounded by the input."""
     t = markov.MarkovTriple(p1, p2, p3)
     q = markov.derive_q(t)
-    limit = sys.get_int_max_str_digits()  # 0: no limit
-    if limit and max(abs(n) for n in q.entries()) >= 10**limit:
-        raise PreconditionError(
-            f"the q-triple has an integer of more than {limit} digits, "
-            "the output digit limit of int-to-str conversion"
-        )
+    _printable("the q-triple", q.entries())
     return t, q
 
 
@@ -160,21 +176,27 @@ def _cmd_handle_build_x(args) -> int:
 def _cmd_handle_recognize(args) -> int:
     d = handles.HorizontalDiagram.from_json_obj(_load_json(args.diagram))
     ok, x = handles.recognize_cp2(d)
+    _printable("x", x)
     _dump({"cp2": ok, "x": list(x)})
     return 0
 
 
 def _cmd_handle_mutate(args) -> int:
     d = handles.HorizontalDiagram.from_json_obj(_load_json(args.diagram))
-    slot = handles.Slot(args.slot)
-    _dump(handles.slide_mutation(d, slot).to_json_obj())
+    out = handles.slide_mutation(d, handles.Slot(args.slot))
+    _printable("the diagram", (n for c in out.curves for n in (c.mu, c.lam)))
+    _dump(out.to_json_obj())
     return 0
 
 
 def _cmd_atf_build(args) -> int:
     t = markov.MarkovTriple(args.p1, args.p2, args.p3)
     d = atf.atf_for_markov(t)
+    _printable("the diagram", _diagram_integers(d))
     if args.svg:
+        # the labels: the readouts of the nodes that pass their check
+        labels = [atf.node_boundary_lens(d, r.index) for r in atf.check_consistency(d) if r.passed]
+        _printable("a lens readout", (n for l in labels for n in l.canonical))
         picture = svg.render_svg(d)
         try:
             with open(args.svg, "w", encoding="utf-8") as fh:
@@ -207,6 +229,7 @@ def _cmd_atf_move(args) -> int:
         (ex, ey), (px, py) = node.cut_end, node.position
         target = (ex + (px - ex) * factor, ey + (py - ey) * factor)
         out = atf.nodal_slide(d, index, target)
+    _printable("the diagram", _diagram_integers(out))
     _dump(out.to_json_obj())
     return 0
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from math import gcd
 
 from .errors import DegenerateInputError, PreconditionError
@@ -46,8 +47,6 @@ class LensSpace:
 
     r: int
     s: int
-    # (canonical, mirror_canonical), set on first use; not a dataclass field
-    _forms = None
 
     def __post_init__(self) -> None:
         if gcd(self.r, self.s) != 1:
@@ -56,18 +55,17 @@ class LensSpace:
             object.__setattr__(self, "r", -self.r)
             object.__setattr__(self, "s", -self.s)
 
-    def _compute_forms(self) -> tuple[tuple[int, int], tuple[int, int]]:
-        forms = _normal_forms(self.r, self.s)
-        object.__setattr__(self, "_forms", forms)
-        return forms
+    @cached_property
+    def _forms(self) -> tuple[tuple[int, int], tuple[int, int]]:
+        return _normal_forms(self.r, self.s)
 
     @property
     def canonical(self) -> tuple[int, int]:
-        return (self._forms or self._compute_forms())[0]
+        return self._forms[0]
 
     @property
     def mirror_canonical(self) -> tuple[int, int]:
-        return (self._forms or self._compute_forms())[1]
+        return self._forms[1]
 
     def is_s3(self) -> bool:
         return self.r == 1

@@ -14,6 +14,7 @@ import time
 from bisect import bisect_right
 from collections.abc import Collection
 from dataclasses import dataclass
+from functools import cached_property
 from math import gcd
 
 from . import atf, farey, handles, lens, markov
@@ -32,38 +33,28 @@ def _result(number: int, title: str, lead: str, bad: list) -> CriterionResult:
     return CriterionResult(number, title, not bad, lead + (f"; failures: {bad}" if bad else ""))
 
 
+@dataclass(frozen=True)
 class TripleRecord:
-    """A triple of the walk and the values its checks share, each derived on first
-    use; on Python 3.11, `cached_property` would take a lock for each one."""
+    """A triple of the walk and the values its checks share, each derived on
+    first use."""
 
-    __slots__ = ("t", "_q", "_x", "_sub", "_boundary")
+    t: markov.MarkovTriple
 
-    def __init__(self, t: markov.MarkovTriple):
-        self.t, self._q, self._x, self._sub, self._boundary = t, None, None, None, None
-
-    @property
+    @cached_property
     def q(self) -> markov.QTriple:
-        if self._q is None:
-            self._q = markov.derive_q(self.t)
-        return self._q
+        return markov.derive_q(self.t)
 
-    @property
+    @cached_property
     def x(self) -> handles.HorizontalDiagram:
-        if self._x is None:
-            self._x = handles.build_X(self.t, self.q)
-        return self._x
+        return handles.build_X(self.t, self.q)
 
-    @property
+    @cached_property
     def sub(self) -> handles.HorizontalDiagram:
-        if self._sub is None:
-            self._sub = handles.two_curve_subdiagram(self.x)
-        return self._sub
+        return handles.two_curve_subdiagram(self.x)
 
-    @property
+    @cached_property
     def boundary(self) -> lens.ThreeManifold:
-        if self._boundary is None:
-            self._boundary = handles.boundary_of_diagram(self.sub)
-        return self._boundary
+        return handles.boundary_of_diagram(self.sub)
 
 
 def q_sweep(depth: int) -> tuple[int, dict[str, bool], list[str]]:

@@ -46,7 +46,6 @@ from lenscalc.atf import (
     NodeReport,
     _add,
     _integral,
-    _node_reports,
     is_consistent,
     monodromy,
     nodal_slide,
@@ -428,7 +427,7 @@ def transfer_cut_search(d: AtfDiagram, node_index: int) -> AtfDiagram:
     and the opposite exit point becomes a vertex.  The node must pass the
     consistency check."""
     node_index = range(len(d.nodes))[node_index]  # as list indexing does
-    if not _node_reports(d)[node_index].passed:
+    if not d._reports[node_index].passed:
         raise PreconditionError("node fails the consistency check")
     node = d.nodes[node_index]
     x0 = node.position

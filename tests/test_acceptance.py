@@ -187,6 +187,20 @@ def test_triple_checks_pass_deep_on_both_extreme_branches(mutation, depth, budge
     assert elapsed < budget
 
 
+def test_tree_criteria_derive_each_q_triple_once(monkeypatch):
+    calls = []
+    real = markov.derive_q
+
+    def counted(t):
+        calls.append(t)
+        return real(t)
+
+    monkeypatch.setattr(markov, "derive_q", counted)
+    results = verify.run([1, 2, 3, 4, 6], 4)
+    assert all(r.passed for r in results), results
+    assert calls == [t for t, _ in markov.enumerate_tree(4)]
+
+
 def test_run_all_reports_nine_passes():
     results = verify.run_all(4)
     assert [r.number for r in results] == list(range(1, 10))

@@ -228,6 +228,48 @@ class TestConsistencyChecker:
         assert len(check_consistency(d)) == 3 and calls == [0, 1, 2]
         assert [node_boundary_lens(d, i) for i in range(3)] == readouts
 
+    def test_reports_are_computed_once_per_diagram_and_node(self, monkeypatch):
+        calls = []
+        real = atf._node_report
+
+        def counted(d, i):
+            calls.append((id(d), i))
+            return real(d, i)
+
+        monkeypatch.setattr(atf, "_node_report", counted)
+        d = atf_for_markov(MarkovTriple(1, 2, 5))
+        assert len(check_consistency(d)) == 3
+        assert sorted(node_boundary_lens(d, i).r for i in range(3)) == [1, 4, 25]
+        moved = transfer_cut(d, 2)
+        assert sorted(calls) == sorted((id(x), i) for x in (d, moved) for i in range(3))
+
+    def test_frame_is_built_once_when_the_diagram_is_made(self, monkeypatch):
+        calls = []
+        real = atf._integral
+
+        def counted(points):
+            calls.append(len(points))
+            return real(points)
+
+        monkeypatch.setattr(atf, "_integral", counted)
+        d = atf_for_markov(MarkovTriple(1, 2, 5))
+        calls.clear()  # the construction's own scaling of the corners
+        d = AtfDiagram(d.vertices, d.nodes)
+        assert calls == [9]
+        assert d.frame is d.frame
+        check_consistency(d)
+        node_boundary_lens(d, 0)
+        assert calls == [9]
+
+    def test_cached_values_are_not_fields(self):
+        d = atf_for_markov(MarkovTriple(1, 2, 5))
+        assert is_consistent(d)
+        with pytest.raises(AttributeError):
+            d.frame = None
+        fresh = AtfDiagram(d.vertices, d.nodes)
+        assert d == fresh and repr(d) == repr(fresh)
+        assert repr(d).startswith("AtfDiagram(vertices=") and "frame" not in repr(d)
+
     @pytest.mark.parametrize(
         "move", [node_boundary_lens, transfer_cut], ids=["node_boundary_lens", "transfer_cut"]
     )

@@ -126,6 +126,97 @@ class TestOutputDigitLimit:
         assert json.loads(out)["q"] == list(q.entries())
 
 
+
+def _slowest_branch(depth):
+    t = MarkovTriple(1, 1, 1)
+    for _ in range(depth):
+        t = markov.mutate(t, markov.Mutation.RIGHT)
+    return t
+
+
+def _digit_error(what):
+    return {
+        "error": "precondition-failed",
+        "message": f"{what} has an integer of more than 640 digits, "
+        "the output digit limit of int-to-str conversion",
+    }
+
+
+class TestPrintedIntegersPastTheLimit:
+    """With the limit at 640, the least Python allows, each command that
+    prints integers its input does not bound ends in a typed error naming
+    the output digit limit, where it used to end in `bad-input` with
+    Python's int-to-str message.  On the slowest branch, the depth-1530 and
+    depth-1531 triples both have a 640-digit p3; the second's diagram has a
+    641-digit coordinate."""
+
+    @pytest.mark.parametrize("svg", [False, True], ids=["json", "svg"])
+    def test_atf_build_past_the_limit(self, capsys, digit_limit, tmp_path, svg):
+        digit_limit(640)
+        picture = tmp_path / "picture.svg"
+        argv = ["atf", "build", *map(str, _slowest_branch(1531).entries())]
+        code, out, err = run(capsys, *argv, *(["--svg", str(picture)] if svg else []))
+        assert (code, out) == (2, "")
+        assert json.loads(err) == _digit_error("the diagram")
+        assert not picture.exists()
+
+    def test_atf_build_at_the_limit(self, capsys, digit_limit):
+        digit_limit(640)
+        t = _slowest_branch(1530)
+        assert len(str(t.p3)) == 640
+        code, out, err = run(capsys, "atf", "build", *map(str, t.entries()))
+        assert (code, err) == (0, "")
+        assert AtfDiagram.from_json_obj(json.loads(out)) == atf_for_markov(t)
+
+    def test_svg_readout_labels_past_the_limit(self, capsys, digit_limit, tmp_path):
+        # the corner orders p_i^2 are the labels, and p3^2 has 1279 digits
+        digit_limit(640)
+        picture = tmp_path / "picture.svg"
+        argv = ["atf", "build", *map(str, _slowest_branch(1530).entries())]
+        code, out, err = run(capsys, *argv, "--svg", str(picture))
+        assert (code, out) == (2, "")
+        assert json.loads(err) == _digit_error("a lens readout")
+        assert not picture.exists()
+
+    def test_atf_move_past_the_limit(self, capsys, digit_limit, tmp_path):
+        # a diagram of 327-digit integers: a transfer of its second cut
+        # keeps them, one of its first cut gives 652 digits
+        digit_limit(640)
+        f = tmp_path / "d.json"
+        f.write_text(json.dumps(atf_for_markov(_slowest_branch(780)).to_json_obj()))
+        code, out, err = run(capsys, "atf", "move", str(f), "--transfer", "1")
+        assert (code, err) == (0, "")
+        code, out, err = run(capsys, "atf", "move", str(f), "--transfer", "0")
+        assert (code, out) == (2, "")
+        assert json.loads(err) == _digit_error("the diagram")
+
+    def test_lens_surgery_past_the_limit(self, capsys, digit_limit):
+        # the summand orders are 400 and 800 digits long
+        digit_limit(640)
+        n = int("7" * 400)
+        argv = ["--knot", str(n), str(-(2 * n + 1)), "--ambient", str(n), "1"]
+        code, out, err = run(capsys, "lens", "surgery", *argv)
+        assert (code, out) == (2, "")
+        assert json.loads(err) == _digit_error("the splitting")
+
+    @pytest.mark.parametrize(
+        "command, what",
+        [(["recognize"], "x"), (["mutate", "--slot", "first"], "the diagram")],
+        ids=["recognize", "mutate"],
+    )
+    def test_handle_diagram_past_the_limit(self, capsys, digit_limit, tmp_path, command, what):
+        # x1 = n^2 - 1 has 800 digits; the slide moves a curve to 1200
+        digit_limit(640)
+        n = str(int("7" * 400))
+        curves = [(n, "1"), ("1", n), ("1", "0")]
+        doc = {"curves": [{"mu": mu, "lambda": lam, "framing": -1} for mu, lam in curves]}
+        f = tmp_path / "d.json"
+        f.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "handle", command[0], str(f), *command[1:])
+        assert (code, out) == (2, "")
+        assert json.loads(err) == _digit_error(what)
+
+
 class TestFareyCommands:
     def test_path(self, capsys):
         code, out, _ = run(capsys, "farey", "path", "-8/5", "0")

@@ -1,9 +1,11 @@
+from dataclasses import FrozenInstanceError
 from math import gcd
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lenscalc import lens
 from lenscalc.errors import DegenerateInputError, PreconditionError
 from lenscalc.farey import ZERO, IntMat2, Slope
 from lenscalc.lens import (
@@ -55,6 +57,33 @@ class TestNormalForm:
         assert LensSpace(1, 5).is_s3()
         assert LensSpace(0, 1).is_s1xs2()
         assert str(S3) == "S3" and str(S1XS2) == "S1xS2"
+
+    def test_normal_forms_are_computed_once(self, monkeypatch):
+        calls = []
+        real = lens._normal_forms
+
+        def counted(r, s):
+            calls.append((r, s))
+            return real(r, s)
+
+        monkeypatch.setattr(lens, "_normal_forms", counted)
+        a, b = LensSpace(-7, 3), LensSpace(7, 2)
+        for l in (a, b):
+            assert l.canonical == l.canonical
+            assert hash(l) == hash(l)
+            assert str(l) == str(l)
+        assert (a.mirror_canonical, b.mirror_canonical) == ((7, 3), (7, 3))
+        assert calls == [(7, -3), (7, 2)]
+
+    def test_cached_forms_are_not_fields(self):
+        l = LensSpace(7, 3)
+        assert l.canonical == (7, 3)
+        with pytest.raises(FrozenInstanceError):
+            l.r = 5
+        assert repr(l) == "LensSpace(r=7, s=3)"
+        fresh = LensSpace(7, 3)
+        assert vars(fresh) == {"r": 7, "s": 3}
+        assert l == fresh and hash(l) == hash(fresh)
 
     def test_gcd_rejected(self):
         with pytest.raises(PreconditionError):
