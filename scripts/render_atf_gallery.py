@@ -15,6 +15,8 @@ def main() -> int:
     parser.add_argument("--depth", type=int, default=3, help="Markov tree depth")
     parser.add_argument("--out", default="atf_gallery", help="output directory")
     args = parser.parse_args()
+    if args.depth < 0:
+        parser.error("--depth must be at least 0")
 
     out_dir = pathlib.Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -14,6 +14,8 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--depth", type=int, default=8, help="Markov tree depth")
     args = parser.parse_args()
+    if args.depth < 0:
+        parser.error("--depth must be at least 0")
 
     total = 0.0
     ok = True

@@ -249,7 +249,6 @@ class EdgeSign(Enum):
 
 
 class Classification(Enum):
-    TIGHT = "Tight"
     UNIVERSALLY_TIGHT = "UniversallyTight"
     VIRTUALLY_OVERTWISTED = "VirtuallyOvertwisted"
     OVERTWISTED = "Overtwisted"

@@ -10,7 +10,8 @@ Equality is the residue rule of Reidemeister and Brody: L(r,s) and L(r,s')
 are homeomorphic by an orientation-preserving map iff s' = s or
 s*s' = 1 (mod r), one product and no modular inverse.  The normal forms,
 which need an inverse, are computed only for hashing, printing, JSON and
-homeomorphism up to orientation.
+homeomorphism up to orientation; the verification criteria compare by
+equality alone, and a passing sweep computes none.
 """
 
 from __future__ import annotations

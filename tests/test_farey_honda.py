@@ -25,7 +25,6 @@ from lenscalc.farey import (
 )
 
 TIGHT = {
-    Classification.TIGHT,
     Classification.UNIVERSALLY_TIGHT,
     Classification.VIRTUALLY_OVERTWISTED,
 }
