@@ -7,15 +7,17 @@ import argparse
 import sys
 import time
 
-from lenscalc import verify
+from lenscalc import cli, verify
 
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--depth", type=int, default=8, help="Markov tree depth")
+    parser.add_argument("--depth", type=cli.integer, default=8, help="Markov tree depth")
     args = parser.parse_args()
     if args.depth < 0:
         parser.error("--depth must be at least 0")
+    if args.depth > cli.DEPTH_CAP:
+        parser.error(f"--depth must be at most {cli.DEPTH_CAP}")
 
     total = 0.0
     ok = True

@@ -3,17 +3,17 @@ nodes, the three moves (nodal trade, nodal slide, transfer the cut), a
 consistency checker, and per-Markov-triple generation with lens readouts.
 
 Points are pairs of Fractions; eigenvectors are primitive integer vectors.
-Every move returns a new diagram.  Incidence and sign predicates run on
-integer pairs: the points involved, scaled once by the lcm of their
-denominators (`_integral`).  Each diagram holds its own points in such a
-frame, the `cached_property` `AtfDiagram.frame`, which the constructor
-reads, so it is built once, when the diagram is made.  Two diagrams are
-equal up to integral-affine maps iff their integer keys
-(`AtfDiagram.normal_form`) are.  A node that passes its check has its cut
-end at a vertex, so a transfer of a cut splices one point into the vertex
-loop, where the eigenline exits, and applies the one re-gluing that
-flattens the old cut end.  Coordinates read from JSON are integers or
-"n/d" strings.
+Every move returns a new diagram.  Incidence and sign tests run on integer
+pairs: points scaled by the lcm of their denominators (`_integral`).  Each
+diagram holds its own points so scaled, the `cached_property`
+`AtfDiagram.frame`, built once, when the diagram is made.  The checker and
+the moves read it: a chord's far end is where an integer `det` turns sign
+(`_chord_end`), and only the affine images of a transfer are Fractions.
+Two diagrams are equal up to integral-affine maps iff their integer keys
+(`AtfDiagram.normal_form`) are.  A passing node's cut end is a vertex, so
+a transfer splices one point into the vertex loop, where the eigenline
+exits, and applies the one re-gluing that flattens the old cut end.
+Coordinates read from JSON are integers or "n/d" strings.
 """
 
 from __future__ import annotations
@@ -51,10 +51,6 @@ def _sub(p: Point, q: Point) -> Vec:
 
 def _add(p: Point, v: Vec) -> Point:
     return (p[0] + v[0], p[1] + v[1])
-
-
-def _scale(v: Vec, s) -> Vec:
-    return (v[0] * s, v[1] * s)
 
 
 def _integral(points) -> tuple[int, list[IntVec]]:
@@ -340,26 +336,23 @@ def is_consistent(d: AtfDiagram) -> bool:
     return all(r.passed for r in check_consistency(d))
 
 
-def _ray_exit(d: AtfDiagram, origin: Point, direction: Vec) -> tuple[Fraction, Point, int]:
-    """Smallest t > 0 with origin + t*direction on the boundary, the point
-    there, and the index i of an edge (vertex i to vertex i + 1) holding it."""
-    n = len(d.vertices)
-    best: tuple[Fraction, Point, int] | None = None
-    for i in range(n):
-        a, b = d.vertices[i], d.vertices[(i + 1) % n]
-        edge = _sub(b, a)
-        denom = det(direction, edge)
-        if denom == 0:
-            continue
-        t = det(_sub(a, origin), edge) / denom
-        if t <= 0:
-            continue
-        hit = _add(origin, _scale(direction, t))
-        if _on_segment(hit, a, b) and (best is None or t < best[0]):
-            best = (t, hit, i)
-    if best is None:
-        raise UnsupportedConfigurationError("ray does not exit the polygon")
-    return best
+def _chord_end(verts: tuple[IntVec, ...], c: IntVec, e: IntVec) -> tuple[IntVec, int, int, bool]:
+    """The other end of the chord from the boundary point c along the inward
+    direction e of the counterclockwise polygon verts, in one integral frame:
+    the point times q, q > 0, and k with True when it is vertex k, False
+    when it is inside the edge from vertex k to k + 1.  Going round from c,
+    det(e, v - c) is negative, then positive: the chord ends at the vertex
+    v != c where it is zero, or inside the one edge where it turns positive."""
+    n = len(verts)
+    f = [det(e, _sub(v, c)) for v in verts]
+    for k in range(n):
+        fa, fb = f[k], f[(k + 1) % n]
+        if fa < 0 < fb:
+            (ax, ay), (bx, by) = verts[k], verts[(k + 1) % n]
+            return (ax * fb - bx * fa, ay * fb - by * fa), fb - fa, k, False
+        if fa == 0 and verts[k] != c:
+            return verts[k], 1, k, True
+    raise UnsupportedConfigurationError("ray does not exit the polygon")
 
 
 def nodal_trade(d: AtfDiagram, vertex_index: int) -> AtfDiagram:
@@ -368,14 +361,16 @@ def nodal_trade(d: AtfDiagram, vertex_index: int) -> AtfDiagram:
     v = d.vertices[vertex_index % n]
     if any(node.cut_end == v for node in d.nodes):
         raise PreconditionError("vertex already carries a cut")
-    prev_v, corner, next_v = (d.frame.vertices[(vertex_index + k) % n] for k in (-1, 0, 1))
+    den, verts = d.frame.den, d.frame.vertices
+    prev_v, corner, next_v = (verts[(vertex_index + k) % n] for k in (-1, 0, 1))
     u = _primitive(_sub(prev_v, corner))
     w = _primitive(_sub(next_v, corner))
     if abs(det(u, w)) != 1:
         raise PreconditionError("corner is not unimodular; cannot trade")
     eigen = _primitive((u[0] + w[0], u[1] + w[1]))
-    tstar, _, _ = _ray_exit(d, v, (Fraction(eigen[0]), Fraction(eigen[1])))
-    position = _add(v, _scale((Fraction(eigen[0]), Fraction(eigen[1])), tstar / 2))
+    end, q, _, _ = _chord_end(verts, corner, eigen)
+    # the node sits at the midpoint of the chord along the eigenline
+    position = tuple(Fraction(q * a + b, 2 * q * den) for a, b in zip(corner, end))
     node = AtfNode(position, eigen, v)
     out = AtfDiagram(d.vertices, d.nodes + (node,))
     if not is_consistent(out):
@@ -436,45 +431,49 @@ def transfer_cut(d: AtfDiagram, node_index: int) -> AtfDiagram:
     node = d.nodes[node_index]
     x0 = node.position
     ev = node.eigenvector
-    c_end = node.cut_end
-    away = _sub(x0, c_end)  # direction from cut end through the node
-    _, w_end, edge = _ray_exit(d, x0, away)
-    if w_end == c_end:
+    den, verts, positions, ends = d.frame
+    c, p0 = verts[i_c], positions[node_index]
+    w, q, i_w, at_vertex = _chord_end(verts, c, _sub(p0, c))
+    w_end = (Fraction(w[0], q * den), Fraction(w[1], q * den))
+    # the blocking test runs on the frame scaled by q, where w is integral
+    others = [p for j, pair in enumerate(zip(positions, ends)) if j != node_index for p in pair]
+    cq, *rest = [(q * x, q * y) for x, y in [c] + others]
+    if w == cq:
         raise InternalConsistencyError("eigenline exits where it entered")
-    others = [p for j, o in enumerate(d.nodes) if j != node_index for p in (o.position, o.cut_end)]
-    _, (c, w, *rest) = _integral([c_end, w_end] + others)
     for pos, end in zip(rest[::2], rest[1::2]):
-        if _on_segment(pos, c, w) or _segments_intersect(c, w, pos, end):
+        if _on_segment(pos, cq, w) or _segments_intersect(cq, w, pos, end):
             raise UnsupportedConfigurationError(
                 "eigenline meets another node or cut; slide the nodes first"
             )
+    prev_c, next_c = verts[i_c - 1], verts[(i_c + 1) % len(verts)]
     ring = list(d.vertices)
-    if w_end in ring:
-        i_w = ring.index(w_end)
-    else:  # edge-interior: splice it in after the start of its edge
-        ring.insert(edge + 1, w_end)
-        i_w = edge + 1
-        i_c += i_c > edge
+    if not at_vertex:  # edge-interior: splice it in after the start of its edge
+        ring.insert(i_w + 1, w_end)
+        i_c += i_c > i_w
+        i_w += 1
     m = len(ring)
     chain1 = [ring[(i_c + k) % m] for k in range(1, (i_w - i_c) % m)]
     chain2 = [ring[(i_w + k) % m] for k in range(1, (i_c - i_w) % m)]
     if not chain1 or not chain2:
         raise UnsupportedConfigurationError("eigenline runs along the boundary")
     mat = monodromy(*ev)
+    # chain1 starts and chain2 ends at the vertices next to c, so the flatten
+    # check and the side tests run on the frame
+    moved_next = _sub(mat.apply_vec(*_sub(next_c, p0)), _sub(c, p0))
+    if det(_sub(c, prev_c), moved_next) != 0:
+        raise InternalConsistencyError("the monodromy does not flatten the old cut end")
+    upper = det(ev, _sub(next_c, p0)) > 0  # the side of chain1
 
     def transform(p: Point) -> Point:
         return _add(x0, mat.apply_vec(*_sub(p, x0)))
 
     new_chain1 = [transform(p) for p in chain1]
-    if det(_sub(c_end, chain2[-1]), _sub(new_chain1[0], c_end)) != 0:
-        raise InternalConsistencyError("the monodromy does not flatten the old cut end")
-    upper = det(ev, _sub(chain1[0], x0)) > 0  # the side of chain1
     new_nodes = []
     for j, other in enumerate(d.nodes):
         if j == node_index:
             other = AtfNode(x0, ev, w_end)
         else:
-            side = det(ev, _sub(other.position, x0))
+            side = det(ev, _sub(positions[j], p0))
             if side != 0 and (side > 0) == upper:
                 eig = _primitive(mat.apply_vec(*other.eigenvector))
                 other = AtfNode(transform(other.position), eig, transform(other.cut_end))

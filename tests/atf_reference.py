@@ -33,19 +33,21 @@ and splices the boundary ring with its own copies of the original
 the one re-gluing that can, on the vertex loop with the exit point spliced
 in; both must give the same diagram, or raise the same error with the same
 message.
+
+The module imports only public names of `lenscalc.atf`, and keeps its own
+copies of the point helpers (`_sub`, `_add`, `_integral`), so no helper it
+checks is also one it runs on.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import floor, gcd
+from math import floor, gcd, lcm
 
 from lenscalc.atf import (
     AtfDiagram,
     AtfNode,
     NodeReport,
-    _add,
-    _integral,
     is_consistent,
     monodromy,
     nodal_slide,
@@ -117,6 +119,17 @@ Vec = tuple[Fraction, Fraction]
 
 def _sub(p: Point, q: Point) -> Vec:
     return (p[0] - q[0], p[1] - q[1])
+
+
+def _add(p: Point, v: Vec) -> Point:
+    return (p[0] + v[0], p[1] + v[1])
+
+
+def _integral(points) -> tuple[int, list[tuple[int, int]]]:
+    """The lcm of the points' denominators, and the points scaled by it as
+    integer pairs."""
+    den = lcm(*(Fraction(c).denominator for p in points for c in p))
+    return den, [(int(x * den), int(y * den)) for x, y in points]
 
 
 def _cross(u: Vec, v: Vec):

@@ -1,3 +1,5 @@
+import hashlib
+import json
 from fractions import Fraction
 from math import gcd
 
@@ -22,7 +24,12 @@ from lenscalc.atf import (
     standard_cp2,
     transfer_cut,
 )
-from lenscalc.errors import InternalConsistencyError, InvariantError, PreconditionError
+from lenscalc.errors import (
+    InternalConsistencyError,
+    InvariantError,
+    LenscalcError,
+    PreconditionError,
+)
 from lenscalc.farey import IntMat2
 from lenscalc.lens import LensSpace, boundary_Bpq
 from lenscalc.markov import MarkovTriple, derive_q, enumerate_tree
@@ -34,6 +41,9 @@ REPLAY_FAILURES = [
     (169, 14701, 7453378),
     (29, 14701, 1278818),
 ]
+
+# the sha256 of `TestTransferCut.test_moves_golden`'s 783 lines
+MOVES_GOLDEN = "83a96e8a9de8da4264e0f1c224ebe0fcde3e6a5955153a1b55cbbff86140d9e5"
 
 
 def traded_triangle():
@@ -194,6 +204,37 @@ class TestTransferCut:
         assert not check_consistency(moved)[0].passed
         with pytest.raises(PreconditionError):
             transfer_cut(moved, 0)
+
+    def test_moves_golden(self):
+        """One sha256 over the JSON, or the typed error, of every first and
+        second transfer from each diagram to depth 7, then of the three
+        trades of the standard triangle."""
+        digest = hashlib.sha256()
+        counts = {"moved": 0, "raised": 0}
+
+        def line(move, d, i):
+            try:
+                out = move(d, i)
+            except LenscalcError as exc:  # hashed, not swallowed
+                counts["raised"] += 1
+                digest.update(f"{exc.code} {exc}\n".encode())
+                return None
+            counts["moved"] += 1
+            digest.update((json.dumps(out.to_json_obj(), separators=(",", ":")) + "\n").encode())
+            return out
+
+        for t, _ in enumerate_tree(7):
+            d = atf_for_markov(t)
+            for i in range(3):
+                once = line(transfer_cut, d, i)
+                if once is not None:
+                    for j in range(3):
+                        line(transfer_cut, once, j)
+        d = standard_cp2()
+        for k in range(3):
+            d = line(nodal_trade, d, k)
+        assert counts == {"moved": 390 + 3, "raised": 390}  # 390 transfers, 3 trades
+        assert digest.hexdigest() == MOVES_GOLDEN
 
 
 class TestConsistencyChecker:

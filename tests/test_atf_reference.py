@@ -21,6 +21,10 @@ verdict of the original map search on these diagrams paired with their
 images under random integral affine maps, with near misses of those
 images, and with each other.  `transfer_cut`, which applies one re-gluing,
 must give the diagram, or the error, of the original four-candidate search.
+
+The chord end, one sign change of an integer `det` on the integral frame,
+must give the point and the vertex or edge where the original Fraction ray
+search leaves the polygon.
 """
 
 import json
@@ -37,6 +41,7 @@ import atf_reference as ref
 from lenscalc.atf import (
     AtfDiagram,
     AtfNode,
+    _chord_end,
     _reducing_frame,
     affinely_equivalent,
     atf_for_markov,
@@ -157,6 +162,52 @@ def test_transfer_matches_search_after_transfers(t):
     for d in transferred(t):
         for i in range(3):
             assert moved(transfer_cut, d, i) == moved(ref.transfer_cut_search, d, i)
+
+
+# a hexagon, whose chords between vertices two or three apart end at a vertex
+HEXAGON = AtfDiagram(((1, 0), (2, 0), (2, 1), (1, 2), (0, 2), (0, 1)))
+
+
+def chords():
+    """(diagram, boundary point c, inward direction e): from each node's cut
+    end through the node, on every diagram to depth 8 and on each of them
+    after one transfer; along the bisectors of the corners of the standard
+    triangle; and from each vertex of the hexagon to every point of the
+    boundary that is a vertex or an edge midpoint not next to it."""
+    for t, _ in enumerate_tree(8):
+        d = atf_for_markov(t)
+        for x in [d] + [transfer_cut(d, i) for i in range(3)]:
+            for nd in x.nodes:
+                yield x, nd.cut_end, ref._sub(nd.position, nd.cut_end)
+    d = standard_cp2()
+    for i, c in enumerate(d.vertices):
+        (a, b), (u, v) = (ref._primitive(ref._sub(d.vertices[j % 3], c)) for j in (i - 1, i + 1))
+        yield d, c, (a + u, b + v)
+    verts = [(Fraction(x), Fraction(y)) for x, y in HEXAGON.vertices]
+    for i, c in enumerate(verts):
+        for j in range(2, 5):
+            a, b = verts[(i + j) % 6], verts[(i + j + 1) % 6]
+            yield HEXAGON, c, ref._sub(a, c)
+            yield HEXAGON, c, ref._sub(along(a, b, Fraction(1, 2)), c)
+
+
+def test_chord_end_matches_ray_search():
+    kinds = set()
+    for d, c, e in chords():
+        den, verts = d.frame.den, d.frame.vertices
+        c_int = (int(c[0] * den), int(c[1] * den))
+        (x, y), q, k, at_vertex = _chord_end(verts, c_int, ref._primitive(e))
+        got = ((Fraction(x, q * den), Fraction(y, q * den)), k, at_vertex)
+        _, hit = ref._ray_exit(d, c, e)
+        n = len(d.vertices)
+        if hit in d.vertices:
+            want = (hit, d.vertices.index(hit), True)
+        else:
+            [edge] = [i for i in range(n) if ref._on_segment(hit, d.vertices[i], d.vertices[(i + 1) % n])]
+            want = (hit, edge, False)
+        assert got == want, (d, c, e)
+        kinds.add(at_vertex)
+    assert kinds == {True, False}
 
 
 @pytest.mark.parametrize("order", list(permutations(range(3))), ids=str)
