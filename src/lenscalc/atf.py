@@ -8,12 +8,14 @@ pairs: points scaled by the lcm of their denominators (`_integral`).  Each
 diagram holds its own points so scaled, the `cached_property`
 `AtfDiagram.frame`, built once, when the diagram is made.  The checker and
 the moves read it: a chord's far end is where an integer `det` turns sign
-(`_chord_end`), and only the affine images of a transfer are Fractions.
-Two diagrams are equal up to integral-affine maps iff their integer keys
-(`AtfDiagram.normal_form`) are.  A passing node's cut end is a vertex, so
-a transfer splices one point into the vertex loop, where the eigenline
-exits, and applies the one re-gluing that flattens the old cut end.
-Coordinates read from JSON are integers or "n/d" strings.
+(`_chord_end`), and a transfer maps points on it.  Two diagrams are equal
+up to integral-affine maps iff their integer keys (`AtfDiagram.normal_form`,
+computed once) are: the least ring of vertices over the 2n labellings, then
+the least image of the nodes over the labellings that tie on it.  A passing
+node's cut end is a vertex, so a transfer splices one point into the vertex
+loop, where the eigenline exits, and applies the one re-gluing that
+flattens the old cut end.  Coordinates read from JSON are integers or "n/d"
+strings.
 """
 
 from __future__ import annotations
@@ -47,10 +49,6 @@ def pt(x, y) -> Point:
 
 def _sub(p: Point, q: Point) -> Vec:
     return (p[0] - q[0], p[1] - q[1])
-
-
-def _add(p: Point, v: Vec) -> Point:
-    return (p[0] + v[0], p[1] + v[1])
 
 
 def _integral(points) -> tuple[int, list[IntVec]]:
@@ -182,6 +180,7 @@ class AtfDiagram:
     def _reports(self) -> tuple[NodeReport, ...]:
         return tuple(_node_report(self, i) for i in range(len(self.nodes)))
 
+    @cached_property
     def normal_form(self) -> tuple:
         """A key of integers that two diagrams share iff an integral affine
         map (GL(2,Z) linear part, rational translation) takes one onto the
@@ -190,12 +189,13 @@ class AtfDiagram:
 
         For each start vertex and direction, the one GL(2,Z) map that sends
         the first edge to (l, 0) with l > 0 and the second edge to (s, t)
-        with 0 <= s < t takes the points, relative to the start; the key is
-        the least of these 2n images.  The gcd of the frame's denominator
-        and the coordinates relative to a vertex is the same for every
-        vertex and every GL(2,Z) map.  Dividing it out leaves the relative
-        points in lowest terms, so no rational translation changes the
-        key."""
+        with 0 <= s < t takes the ring of vertices, relative to the start.
+        The key is the least ring, then the least image of the nodes under
+        the labellings that give it, so the nodes are mapped only where
+        rings tie.  The gcd of the frame's denominator and the coordinates
+        relative to a vertex is the same for every vertex and every GL(2,Z)
+        map.  Dividing it out leaves the relative points in lowest terms, so
+        no rational translation changes the key."""
         den, *groups = self.frame
         ox, oy = groups[0][0]
         g = gcd(den, *(c for pts in groups for x, y in pts for c in (x - ox, y - oy)))
@@ -207,7 +207,7 @@ class AtfDiagram:
             k = gcd(a, b) or 1  # a JSON document can hold (0, 0)
             eigens.append((a // k, b // k))
         n = len(verts)
-        keys = []
+        labellings = []
         for j in range(n):
             o = verts[j]
             for step in (1, -1):
@@ -220,17 +220,20 @@ class AtfDiagram:
                 sign = 1 if a * ey - b * ex > 0 else -1
                 k = (x * ex + y * ey) // (sign * (a * ey - b * ex))
                 m = IntMat2(x + k * sign * b, y - k * sign * a, -sign * b, sign * a)
+                ring = tuple(m.apply_vec(*_sub(verts[(j + step * i) % n], o)) for i in range(1, n))
+                labellings.append((ring, o, m))
+        least = min(ring for ring, _, _ in labellings)
 
-                def image(p: IntVec) -> IntVec:
-                    return m.apply_vec(p[0] - o[0], p[1] - o[1])
+        def nodes(o: IntVec, m: IntMat2) -> tuple:
+            def image(p: IntVec) -> IntVec:
+                return m.apply_vec(p[0] - o[0], p[1] - o[1])
 
-                nodes = sorted(
-                    (image(p), max(m.apply_vec(u, v), m.apply_vec(-u, -v)), image(e))
-                    for p, (u, v), e in zip(positions, eigens, ends)
-                )
-                ring = tuple(image(verts[(j + step * i) % n]) for i in range(1, n))
-                keys.append((ring, tuple(nodes)))
-        return (den // g, *min(keys))
+            return tuple(sorted(
+                (image(p), max(m.apply_vec(u, v), m.apply_vec(-u, -v)), image(e))
+                for p, (u, v), e in zip(positions, eigens, ends)
+            ))
+
+        return (den // g, least, min(nodes(o, m) for ring, o, m in labellings if ring == least))
 
     def to_json_obj(self) -> dict:
         def frac(x: Fraction) -> str:
@@ -428,9 +431,7 @@ def transfer_cut(d: AtfDiagram, node_index: int) -> AtfDiagram:
     vertex loop with the exit point spliced in, unless that is a vertex
     too."""
     node_index, i_c = _cut_vertex(d, node_index)
-    node = d.nodes[node_index]
-    x0 = node.position
-    ev = node.eigenvector
+    ev = d.nodes[node_index].eigenvector
     den, verts, positions, ends = d.frame
     c, p0 = verts[i_c], positions[node_index]
     w, q, i_w, at_vertex = _chord_end(verts, c, _sub(p0, c))
@@ -445,41 +446,39 @@ def transfer_cut(d: AtfDiagram, node_index: int) -> AtfDiagram:
             raise UnsupportedConfigurationError(
                 "eigenline meets another node or cut; slide the nodes first"
             )
-    prev_c, next_c = verts[i_c - 1], verts[(i_c + 1) % len(verts)]
-    ring = list(d.vertices)
-    if not at_vertex:  # edge-interior: splice it in after the start of its edge
-        ring.insert(i_w + 1, w_end)
-        i_c += i_c > i_w
-        i_w += 1
-    m = len(ring)
-    chain1 = [ring[(i_c + k) % m] for k in range(1, (i_w - i_c) % m)]
-    chain2 = [ring[(i_w + k) % m] for k in range(1, (i_c - i_w) % m)]
+    # the vertices strictly between c and w, then between w and c; an
+    # edge-interior w follows the start of its edge
+    n = len(verts)
+    chain1 = [(i_c + k) % n for k in range(1, (i_w - i_c) % n + (not at_vertex))]
+    chain2 = [(i_w + k) % n for k in range(1, (i_c - i_w - 1) % n + 1)]
     if not chain1 or not chain2:
         raise UnsupportedConfigurationError("eigenline runs along the boundary")
     mat = monodromy(*ev)
-    # chain1 starts and chain2 ends at the vertices next to c, so the flatten
-    # check and the side tests run on the frame
-    moved_next = _sub(mat.apply_vec(*_sub(next_c, p0)), _sub(c, p0))
-    if det(_sub(c, prev_c), moved_next) != 0:
+
+    def image(p: IntVec) -> IntVec:  # p0 + M(p - p0): the frame holds the node too
+        return _sub(p0, mat.apply_vec(p0[0] - p[0], p0[1] - p[1]))
+
+    def point(p: IntVec) -> Point:
+        return (Fraction(p[0], den), Fraction(p[1], den))
+
+    # chain1 starts and chain2 ends at the vertices next to c
+    next_c, prev_c = verts[chain1[0]], verts[chain2[-1]]
+    if det(_sub(c, prev_c), _sub(image(next_c), c)) != 0:
         raise InternalConsistencyError("the monodromy does not flatten the old cut end")
     upper = det(ev, _sub(next_c, p0)) > 0  # the side of chain1
-
-    def transform(p: Point) -> Point:
-        return _add(x0, mat.apply_vec(*_sub(p, x0)))
-
-    new_chain1 = [transform(p) for p in chain1]
     new_nodes = []
     for j, other in enumerate(d.nodes):
         if j == node_index:
-            other = AtfNode(x0, ev, w_end)
+            other = AtfNode(other.position, ev, w_end)
         else:
             side = det(ev, _sub(positions[j], p0))
             if side != 0 and (side > 0) == upper:
                 eig = _primitive(mat.apply_vec(*other.eigenvector))
-                other = AtfNode(transform(other.position), eig, transform(other.cut_end))
+                other = AtfNode(point(image(positions[j])), eig, point(image(ends[j])))
         new_nodes.append(other)
+    ring = [point(image(verts[k])) for k in chain1] + [w_end] + [d.vertices[k] for k in chain2]
     try:
-        out = AtfDiagram(tuple(new_chain1 + [w_end] + chain2), tuple(new_nodes))
+        out = AtfDiagram(tuple(ring), tuple(new_nodes))
     except InvariantError:
         raise UnsupportedConfigurationError("the re-glued polygon is not convex") from None
     if not is_consistent(out):
@@ -568,4 +567,4 @@ def atf_for_markov(t: MarkovTriple) -> AtfDiagram:
 def affinely_equivalent(d1: AtfDiagram, d2: AtfDiagram) -> bool:
     """Equality up to an integral affine map (GL(2,Z) linear part, rational
     translation), allowing any cyclic relabeling or reflection of vertices."""
-    return d1.normal_form() == d2.normal_form()
+    return d1.normal_form == d2.normal_form

@@ -5,6 +5,7 @@ The exact JSON form of the diagram is embedded as a metadata comment."""
 from __future__ import annotations
 
 import json
+import math
 
 from .atf import AtfDiagram, node_boundary_lens
 from .errors import PreconditionError
@@ -23,9 +24,15 @@ def render_svg(d: AtfDiagram) -> str:
     ys = [p[1] for p in verts + positions + ends]
     minx, maxx = min(xs), max(xs)
     miny, maxy = min(ys), max(ys)
-    # int / int rounds correctly, so each coordinate is float() of its exact value
-    width = (maxx - minx) / den * _SCALE + 2 * _MARGIN
-    height = (maxy - miny) / den * _SCALE + 2 * _MARGIN
+    # int / int rounds correctly, so each coordinate is float() of its exact
+    # value; the extent bounds every projected coordinate
+    try:
+        width = (maxx - minx) / den * _SCALE + 2 * _MARGIN
+        height = (maxy - miny) / den * _SCALE + 2 * _MARGIN
+    except OverflowError:
+        width = height = math.inf
+    if not math.isfinite(width + height):
+        raise PreconditionError("diagram extent exceeds the float range of the SVG projection")
 
     def project(p: tuple[int, int]) -> tuple[float, float]:
         # flip y so the mathematical orientation is upright on screen

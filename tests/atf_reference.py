@@ -25,6 +25,11 @@ integer normal forms (`AtfDiagram.normal_form`); both must give the same
 verdict, except on an eigenvector (0, 0), which the search calls unequal
 even to itself.
 
+The full normal form is the original `AtfDiagram.normal_form`: it maps
+every node under each of the 2n labellings and takes the least image.  The
+library maps the nodes only under the labellings that tie on the least
+ring of vertices; both must give the same key.
+
 The transfer search is the original `transfer_cut`, which tried the
 monodromy and its inverse on either side of the eigenline and kept the
 first re-gluing that flattens the old cut end.  It finds the exit point
@@ -32,7 +37,9 @@ and splices the boundary ring with its own copies of the original
 `_ray_exit` and `_boundary_ring`, on Fraction points.  The library applies
 the one re-gluing that can, on the vertex loop with the exit point spliced
 in; both must give the same diagram, or raise the same error with the same
-message.
+message.  The Fraction re-gluing is that one re-gluing as the library had
+it before it moved onto the integral frame: the same steps, with the
+monodromy images x0 + M(p - x0) in Fractions.
 
 The module imports only public names of `lenscalc.atf`, and keeps its own
 copies of the point helpers (`_sub`, `_add`, `_integral`), so no helper it
@@ -395,6 +402,53 @@ def affinely_equivalent(d1: AtfDiagram, d2: AtfDiagram) -> bool:
     return False
 
 
+# --- the full normal form ----------------------------------------------------
+
+
+def labellings(d: AtfDiagram) -> tuple[int, list[tuple[tuple, tuple]]]:
+    """The frame's denominator over g, and the image (ring, nodes) of d under
+    each of its 2n (start vertex, direction) labellings, every node mapped
+    under every labelling: the original `AtfDiagram.normal_form`."""
+    den, *groups = d.frame
+    ox, oy = groups[0][0]
+    g = gcd(den, *(c for pts in groups for x, y in pts for c in (x - ox, y - oy)))
+    verts, positions, ends = (
+        tuple(((x - ox) // g, (y - oy) // g) for x, y in pts) for pts in groups
+    )
+    eigens = []
+    for a, b in (nd.eigenvector for nd in d.nodes):
+        k = gcd(a, b) or 1  # a JSON document can hold (0, 0)
+        eigens.append((a // k, b // k))
+    n = len(verts)
+    keys = []
+    for j in range(n):
+        o = verts[j]
+        for step in (1, -1):
+            a, b = _primitive(_sub(verts[(j + step) % n], o))
+            ex, ey = _sub(verts[(j + 2 * step) % n], verts[(j + step) % n])
+            x, y = _bezout(a, b)
+            sign = 1 if a * ey - b * ex > 0 else -1
+            k = (x * ex + y * ey) // (sign * (a * ey - b * ex))
+            m = IntMat2(x + k * sign * b, y - k * sign * a, -sign * b, sign * a)
+
+            def image(p):
+                return m.apply_vec(p[0] - o[0], p[1] - o[1])
+
+            nodes = sorted(
+                (image(p), max(m.apply_vec(u, v), m.apply_vec(-u, -v)), image(e))
+                for p, (u, v), e in zip(positions, eigens, ends)
+            )
+            ring = tuple(image(verts[(j + step * i) % n]) for i in range(1, n))
+            keys.append((ring, tuple(nodes)))
+    return den // g, keys
+
+
+def normal_form(d: AtfDiagram) -> tuple:
+    """The least image over all 2n labellings."""
+    scale, keys = labellings(d)
+    return (scale, *min(keys))
+
+
 # --- the transfer search -----------------------------------------------------
 
 
@@ -433,18 +487,15 @@ def _boundary_ring(d: AtfDiagram, extra: list[Point]) -> list[Point]:
     return ring
 
 
-def transfer_cut_search(d: AtfDiagram, node_index: int) -> AtfDiagram:
-    """Cut along the full eigenline through the node, apply the monodromy
-    (or its inverse) to one side, and re-glue so the cut leaves the node on
-    the opposite side.  The old cut end flattens to an edge-interior point
-    and the opposite exit point becomes a vertex.  The node must pass the
-    consistency check."""
+def _chains(d: AtfDiagram, node_index: int):
+    """The steps every transfer takes before it re-glues: the node checks,
+    the exit point w_end, the blocking test, and the two chains of the
+    boundary ring strictly between the cut end and w_end."""
     node_index = range(len(d.nodes))[node_index]  # as list indexing does
     if not d._reports[node_index].passed:
         raise PreconditionError("node fails the consistency check")
     node = d.nodes[node_index]
     x0 = node.position
-    ev = node.eigenvector
     c_end = node.cut_end
     away = _sub(x0, c_end)  # direction from cut end through the node
     _, w_end = _ray_exit(d, x0, away)
@@ -465,6 +516,18 @@ def transfer_cut_search(d: AtfDiagram, node_index: int) -> AtfDiagram:
     chain2 = [ring[(i_w + k) % m] for k in range(1, (i_c - i_w) % m)]
     if not chain1 or not chain2:
         raise UnsupportedConfigurationError("eigenline runs along the boundary")
+    return node_index, w_end, chain1, chain2
+
+
+def transfer_cut_search(d: AtfDiagram, node_index: int) -> AtfDiagram:
+    """Cut along the full eigenline through the node, apply the monodromy
+    (or its inverse) to one side, and re-glue so the cut leaves the node on
+    the opposite side.  The old cut end flattens to an edge-interior point
+    and the opposite exit point becomes a vertex.  The node must pass the
+    consistency check."""
+    node_index, w_end, chain1, chain2 = _chains(d, node_index)
+    node = d.nodes[node_index]
+    x0, ev, c_end = node.position, node.eigenvector, node.cut_end
     sign1 = 1 if det(ev, _sub(chain1[0], x0)) > 0 else -1
     for mat in (monodromy(*ev), transvection(*ev, -1)):
         for side in (1, 2):
@@ -472,6 +535,40 @@ def transfer_cut_search(d: AtfDiagram, node_index: int) -> AtfDiagram:
             if result is not None:
                 return result
     raise UnsupportedConfigurationError("no monodromy re-gluing flattens the old cut end")
+
+
+def fraction_transfer_cut(d: AtfDiagram, node_index: int) -> AtfDiagram:
+    """The one re-gluing of `transfer_cut`, with the monodromy images
+    x0 + M(p - x0) of chain1 and of the nodes on its side in Fractions."""
+    node_index, w_end, chain1, chain2 = _chains(d, node_index)
+    node = d.nodes[node_index]
+    x0, ev, c_end = node.position, node.eigenvector, node.cut_end
+    mat = monodromy(*ev)
+
+    def transform(p: Point) -> Point:
+        return _add(x0, mat.apply_vec(*_sub(p, x0)))
+
+    if _cross(_sub(c_end, chain2[-1]), _sub(transform(chain1[0]), c_end)) != 0:
+        raise InternalConsistencyError("the monodromy does not flatten the old cut end")
+    upper = _cross(ev, _sub(chain1[0], x0)) > 0  # the side of chain1
+    new_nodes = []
+    for j, other in enumerate(d.nodes):
+        if j == node_index:
+            other = AtfNode(x0, ev, w_end)
+        else:
+            side = _cross(ev, _sub(other.position, x0))
+            if side != 0 and (side > 0) == upper:
+                eig = _primitive(mat.apply_vec(*other.eigenvector))
+                other = AtfNode(transform(other.position), eig, transform(other.cut_end))
+        new_nodes.append(other)
+    ring = [transform(p) for p in chain1] + [w_end] + chain2
+    try:
+        out = AtfDiagram(tuple(ring), tuple(new_nodes))
+    except InvariantError:
+        raise UnsupportedConfigurationError("the re-glued polygon is not convex") from None
+    if not is_consistent(out):
+        raise UnsupportedConfigurationError("the re-glued diagram is inconsistent")
+    return out
 
 
 def _try_transfer(d, node_index, mat, side, sign1, x0, c_end, w_end, chain1, chain2):

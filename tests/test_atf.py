@@ -302,13 +302,32 @@ class TestConsistencyChecker:
         node_boundary_lens(d, 0)
         assert calls == [9]
 
+    def test_normal_form_is_computed_once_per_diagram(self, monkeypatch):
+        calls = []
+        real = atf._bezout
+
+        def counted(a, b):
+            calls.append((a, b))
+            return real(a, b)
+
+        d = atf_for_markov(MarkovTriple(1, 2, 5))
+        other = transfer_cut(d, 0)
+        monkeypatch.setattr(atf, "_bezout", counted)
+        for _ in range(3):
+            assert affinely_equivalent(d, d) and not affinely_equivalent(d, other)
+        assert len(calls) == 2 * 6  # one map for each of the 2n labellings of each
+        assert d.normal_form is d.normal_form
+
     def test_cached_values_are_not_fields(self):
         d = atf_for_markov(MarkovTriple(1, 2, 5))
         assert is_consistent(d)
         with pytest.raises(AttributeError):
             d.frame = None
+        with pytest.raises(AttributeError):
+            d.normal_form = None
         fresh = AtfDiagram(d.vertices, d.nodes)
         assert d == fresh and repr(d) == repr(fresh)
+        assert d.normal_form == fresh.normal_form
         assert repr(d).startswith("AtfDiagram(vertices=") and "frame" not in repr(d)
 
     @pytest.mark.parametrize(

@@ -25,6 +25,20 @@ must give the diagram, or the error, of the original four-candidate search.
 The chord end, one sign change of an integer `det` on the integral frame,
 must give the point and the vertex or edge where the original Fraction ray
 search leaves the polygon.
+
+The monodromy images of `transfer_cut`, computed on the integral frame,
+must give the diagram, or the error, of the Fraction re-gluing: with the
+other nodes slid to either side of the eigenline, at eigenlines that end
+at a vertex and inside an edge, and on the depth-16 triple of the
+fastest-growing branch, where a transfer and its undo must come back to
+the start up to an integral affine map.
+
+`AtfDiagram.normal_form`, which maps the nodes only under the labellings
+that tie on the least ring, must give the key of the full minimum over all
+2n labellings: on every diagram to depth 6 after no, one and two
+transfers, on the traded standard triangle, where all six labellings tie,
+and on the standard triangle with one corner traded, where the rings tie
+and the nodes break the tie.
 """
 
 import json
@@ -38,6 +52,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import atf_reference as ref
+from lenscalc import atf
 from lenscalc.atf import (
     AtfDiagram,
     AtfNode,
@@ -54,7 +69,7 @@ from lenscalc.atf import (
 )
 from lenscalc.errors import LenscalcError, PreconditionError, UnsupportedConfigurationError
 from lenscalc.farey import IntMat2
-from lenscalc.markov import enumerate_tree
+from lenscalc.markov import enumerate_tree, replay
 
 DEPTH = 5
 TRIPLES_TO_6 = [t for t, _ in enumerate_tree(6)]
@@ -162,6 +177,73 @@ def test_transfer_matches_search_after_transfers(t):
     for d in transferred(t):
         for i in range(3):
             assert moved(transfer_cut, d, i) == moved(ref.transfer_cut_search, d, i)
+
+
+def sides(d, i):
+    """The signs of det(eigenvector, position - node i's position) of the
+    other nodes: the sides of node i's eigenline they lie on."""
+    x0, ev = d.nodes[i].position, d.nodes[i].eigenvector
+    crosses = [ref._cross(ev, ref._sub(nd.position, x0)) for j, nd in enumerate(d.nodes) if j != i]
+    return tuple(sorted((c > 0) - (c < 0) for c in crosses))
+
+
+@pytest.mark.parametrize("t", SMALL_TRIPLES, ids=str)
+def test_integral_regluing_matches_fraction_images_with_slid_nodes(t):
+    # every node but i slid to half its cut
+    patterns = set()
+    for d in transferred(t):
+        for i in range(3):
+            x = d
+            for j in range(3):
+                if j != i:
+                    x = slid(x, j, Fraction(1, 2))
+            patterns.add(sides(x, i))
+            assert moved(transfer_cut, x, i) == moved(ref.fraction_transfer_cut, x, i)
+    assert (-1, 1) in patterns  # one slid node on either side of the eigenline
+
+
+def trades():
+    """Every corner trade of the hexagon, of the quadrilateral whose traded
+    corner's eigenline ends at its opposite vertex, and of the standard
+    triangle."""
+    for p in [HEXAGON, AtfDiagram(((0, 0), (2, 0), (0, 2), (-1, 1))), standard_cp2()]:
+        for k in range(len(p.vertices)):
+            try:
+                yield nodal_trade(p, k)
+            except PreconditionError:  # a corner that is not unimodular
+                pass
+
+
+def test_integral_regluing_matches_fraction_images_at_both_exits(monkeypatch):
+    # a transfer whose eigenline ends at a vertex leaves an inconsistent
+    # diagram, so the images are compared a second time with the final
+    # check forced to pass
+    cases = [x for t in SMALL_TRIPLES for x in transferred(t)] + list(trades())
+    exits = set()
+    for d in cases:
+        for i in range(len(d.nodes)):
+            f = d.frame
+            c, p = f.cut_ends[i], f.positions[i]
+            exits.add(_chord_end(f.vertices, c, (p[0] - c[0], p[1] - c[1]))[3])
+            assert moved(transfer_cut, d, i) == moved(ref.fraction_transfer_cut, d, i)
+    assert exits == {True, False}
+    for module in (atf, ref):
+        monkeypatch.setattr(module, "is_consistent", lambda d: True)
+    for d in trades():
+        got = moved(transfer_cut, d, 0)
+        assert isinstance(got, dict)
+        assert got == moved(ref.fraction_transfer_cut, d, 0)
+
+
+def test_integral_regluing_matches_fraction_images_at_depth_16():
+    # the fastest-growing branch; the golden stops at depth 7
+    d = atf_for_markov(replay("L" * 16))
+    for i in range(3):
+        once = transfer_cut(d, i)
+        assert once == ref.fraction_transfer_cut(d, i)
+        undone = transfer_cut(once, i)
+        assert undone == ref.fraction_transfer_cut(once, i)
+        assert affinely_equivalent(undone, d)
 
 
 # a hexagon, whose chords between vertices two or three apart end at a vertex
@@ -514,10 +596,10 @@ def test_normal_form_matches_map_search(pair):
     assert affinely_equivalent(d2, d1) == want
     if kind == "image":
         assert want
-    k1, k2 = d1.normal_form(), d2.normal_form()
+    k1, k2 = d1.normal_form, d2.normal_form
     assert all(type(c) is int for c in flatten(k1))
     assert len({k1, k2}) == (1 if want else 2)
-    assert from_json(d1).normal_form() == k1
+    assert from_json(d1).normal_form == k1
 
 
 def test_zero_eigenvector_equals_itself_by_normal_form():
@@ -526,7 +608,30 @@ def test_zero_eigenvector_equals_itself_by_normal_form():
     doc = atf_for_markov(SMALL_TRIPLES[0]).to_json_obj()
     doc["nodes"][0]["eigenvector"] = ["0", "0"]
     d = AtfDiagram.from_json_obj(doc)
-    assert d.normal_form() == from_json(d).normal_form()
+    assert d.normal_form == from_json(d).normal_form
     assert affinely_equivalent(d, d)
     assert not ref.affinely_equivalent(d, d)
     assert not affinely_equivalent(d, atf_for_markov(SMALL_TRIPLES[0]))
+
+
+@pytest.mark.parametrize("t", TRIPLES_TO_6, ids=str)
+def test_normal_form_matches_full_minimum_after_transfers(t):
+    for d in transferred(t):
+        assert d.normal_form == ref.normal_form(d)
+
+
+def test_normal_form_matches_full_minimum_when_rings_tie():
+    d = standard_cp2()
+    for k in range(3):
+        d = nodal_trade(d, k)
+    _, keys = ref.labellings(d)
+    assert len({ring for ring, _ in keys}) == 1  # all six rings tie
+    assert d.normal_form == ref.normal_form(d)
+    for k in range(3):
+        # the symmetric triangle with one corner traded: the rings tie, the
+        # nodes do not
+        d = nodal_trade(standard_cp2(), k)
+        _, keys = ref.labellings(d)
+        assert len({ring for ring, _ in keys}) == 1
+        assert len({nodes for _, nodes in keys}) > 1
+        assert d.normal_form == ref.normal_form(d)

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from lenscalc import cli, markov, verify
 from lenscalc.atf import AtfDiagram, affinely_equivalent, atf_for_markov
-from lenscalc.errors import LenscalcError
+from lenscalc.errors import LenscalcError, PreconditionError
 from lenscalc.farey import DecoratedPath
 from lenscalc.handles import build_X
 from lenscalc.markov import MarkovTriple, derive_q, enumerate_tree, replay
@@ -1033,3 +1033,16 @@ class TestSvgRendering:
 
         text = render_svg(standard_cp2())
         assert text.startswith("<?xml") and "</svg>" in text
+
+    @pytest.mark.parametrize(
+        "vertices",
+        [
+            ((0, 0), (10**400, 0), (0, 1)),  # past the float range: OverflowError in int / int
+            ((0, 0), (1, 0), (0, 10**400)),
+            ((0, 0), (10**307, 0), (0, 1)),  # a float, but not once scaled
+        ],
+        ids=["wide", "tall", "wide-once-scaled"],
+    )
+    def test_extent_past_the_float_range(self, vertices):
+        with pytest.raises(PreconditionError, match="float range of the SVG projection"):
+            render_svg(AtfDiagram(vertices))
