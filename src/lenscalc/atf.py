@@ -2,20 +2,19 @@
 nodes, the three moves (nodal trade, nodal slide, transfer the cut), a
 consistency checker, and per-Markov-triple generation with lens readouts.
 
-Points are pairs of Fractions; eigenvectors are primitive integer vectors.
-Every move returns a new diagram.  Incidence and sign tests run on integer
-pairs: points scaled by the lcm of their denominators (`_integral`).  Each
-diagram holds its own points so scaled, the `cached_property`
-`AtfDiagram.frame`, built once, when the diagram is made.  The checker and
-the moves read it: a chord's far end is where an integer `det` turns sign
-(`_chord_end`), and a transfer maps points on it.  Two diagrams are equal
-up to integral-affine maps iff their integer keys (`AtfDiagram.normal_form`,
-computed once) are: the least ring of vertices over the 2n labellings, then
-the least image of the nodes over the labellings that tie on it.  A passing
-node's cut end is a vertex, so a transfer splices one point into the vertex
-loop, where the eigenline exits, and applies the one re-gluing that
-flattens the old cut end.  Coordinates read from JSON are integers or "n/d"
-strings.
+A diagram stores its integral frame (`AtfDiagram.frame`): one denominator,
+the least, and integer pairs over it for the vertices, node positions and
+cut ends, with the primitive integer eigenvectors.  Every move builds a new
+diagram from integers (`_diagram`).  Fractions appear only at the edges: the
+rational points `AtfDiagram(vertices, nodes)` takes, JSON in ("n/d" strings
+or integers) and out, and the `vertices` and `nodes` views.  A chord's far
+end is where an integer `det` turns sign (`_chord_end`).  Two diagrams are
+equal up to integral-affine maps iff their integer keys
+(`AtfDiagram.normal_form`) are: the least ring of vertices over the 2n
+labellings, then the least image of the nodes over the labellings that tie
+on it.  A passing node's cut end is a vertex, so a transfer splices one
+point into the vertex loop, where the eigenline exits, and applies the one
+re-gluing that flattens the old cut end.
 """
 
 from __future__ import annotations
@@ -39,21 +38,16 @@ from .markov import MarkovTriple
 from .markov import mutation_path  # noqa: F401
 
 Point = tuple[Fraction, Fraction]
-Vec = tuple[Fraction, Fraction]
 IntVec = tuple[int, int]  # a point or vector of an integral frame
 
 
-def pt(x, y) -> Point:
-    return (Fraction(x), Fraction(y))
-
-
-def _sub(p: Point, q: Point) -> Vec:
+def _sub(p: IntVec, q: IntVec) -> IntVec:
     return (p[0] - q[0], p[1] - q[1])
 
 
 def _integral(points) -> tuple[int, list[IntVec]]:
-    """The lcm of the points' denominators, and the points scaled by it as
-    integer pairs.  A positive scaling keeps every sign of `det`, every
+    """The lcm of the rational points' denominators, and the points scaled by
+    it as integer pairs.  A positive scaling keeps every sign of `det`, every
     incidence and equality, and every primitive direction between the
     points."""
     den = lcm(*(c.denominator for p in points for c in p))
@@ -61,6 +55,16 @@ def _integral(points) -> tuple[int, list[IntVec]]:
         (x.numerator * (den // x.denominator), y.numerator * (den // y.denominator))
         for x, y in points
     ]
+
+
+def _scaled(points, s: int) -> list[IntVec]:
+    return [(s * x, s * y) for x, y in points]
+
+
+def _lowest(x: int, den: int) -> tuple[int, int]:
+    """The numerator and denominator of x / den in lowest terms."""
+    g = gcd(x, den)
+    return x // g, den // g
 
 
 def _primitive(v: IntVec) -> IntVec:
@@ -71,7 +75,7 @@ def _primitive(v: IntVec) -> IntVec:
     return (v[0] // g, v[1] // g)
 
 
-def _on_segment(p: Point, a: Point, b: Point) -> bool:
+def _on_segment(p: IntVec, a: IntVec, b: IntVec) -> bool:
     """p lies on the closed segment [a, b]."""
     if det(_sub(p, a), _sub(b, a)) != 0:
         return False
@@ -80,7 +84,7 @@ def _on_segment(p: Point, a: Point, b: Point) -> bool:
     return lo[0] <= p[0] <= hi[0] and lo[1] <= p[1] <= hi[1]
 
 
-def _segments_intersect(a: Point, b: Point, c: Point, d: Point) -> bool:
+def _segments_intersect(a: IntVec, b: IntVec, c: IntVec, d: IntVec) -> bool:
     """Closed segments [a,b] and [c,d] share at least one point."""
     d1 = det(_sub(d, c), _sub(a, c))
     d2 = det(_sub(d, c), _sub(b, c))
@@ -140,45 +144,62 @@ class AtfNode:
     cut_end: Point
 
 
-# A diagram's points scaled by `den`, the lcm of their denominators: tuples
-# of integer pairs for the vertices, and for the node positions and cut ends
-# in node order.  (`typing.NamedTuple` would add an import of `typing`.)
-IntegralFrame = namedtuple("IntegralFrame", "den vertices positions cut_ends")
+# A diagram's points over their least common denominator `den`, as tuples of
+# integer pairs, and its eigenvectors.  (`typing.NamedTuple` would import `typing`.)
+IntegralFrame = namedtuple("IntegralFrame", "den vertices positions cut_ends eigenvectors")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class AtfDiagram:
     """Strictly convex polygon (counterclockwise rational vertices) with
-    nodes.  Its integral frame and its node reports, computed on the first
-    check, are cached properties, not fields."""
+    nodes, stored as its integral frame.  Its Fraction views, its node
+    reports, computed on the first check, and its normal form are cached
+    properties, not fields."""
 
-    vertices: tuple[Point, ...]
-    nodes: tuple[AtfNode, ...] = ()
+    frame: IntegralFrame
 
-    def __post_init__(self) -> None:
-        verts = tuple((Fraction(x), Fraction(y)) for x, y in self.vertices)
-        object.__setattr__(self, "vertices", verts)
-        object.__setattr__(self, "nodes", tuple(self.nodes))
+    def __init__(self, vertices: tuple[Point, ...], nodes: tuple[AtfNode, ...] = ()) -> None:
+        nodes = tuple(nodes)
+        marks = [p for nd in nodes for p in (nd.position, nd.cut_end)]
+        den, ints = _integral([*vertices, *marks])
+        n = len(ints) - len(marks)
+        self._store(den, ints[:n], ints[n::2], ints[n + 1 :: 2], [nd.eigenvector for nd in nodes])
+
+    def _store(self, den: int, vertices, positions, cut_ends, eigenvectors) -> None:
+        """Store the frame of the integer points over den > 0, in lowest terms,
+        if the polygon turns left at every vertex and goes round once: its
+        edges' y-components, zeros left out, change sign exactly twice."""
+        groups = (vertices, positions, cut_ends)
+        g = gcd(den, *(c for pts in groups for p in pts for c in p))
+        verts, *marks = (tuple((x // g, y // g) for x, y in pts) for pts in groups)
         n = len(verts)
         if n < 3:
             raise InvariantError("polygon needs at least three vertices")
-        ints = self.frame.vertices  # so the frame is built once, here
-        for i in range(n):
-            u = _sub(ints[(i + 1) % n], ints[i])
-            w = _sub(ints[(i + 2) % n], ints[(i + 1) % n])
-            if det(u, w) <= 0:
-                raise InvariantError("vertices must be strictly convex counterclockwise")
+        edges = [_sub(verts[i], verts[i - 1]) for i in range(n)]
+        signs = [y > 0 for _, y in edges if y]
+        changes = sum(signs[i - 1] != signs[i] for i in range(len(signs)))
+        if changes != 2 or any(det(edges[i - 1], edges[i]) <= 0 for i in range(n)):
+            raise InvariantError("vertices must be strictly convex counterclockwise")
+        frame = IntegralFrame(den // g, verts, *marks, tuple(eigenvectors))
+        object.__setattr__(self, "frame", frame)
+
+    def _point(self, p: IntVec) -> Point:
+        return (Fraction(p[0], self.frame.den), Fraction(p[1], self.frame.den))
 
     @cached_property
-    def frame(self) -> IntegralFrame:
-        n = len(self.vertices)
-        marks = tuple(p for nd in self.nodes for p in (nd.position, nd.cut_end))
-        den, ints = _integral(self.vertices + marks)
-        return IntegralFrame(den, tuple(ints[:n]), tuple(ints[n::2]), tuple(ints[n + 1 :: 2]))
+    def vertices(self) -> tuple[Point, ...]:
+        """The vertices as Fraction points, made when first read."""
+        return tuple(map(self._point, self.frame.vertices))
+
+    @cached_property
+    def nodes(self) -> tuple[AtfNode, ...]:
+        """The nodes with Fraction points, made when first read."""
+        _, _, positions, ends, eigens = self.frame
+        return tuple(map(AtfNode, map(self._point, positions), eigens, map(self._point, ends)))
 
     @cached_property
     def _reports(self) -> tuple[NodeReport, ...]:
-        return tuple(_node_report(self, i) for i in range(len(self.nodes)))
+        return tuple(_node_report(self, i) for i in range(len(self.frame.positions)))
 
     @cached_property
     def normal_form(self) -> tuple:
@@ -196,16 +217,14 @@ class AtfDiagram:
         relative to a vertex is the same for every vertex and every GL(2,Z)
         map.  Dividing it out leaves the relative points in lowest terms, so
         no rational translation changes the key."""
-        den, *groups = self.frame
+        den, *groups, eigenvectors = self.frame
         ox, oy = groups[0][0]
         g = gcd(den, *(c for pts in groups for x, y in pts for c in (x - ox, y - oy)))
         verts, positions, ends = (
             tuple(((x - ox) // g, (y - oy) // g) for x, y in pts) for pts in groups
         )
-        eigens = []
-        for a, b in (nd.eigenvector for nd in self.nodes):
-            k = gcd(a, b) or 1  # a JSON document can hold (0, 0)
-            eigens.append((a // k, b // k))
+        # a JSON document can hold the eigenvector (0, 0)
+        eigens = [_primitive(v) if any(v) else (0, 0) for v in eigenvectors]
         n = len(verts)
         labellings = []
         for j in range(n):
@@ -235,22 +254,31 @@ class AtfDiagram:
 
         return (den // g, least, min(nodes(o, m) for ring, o, m in labellings if ring == least))
 
-    def to_json_obj(self) -> dict:
-        def frac(x: Fraction) -> str:
-            return f"{x.numerator}/{x.denominator}"
+    @cached_property
+    def lowest_terms(self) -> tuple:
+        """The vertices, node positions and cut ends, each coordinate as its
+        (numerator, denominator) pair in lowest terms: the numbers that
+        `to_json_obj` writes, reduced once."""
+        den = self.frame.den
+        return tuple(
+            tuple(tuple(_lowest(x, den) for x in p) for p in pts) for pts in self.frame[1:4]
+        )
 
-        def point(p: Point) -> list[str]:
-            return [frac(p[0]), frac(p[1])]
+    def to_json_obj(self) -> dict:
+        verts, positions, ends = self.lowest_terms
+
+        def point(p: tuple) -> list[str]:
+            return ["%d/%d" % c for c in p]
 
         return {
-            "vertices": [point(v) for v in self.vertices],
+            "vertices": [point(v) for v in verts],
             "nodes": [
                 {
-                    "position": point(n.position),
-                    "eigenvector": [str(n.eigenvector[0]), str(n.eigenvector[1])],
-                    "cut_end": point(n.cut_end),
+                    "position": point(p),
+                    "eigenvector": [str(a), str(b)],
+                    "cut_end": point(c),
                 }
-                for n in self.nodes
+                for p, (a, b), c in zip(positions, self.frame.eigenvectors, ends)
             ],
         }
 
@@ -271,9 +299,16 @@ class AtfDiagram:
         return cls(verts, nodes)
 
 
+def _diagram(den: int, vertices, positions, cut_ends, eigenvectors) -> AtfDiagram:
+    """The diagram of the integer points over den > 0, made with no Fraction."""
+    d = AtfDiagram.__new__(AtfDiagram)
+    d._store(den, vertices, positions, cut_ends, eigenvectors)
+    return d
+
+
 def standard_cp2() -> AtfDiagram:
     """The toric triangle of side 3 (the scale is a free normalization)."""
-    return AtfDiagram((pt(0, 0), pt(3, 0), pt(0, 3)))
+    return AtfDiagram(((0, 0), (3, 0), (0, 3)))
 
 
 @dataclass(frozen=True)
@@ -298,13 +333,13 @@ class NodeReport:
         )
 
 
-def _parallel(u: Vec, v: Vec) -> bool:
+def _parallel(u: IntVec, v: IntVec) -> bool:
     return u != (0, 0) and v != (0, 0) and det(u, v) == 0
 
 
 def _node_report(d: AtfDiagram, i: int) -> NodeReport:
-    _, verts, positions, ends = d.frame
-    a, b = d.nodes[i].eigenvector
+    _, verts, positions, ends, eigens = d.frame
+    a, b = eigens[i]
     mat = monodromy(a, b)
     p, e = positions[i], ends[i]
     cut_vec = _sub(e, p)
@@ -360,22 +395,21 @@ def _chord_end(verts: tuple[IntVec, ...], c: IntVec, e: IntVec) -> tuple[IntVec,
 
 def nodal_trade(d: AtfDiagram, vertex_index: int) -> AtfDiagram:
     """Exchange a unimodular corner for a node with a cut to that corner."""
-    n = len(d.vertices)
-    v = d.vertices[vertex_index % n]
-    if any(node.cut_end == v for node in d.nodes):
-        raise PreconditionError("vertex already carries a cut")
-    den, verts = d.frame.den, d.frame.vertices
+    den, verts, positions, ends, eigens = d.frame
+    n = len(verts)
     prev_v, corner, next_v = (verts[(vertex_index + k) % n] for k in (-1, 0, 1))
+    if corner in ends:
+        raise PreconditionError("vertex already carries a cut")
     u = _primitive(_sub(prev_v, corner))
     w = _primitive(_sub(next_v, corner))
     if abs(det(u, w)) != 1:
         raise PreconditionError("corner is not unimodular; cannot trade")
     eigen = _primitive((u[0] + w[0], u[1] + w[1]))
     end, q, _, _ = _chord_end(verts, corner, eigen)
-    # the node sits at the midpoint of the chord along the eigenline
-    position = tuple(Fraction(q * a + b, 2 * q * den) for a, b in zip(corner, end))
-    node = AtfNode(position, eigen, v)
-    out = AtfDiagram(d.vertices, d.nodes + (node,))
+    # over 2 q den, the node sits at the midpoint of the chord along the eigenline
+    position = (q * corner[0] + end[0], q * corner[1] + end[1])
+    verts, positions, ends = (_scaled(pts, 2 * q) for pts in (verts, positions, ends + (corner,)))
+    out = _diagram(2 * q * den, verts, positions + [position], ends, eigens + (eigen,))
     if not is_consistent(out):
         raise InternalConsistencyError("nodal trade produced an inconsistent diagram")
     return out
@@ -383,16 +417,16 @@ def nodal_trade(d: AtfDiagram, vertex_index: int) -> AtfDiagram:
 
 def nodal_slide(d: AtfDiagram, node_index: int, new_position: Point) -> AtfDiagram:
     """Move a node along its eigenline, keeping the cut end fixed."""
-    node = d.nodes[node_index]
-    new_position = (Fraction(new_position[0]), Fraction(new_position[1]))
-    _, (*verts, old, new) = _integral(d.vertices + (node.position, new_position))
-    if det(_sub(new, old), node.eigenvector) != 0:
+    den, verts, positions, ends, eigens = d.frame
+    k, [(x, y)] = _integral([new_position])
+    verts, positions, ends = (_scaled(pts, k) for pts in (verts, positions, ends))  # over den k
+    new = (den * x, den * y)
+    if det(_sub(new, positions[node_index]), eigens[node_index]) != 0:
         raise PreconditionError("target is off the node's eigenline")
     if not _interior(verts, new):
         raise PreconditionError("target is not strictly interior")
-    moved = AtfNode(new_position, node.eigenvector, node.cut_end)
-    nodes = d.nodes[:node_index] + (moved,) + d.nodes[node_index + 1 :]
-    out = AtfDiagram(d.vertices, nodes)
+    positions[node_index] = new
+    out = _diagram(den * k, verts, positions, ends, eigens)
     if not is_consistent(out):
         raise UnsupportedConfigurationError("slide would produce an inconsistent diagram")
     return out
@@ -404,13 +438,13 @@ def _cut_vertex(d: AtfDiagram, node_index: int) -> tuple[int, int]:
     check, which the diagram runs once and keeps.  A passing node's cut end
     is a vertex: at an edge-interior end the monodromy matches the edge only
     when the cut runs along it, which puts the node on the boundary."""
-    node_index = range(len(d.nodes))[node_index]
+    verts, ends = d.frame.vertices, d.frame.cut_ends
+    node_index = range(len(ends))[node_index]
     if not d._reports[node_index].passed:
         raise PreconditionError("node fails the consistency check")
-    verts, end = d.frame.vertices, d.frame.cut_ends[node_index]
-    if end not in verts:
+    if ends[node_index] not in verts:
         raise InternalConsistencyError("cut end of a consistent node is not a polygon vertex")
-    return node_index, verts.index(end)
+    return node_index, verts.index(ends[node_index])
 
 
 def transfer_cut(d: AtfDiagram, node_index: int) -> AtfDiagram:
@@ -431,18 +465,16 @@ def transfer_cut(d: AtfDiagram, node_index: int) -> AtfDiagram:
     vertex loop with the exit point spliced in, unless that is a vertex
     too."""
     node_index, i_c = _cut_vertex(d, node_index)
-    ev = d.nodes[node_index].eigenvector
-    den, verts, positions, ends = d.frame
+    den, verts, positions, ends, eigens = d.frame
+    ev = eigens[node_index]
+    w, q, i_w, at_vertex = _chord_end(verts, verts[i_c], _sub(positions[node_index], verts[i_c]))
+    # the rest runs on the frame scaled by q, where w is integral
+    verts, positions, ends = (_scaled(pts, q) for pts in (verts, positions, ends))
     c, p0 = verts[i_c], positions[node_index]
-    w, q, i_w, at_vertex = _chord_end(verts, c, _sub(p0, c))
-    w_end = (Fraction(w[0], q * den), Fraction(w[1], q * den))
-    # the blocking test runs on the frame scaled by q, where w is integral
-    others = [p for j, pair in enumerate(zip(positions, ends)) if j != node_index for p in pair]
-    cq, *rest = [(q * x, q * y) for x, y in [c] + others]
-    if w == cq:
+    if w == c:
         raise InternalConsistencyError("eigenline exits where it entered")
-    for pos, end in zip(rest[::2], rest[1::2]):
-        if _on_segment(pos, cq, w) or _segments_intersect(cq, w, pos, end):
+    for j, (pos, end) in enumerate(zip(positions, ends)):
+        if j != node_index and (_on_segment(pos, c, w) or _segments_intersect(c, w, pos, end)):
             raise UnsupportedConfigurationError(
                 "eigenline meets another node or cut; slide the nodes first"
             )
@@ -458,27 +490,21 @@ def transfer_cut(d: AtfDiagram, node_index: int) -> AtfDiagram:
     def image(p: IntVec) -> IntVec:  # p0 + M(p - p0): the frame holds the node too
         return _sub(p0, mat.apply_vec(p0[0] - p[0], p0[1] - p[1]))
 
-    def point(p: IntVec) -> Point:
-        return (Fraction(p[0], den), Fraction(p[1], den))
-
     # chain1 starts and chain2 ends at the vertices next to c
     next_c, prev_c = verts[chain1[0]], verts[chain2[-1]]
     if det(_sub(c, prev_c), _sub(image(next_c), c)) != 0:
         raise InternalConsistencyError("the monodromy does not flatten the old cut end")
     upper = det(ev, _sub(next_c, p0)) > 0  # the side of chain1
-    new_nodes = []
-    for j, other in enumerate(d.nodes):
-        if j == node_index:
-            other = AtfNode(other.position, ev, w_end)
-        else:
-            side = det(ev, _sub(positions[j], p0))
-            if side != 0 and (side > 0) == upper:
-                eig = _primitive(mat.apply_vec(*other.eigenvector))
-                other = AtfNode(point(image(positions[j])), eig, point(image(ends[j])))
-        new_nodes.append(other)
-    ring = [point(image(verts[k])) for k in chain1] + [w_end] + [d.vertices[k] for k in chain2]
+    eigens = list(eigens)
+    ends[node_index] = w
+    for j, pos in enumerate(positions):
+        side = det(ev, _sub(pos, p0))
+        if j != node_index and side != 0 and (side > 0) == upper:
+            eigens[j] = _primitive(mat.apply_vec(*eigens[j]))
+            positions[j], ends[j] = image(pos), image(ends[j])
+    ring = [image(verts[k]) for k in chain1] + [w] + [verts[k] for k in chain2]
     try:
-        out = AtfDiagram(tuple(ring), tuple(new_nodes))
+        out = _diagram(q * den, ring, positions, ends, eigens)
     except InvariantError:
         raise UnsupportedConfigurationError("the re-glued polygon is not convex") from None
     if not is_consistent(out):
@@ -542,26 +568,22 @@ def atf_for_markov(t: MarkovTriple) -> AtfDiagram:
     normals = ((w[1], -w[2] * x), (0, 1), (-w[0], -w[2] * y))
     corners = []
     for i in range(3):
-        # the corner where consecutive edges meet, by Cramer's rule
+        # the corner where consecutive edges meet, by Cramer's rule, over its
+        # least denominator e > 0
         (a, b), (c, d) = normals[i - 1], normals[i]
         delta = det(normals[i - 1], normals[i])
-        corners.append((Fraction(b - d, delta), Fraction(c - a, delta)))
-    den, ints = _integral(corners)
+        g = gcd(delta, b - d, c - a) * (1 if delta > 0 else -1)
+        corners.append((delta // g, (b - d) // g, (c - a) // g))
+    den = lcm(*(e for e, _, _ in corners))
+    ints = [(x * (den // e), y * (den // e)) for e, x, y in corners]
     m = _reducing_frame(ints)
     ints = [m.apply_vec(*v) for v in ints]
     first = ints.index(min(ints))
     ints = ints[first:] + ints[:first]
-    # the vertex (1, 1) + v / den and its node (1, 1) + v / (4 den)
-    vertices = tuple((Fraction(den + x, den), Fraction(den + y, den)) for x, y in ints)
-    nodes = tuple(
-        AtfNode(
-            (Fraction(4 * den + x, 4 * den), Fraction(4 * den + y, 4 * den)),
-            _primitive((-x, -y)),
-            vertex,
-        )
-        for vertex, (x, y) in zip(vertices, ints)
-    )
-    return AtfDiagram(vertices, nodes)
+    # over 4 den: the vertex (1, 1) + v / den and its node (1, 1) + v / (4 den)
+    vertices = [(4 * (den + x), 4 * (den + y)) for x, y in ints]
+    positions = [(4 * den + x, 4 * den + y) for x, y in ints]
+    return _diagram(4 * den, vertices, positions, vertices, [_primitive((-x, -y)) for x, y in ints])
 
 
 def affinely_equivalent(d1: AtfDiagram, d2: AtfDiagram) -> bool:

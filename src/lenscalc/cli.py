@@ -41,11 +41,9 @@ def _printable(what: str, numbers) -> None:
 
 def _diagram_integers(d: atf.AtfDiagram) -> list[int]:
     """The integers of `d.to_json_obj()`: the coordinates' numerators and
-    denominators, and the eigenvectors."""
-    coords = [c for p in d.vertices for c in p]
-    coords += [c for n in d.nodes for c in (*n.position, *n.cut_end)]
-    ints = [n for c in coords for n in (c.numerator, c.denominator)]
-    return ints + [c for n in d.nodes for c in n.eigenvector]
+    denominators in lowest terms, and the eigenvectors."""
+    ints = [n for pts in d.lowest_terms for p in pts for c in p for n in c]
+    return ints + [c for e in d.frame.eigenvectors for c in e]
 
 
 class _Parser(argparse.ArgumentParser):
@@ -208,8 +206,9 @@ def _cmd_atf_build(args) -> int:
 
 
 def _node_index(d: atf.AtfDiagram, index: int) -> int:
-    if not 0 <= index < len(d.nodes):
-        raise IndexError(f"node index {index} is out of range for {len(d.nodes)} nodes")
+    count = len(d.frame.positions)
+    if not 0 <= index < count:
+        raise IndexError(f"node index {index} is out of range for {count} nodes")
     return index
 
 

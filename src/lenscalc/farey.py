@@ -125,7 +125,7 @@ class IntMat2:
 
 
 def det(u, v):
-    """det(u, v) = u[0]*v[1] - u[1]*v[0] of two integer or Fraction pairs:
+    """det(u, v) = u[0]*v[1] - u[1]*v[0] of two integer pairs:
     for slopes, |det| = 1 iff they span a Farey edge; for torus classes, the
     algebraic intersection number."""
     return u[0] * v[1] - u[1] * v[0]

@@ -19,7 +19,7 @@ def _fmt(x: float) -> str:
 
 
 def render_svg(d: AtfDiagram) -> str:
-    den, verts, positions, ends = d.frame
+    den, verts, positions, ends, _ = d.frame
     xs = [p[0] for p in verts + positions + ends]
     ys = [p[1] for p in verts + positions + ends]
     minx, maxx = min(xs), max(xs)

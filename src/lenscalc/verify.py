@@ -305,7 +305,7 @@ def crit8_atf_pipeline(r: TripleRecord) -> list[str]:
     if not atf.is_consistent(d):
         return [f"{t}: inconsistent diagram"]
     bad = []
-    readouts = [atf.node_boundary_lens(d, i) for i in range(len(d.nodes))]
+    readouts = [atf.node_boundary_lens(d, i) for i in range(len(d.frame.positions))]
     pq = zip(t.entries(), r.q.entries())
     want = [lens.LensSpace(p * p, p * q - 1) for p, q in pq]
     if not lens.same_lens_spaces(readouts, want):

@@ -185,16 +185,22 @@ def _segments_intersect(a: Point, b: Point, c: Point, d: Point) -> bool:
 
 
 def validate_vertices(vertices) -> None:
-    """The convexity test of `AtfDiagram.__post_init__`."""
+    """The convexity test of `AtfDiagram`: a left turn at every vertex, and
+    once round, where the edges' y-components change sign exactly twice."""
     verts = tuple((Fraction(x), Fraction(y)) for x, y in vertices)
     n = len(verts)
     if n < 3:
         raise InvariantError("polygon needs at least three vertices")
+    ys = []
     for i in range(n):
         u = _sub(verts[(i + 1) % n], verts[i])
         w = _sub(verts[(i + 2) % n], verts[(i + 1) % n])
         if _cross(u, w) <= 0:
             raise InvariantError("vertices must be strictly convex counterclockwise")
+        if u[1] != 0:
+            ys.append(u[1] > 0)
+    if sum(a != b for a, b in zip(ys, ys[1:] + ys[:1])) != 2:
+        raise InvariantError("vertices must be strictly convex counterclockwise")
 
 
 def contains_interior(d: AtfDiagram, p: Point) -> bool:
@@ -409,7 +415,7 @@ def labellings(d: AtfDiagram) -> tuple[int, list[tuple[tuple, tuple]]]:
     """The frame's denominator over g, and the image (ring, nodes) of d under
     each of its 2n (start vertex, direction) labellings, every node mapped
     under every labelling: the original `AtfDiagram.normal_form`."""
-    den, *groups = d.frame
+    den, *groups, _ = d.frame
     ox, oy = groups[0][0]
     g = gcd(den, *(c for pts in groups for x, y in pts for c in (x - ox, y - oy)))
     verts, positions, ends = (

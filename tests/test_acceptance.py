@@ -144,6 +144,22 @@ def test_criterion_8_reports_wrong_readouts(monkeypatch, mutate):
     assert "(1,1,2): traded corner reads" in result.detail
 
 
+def test_criterion_8_reports_a_missing_node(monkeypatch):
+    # the readouts are taken for the diagram's own nodes, so a diagram with
+    # two of its three nodes is a failed criterion, not an exception
+    real = atf.atf_for_markov
+
+    def two_nodes(t):
+        d = real(t)
+        return atf.AtfDiagram(d.vertices, d.nodes[:2])
+
+    monkeypatch.setattr(atf, "atf_for_markov", two_nodes)
+    result = _one(8, 3)
+    assert not result.passed
+    for t, _ in markov.enumerate_tree(3):
+        assert f"{t}: readouts " in result.detail, t
+
+
 def test_criterion_9_boundary_cross_check():
     result = verify.crit9_boundary_cross_check(30)
     assert result.passed, result.detail

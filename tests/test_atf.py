@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 from fractions import Fraction
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lenscalc import atf
+from lenscalc import atf, cli
 from lenscalc.atf import (
     AtfDiagram,
     AtfNode,
@@ -20,7 +21,6 @@ from lenscalc.atf import (
     nodal_slide,
     nodal_trade,
     node_boundary_lens,
-    pt,
     standard_cp2,
     transfer_cut,
 )
@@ -30,9 +30,10 @@ from lenscalc.errors import (
     LenscalcError,
     PreconditionError,
 )
-from lenscalc.farey import IntMat2
+from lenscalc.farey import IntMat2, det
 from lenscalc.lens import LensSpace, boundary_Bpq
 from lenscalc.markov import MarkovTriple, derive_q, enumerate_tree
+from lenscalc.svg import render_svg
 
 # the depth-6 triples whose diagrams the mutation replay could not build
 REPLAY_FAILURES = [
@@ -44,6 +45,20 @@ REPLAY_FAILURES = [
 
 # the sha256 of `TestTransferCut.test_moves_golden`'s 783 lines
 MOVES_GOLDEN = "83a96e8a9de8da4264e0f1c224ebe0fcde3e6a5955153a1b55cbbff86140d9e5"
+# the sha256 of `TestTransferCut.test_svg_golden`'s 260 pictures
+SVG_GOLDEN = "5da52af9aed740563c38933880a0337c7b48b48227f5ca59901189bfac6eb2c2"
+
+# polygons that turn left at every vertex but wind twice round: a
+# pentagram, and the {7/2} heptagram on the convex heptagon (0, 0), (4, 0),
+# (7, 2), (7, 5), (4, 7), (0, 6), (-2, 3), which takes every second vertex
+STARS = {
+    "pentagram": ((0, 0), (3, 2), (-1, 2), (2, 0), (1, 3)),
+    "heptagram": ((0, 0), (7, 2), (4, 7), (-2, 3), (4, 0), (7, 5), (0, 6)),
+}
+
+
+def pt(x, y):
+    return (Fraction(x), Fraction(y))
 
 
 def traded_triangle():
@@ -109,6 +124,24 @@ class TestDiagramBasics:
         d = traded_triangle()
         assert AtfDiagram.from_json_obj(d.to_json_obj()) == d
 
+    @pytest.mark.parametrize("star", STARS.values(), ids=list(STARS))
+    def test_star_polygon_rejected(self, star, tmp_path, capsys):
+        n = len(star)
+        edges = [(star[i][0] - star[i - 1][0], star[i][1] - star[i - 1][1]) for i in range(n)]
+        assert all(det(edges[i - 1], edges[i]) > 0 for i in range(n))  # left turns only
+        message = "vertices must be strictly convex counterclockwise"
+        doc = {"vertices": [[x, y] for x, y in star], "nodes": []}
+        with pytest.raises(InvariantError, match=f"^{message}$"):
+            AtfDiagram(star)
+        with pytest.raises(InvariantError, match=f"^{message}$"):
+            AtfDiagram.from_json_obj(doc)
+        f = tmp_path / "star.json"
+        f.write_text(json.dumps(doc))
+        assert cli.main(["atf", "move", str(f), "--transfer", "0"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert json.loads(err) == {"error": "invariant-violated", "message": message}
+
 
 class TestNodalTrade:
     def test_three_trades_give_root_picture(self):
@@ -155,6 +188,13 @@ class TestNodalSlide:
         )
         moved = nodal_slide(d, 1, target)
         assert [node_boundary_lens(moved, i) for i in range(3)] == before
+
+    def test_negative_index_counts_from_the_end(self):
+        d = traded_triangle()
+        node = d.nodes[2]
+        halfway = tuple((e + p) / 2 for e, p in zip(node.cut_end, node.position))
+        moved = nodal_slide(d, -1, halfway)
+        assert moved == nodal_slide(d, 2, halfway) and len(moved.nodes) == 3
 
     def test_off_eigenline_rejected(self):
         d = traded_triangle()
@@ -236,6 +276,30 @@ class TestTransferCut:
         assert counts == {"moved": 390 + 3, "raised": 390}  # 390 transfers, 3 trades
         assert digest.hexdigest() == MOVES_GOLDEN
 
+    def test_svg_golden(self):
+        """One sha256 over `render_svg` of every diagram to depth 7 and of
+        each of its first transfers, or the transfer's typed error."""
+        digest = hashlib.sha256()
+        counts = {"drawn": 0, "raised": 0}
+
+        def draw(make):
+            try:
+                picture = render_svg(make())
+            except LenscalcError as exc:  # hashed, not swallowed
+                counts["raised"] += 1
+                digest.update(f"{exc.code} {exc}\n".encode())
+                return
+            counts["drawn"] += 1
+            digest.update(picture.encode())
+
+        for t, _ in enumerate_tree(7):
+            d = atf_for_markov(t)
+            draw(lambda: d)
+            for i in range(3):
+                draw(lambda: transfer_cut(d, i))
+        assert counts == {"drawn": 65 * 4, "raised": 0}
+        assert digest.hexdigest() == SVG_GOLDEN
+
 
 class TestConsistencyChecker:
     def test_perturbed_eigenvector_fails(self):
@@ -294,13 +358,31 @@ class TestConsistencyChecker:
 
         monkeypatch.setattr(atf, "_integral", counted)
         d = atf_for_markov(MarkovTriple(1, 2, 5))
-        calls.clear()  # the construction's own scaling of the corners
+        moved = transfer_cut(d, 0)
+        assert calls == []  # the moves build their frames from integers
         d = AtfDiagram(d.vertices, d.nodes)
         assert calls == [9]
         assert d.frame is d.frame
         check_consistency(d)
         node_boundary_lens(d, 0)
+        assert transfer_cut(d, 0) == moved
+        d.to_json_obj()
         assert calls == [9]
+        # the Fraction views are made on the first read, and only then
+        want = (d.vertices, d.nodes)
+        made = []
+
+        def fraction(*args):
+            made.append(args)
+            return Fraction(*args)
+
+        monkeypatch.setattr(atf, "Fraction", fraction)
+        fresh = AtfDiagram.from_json_obj(d.to_json_obj())
+        assert made == []
+        assert fresh.vertices is fresh.vertices and fresh.nodes is fresh.nodes
+        assert len(made) == 2 * 3 + 4 * 3
+        assert (fresh.vertices, fresh.nodes) == want
+        assert len(made) == 2 * 3 + 4 * 3
 
     def test_normal_form_is_computed_once_per_diagram(self, monkeypatch):
         calls = []
@@ -321,14 +403,23 @@ class TestConsistencyChecker:
     def test_cached_values_are_not_fields(self):
         d = atf_for_markov(MarkovTriple(1, 2, 5))
         assert is_consistent(d)
-        with pytest.raises(AttributeError):
-            d.frame = None
-        with pytest.raises(AttributeError):
-            d.normal_form = None
+        assert [f.name for f in dataclasses.fields(d)] == ["frame"]
+        for name in ("frame", "vertices", "nodes", "normal_form"):
+            with pytest.raises(AttributeError):
+                setattr(d, name, None)
         fresh = AtfDiagram(d.vertices, d.nodes)
-        assert d == fresh and repr(d) == repr(fresh)
+        assert d == fresh and repr(d) == repr(fresh) and hash(d) == hash(fresh)
         assert d.normal_form == fresh.normal_form
-        assert repr(d).startswith("AtfDiagram(vertices=") and "frame" not in repr(d)
+        # the stored frame, in lowest terms, is all that repr shows
+        assert repr(d) == (
+            "AtfDiagram(frame=IntegralFrame(den=40, "
+            "vertices=((0, -120), (48, 24), (0, 180)), "
+            "positions=((30, 0), (42, 36), (30, 75)), "
+            "cut_ends=((0, -120), (48, 24), (0, 180)), "
+            "eigenvectors=((1, 4), (-1, 2), (2, -7))))"
+        )
+        _, verts, positions, ends, _ = d.frame
+        assert gcd(d.frame.den, *(c for p in verts + positions + ends for c in p)) == 1
 
     @pytest.mark.parametrize(
         "move", [node_boundary_lens, transfer_cut], ids=["node_boundary_lens", "transfer_cut"]
@@ -345,6 +436,49 @@ class TestConsistencyChecker:
         monkeypatch.setattr(atf, "_node_report", lambda d, i: passing)
         with pytest.raises(InternalConsistencyError, match="is not a polygon vertex"):
             move(odd, 0)
+
+
+class TestFractionEdges:
+    """The build, check, readout, transfer, JSON-out and SVG paths run on
+    the integral frame: with `atf.Fraction` made to raise, they still run,
+    and only the Fraction views raise."""
+
+    @staticmethod
+    def refuse_fractions(monkeypatch):
+        def refuse(*args):
+            raise AssertionError(f"Fraction{args} made on the integral path")
+
+        monkeypatch.setattr(atf, "Fraction", refuse)
+
+    def test_library_makes_no_fraction(self, monkeypatch):
+        triples = [t for t, _ in enumerate_tree(6)]
+        self.refuse_fractions(monkeypatch)
+        for t in triples:
+            d = atf_for_markov(t)
+            assert is_consistent(d)
+            assert sorted(node_boundary_lens(d, i).r for i in range(3)) == sorted(
+                p * p for p in t.entries()
+            )
+            for i in range(3):
+                assert affinely_equivalent(transfer_cut(transfer_cut(d, i), i), d)
+            d.to_json_obj()
+            render_svg(d)
+            repr(d)
+        with pytest.raises(AssertionError, match="integral path"):
+            d.vertices
+
+    def test_cli_build_and_transfer_make_no_fraction(self, monkeypatch, tmp_path, capsys):
+        # only the JSON reader, which is not in `atf`, makes Fractions
+        self.refuse_fractions(monkeypatch)
+        picture, first = tmp_path / "d.svg", tmp_path / "d.json"
+        assert cli.main(["atf", "build", "5", "13", "194", "--svg", str(picture)]) == 0
+        first.write_text(capsys.readouterr().out)
+        assert cli.main(["atf", "move", str(first), "--transfer", "0"]) == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        want = transfer_cut(atf_for_markov(MarkovTriple(5, 13, 194)), 0)
+        assert AtfDiagram.from_json_obj(json.loads(out)) == want
+        assert picture.read_text() == render_svg(atf_for_markov(MarkovTriple(5, 13, 194)))
 
 
 class TestMarkovPictures:

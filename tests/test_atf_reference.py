@@ -116,12 +116,13 @@ def test_reducing_frame_matches_fraction_reduction(vectors, scale):
 
 def expected_frame(d):
     """d's vertices, node positions and cut ends times the lcm of their
-    denominators, by Fraction arithmetic."""
+    denominators, by Fraction arithmetic, and its eigenvectors."""
     points = list(d.vertices) + [p for nd in d.nodes for p in (nd.position, nd.cut_end)]
     den = lcm(*(Fraction(c).denominator for p in points for c in p))
     scaled = [(int(x * den), int(y * den)) for x, y in points]
     n = len(d.vertices)
-    return (den, tuple(scaled[:n]), tuple(scaled[n::2]), tuple(scaled[n + 1 :: 2]))
+    eigens = tuple(nd.eigenvector for nd in d.nodes)
+    return (den, tuple(scaled[:n]), tuple(scaled[n::2]), tuple(scaled[n + 1 :: 2]), eigens)
 
 
 def outcome(fn, *args):
@@ -476,6 +477,9 @@ POINTS = st.tuples(rationals(3, 3), rationals(3, 3))
 @example([(0, 0), (0, 3), (3, 0)])  # clockwise
 @example([(0, 0), (3, 0), (3, 0), (0, 3)])  # repeated vertex
 @example([(0, 0), (1, 0), (0, 1), (0, 0), (1, 0), (0, 1)])  # wound twice
+@example([(0, 0), (3, 2), (-1, 2), (2, 0), (1, 3)])  # pentagram
+@example([(0, 0), (7, 2), (4, 7), (-2, 3), (4, 0), (7, 5), (0, 6)])  # {7/2} heptagram
+@example([(0, 0), (3, 0), (3, 2), (0, 1)])  # an edge with y = 0
 @example([(0, 0), (Fraction(1, 3), 0), (1, 0), (0, 1)])  # straight corner
 @example([(0, 0), (1, 0), (0, 1)])
 def test_vertex_validation_matches_reference(vertices):
