@@ -12,9 +12,13 @@ end is where an integer `det` turns sign (`_chord_end`).  Two diagrams are
 equal up to integral-affine maps iff their integer keys
 (`AtfDiagram.normal_form`) are: the least ring of vertices over the 2n
 labellings, then the least image of the nodes over the labellings that tie
-on it.  A passing node's cut end is a vertex, so a transfer splices one
-point into the vertex loop, where the eigenline exits, and applies the one
-re-gluing that flattens the old cut end.
+on it.  Only the labellings along a shortest edge can give the least ring,
+so only those are mapped.  The consistency check tests each pair of cuts
+once per diagram (`AtfDiagram._crossed_cuts`), and `_segments_intersect`
+stops at the first two signs when they put one segment strictly on one
+side of the other's line.  A passing node's cut end is a vertex, so a
+transfer splices one point into the vertex loop, where the eigenline
+exits, and applies the one re-gluing that flattens the old cut end.
 """
 
 from __future__ import annotations
@@ -85,15 +89,22 @@ def _on_segment(p: IntVec, a: IntVec, b: IntVec) -> bool:
 
 
 def _segments_intersect(a: IntVec, b: IntVec, c: IntVec, d: IntVec) -> bool:
-    """Closed segments [a,b] and [c,d] share at least one point."""
-    d1 = det(_sub(d, c), _sub(a, c))
-    d2 = det(_sub(d, c), _sub(b, c))
-    d3 = det(_sub(b, a), _sub(c, a))
-    d4 = det(_sub(b, a), _sub(d, a))
-    if ((d1 > 0 and d2 < 0) or (d1 < 0 and d2 > 0)) and (
-        (d3 > 0 and d4 < 0) or (d3 < 0 and d4 > 0)
-    ):
-        return True
+    """Closed segments [a,b] and [c,d] share at least one point.  Most pairs
+    are told apart by the first two signs, when [a,b] lies strictly on one
+    side of the line through c and d; the other two and the collinear cases
+    are computed only when those do not decide."""
+    cd = _sub(d, c)
+    d1 = det(cd, _sub(a, c))
+    d2 = det(cd, _sub(b, c))
+    if d1 * d2 > 0:
+        return False
+    ab = _sub(b, a)
+    d3 = det(ab, _sub(c, a))
+    d4 = det(ab, _sub(d, a))
+    if d3 * d4 > 0:
+        return False
+    if d1 and d2 and d3 and d4:
+        return True  # each segment's ends lie strictly on either side of the other's line
     if d1 == 0 and _on_segment(a, c, d):
         return True
     if d2 == 0 and _on_segment(b, c, d):
@@ -202,6 +213,18 @@ class AtfDiagram:
         return tuple(_node_report(self, i) for i in range(len(self.frame.positions)))
 
     @cached_property
+    def _crossed_cuts(self) -> frozenset[int]:
+        """The nodes whose cut meets another node's cut, each pair of cuts
+        tested once."""
+        _, _, positions, ends, _ = self.frame
+        crossed = set()
+        for i in range(len(positions)):
+            for j in range(i + 1, len(positions)):
+                if _segments_intersect(positions[i], ends[i], positions[j], ends[j]):
+                    crossed.update((i, j))
+        return frozenset(crossed)
+
+    @cached_property
     def normal_form(self) -> tuple:
         """A key of integers that two diagrams share iff an integral affine
         map (GL(2,Z) linear part, rational translation) takes one onto the
@@ -212,11 +235,14 @@ class AtfDiagram:
         the first edge to (l, 0) with l > 0 and the second edge to (s, t)
         with 0 <= s < t takes the ring of vertices, relative to the start.
         The key is the least ring, then the least image of the nodes under
-        the labellings that give it, so the nodes are mapped only where
-        rings tie.  The gcd of the frame's denominator and the coordinates
-        relative to a vertex is the same for every vertex and every GL(2,Z)
-        map.  Dividing it out leaves the relative points in lowest terms, so
-        no rational translation changes the key."""
+        the labellings that give it.  A ring starts at (l, 0), l the lattice
+        length of its first edge, so only the labellings that start along a
+        shortest edge are candidates: each such edge is mapped with one
+        Bezout solve, for both its directions, and the nodes are mapped only
+        where candidate rings tie.  The gcd of the frame's denominator and
+        the coordinates relative to a vertex is the same for every vertex
+        and every GL(2,Z) map.  Dividing it out leaves the relative points in
+        lowest terms, so no rational translation changes the key."""
         den, *groups, eigenvectors = self.frame
         ox, oy = groups[0][0]
         g = gcd(den, *(c for pts in groups for x, y in pts for c in (x - ox, y - oy)))
@@ -226,20 +252,30 @@ class AtfDiagram:
         # a JSON document can hold the eigenvector (0, 0)
         eigens = [_primitive(v) if any(v) else (0, 0) for v in eigenvectors]
         n = len(verts)
+        edges = [_sub(verts[(j + 1) % n], verts[j]) for j in range(n)]
+        lengths = [gcd(*e) for e in edges]
+        shortest = min(lengths)
         labellings = []
-        for j in range(n):
-            o = verts[j]
-            for step in (1, -1):
-                a, b = _primitive(_sub(verts[(j + step) % n], o))
-                ex, ey = _sub(verts[(j + 2 * step) % n], verts[(j + step) % n])
+        for j, (dx, dy) in enumerate(edges):
+            if lengths[j] != shortest:
+                continue
+            a0, b0 = dx // shortest, dy // shortest
+            x0, y0 = _bezout(a0, b0)
+            # edge j is the first edge from vertex j forwards, and from
+            # vertex j + 1 backwards with the direction and the pair negated
+            for start, step in ((j, 1), ((j + 1) % n, -1)):
+                o = verts[start]
+                a, b, x, y = step * a0, step * b0, step * x0, step * y0
+                ex, ey = _sub(verts[(start + 2 * step) % n], verts[(start + step) % n])
                 # rows (x, y) and (-b, a) send (a, b) to (1, 0); the sign of
                 # the second row puts the second edge at t > 0, and a shear
-                # of the first row puts it at 0 <= s < t
-                x, y = _bezout(a, b)
+                # of the first row puts it at 0 <= s < t, whatever the pair
                 sign = 1 if a * ey - b * ex > 0 else -1
                 k = (x * ex + y * ey) // (sign * (a * ey - b * ex))
                 m = IntMat2(x + k * sign * b, y - k * sign * a, -sign * b, sign * a)
-                ring = tuple(m.apply_vec(*_sub(verts[(j + step * i) % n], o)) for i in range(1, n))
+                ring = tuple(
+                    m.apply_vec(*_sub(verts[(start + step * i) % n], o)) for i in range(1, n)
+                )
                 labellings.append((ring, o, m))
         least = min(ring for ring, _, _ in labellings)
 
@@ -355,11 +391,7 @@ def _node_report(d: AtfDiagram, i: int) -> NodeReport:
             _parallel(mat.apply_vec(*flank[1]), flank[0])
             or _parallel(mat.apply_vec(*flank[0]), flank[1])
         ),
-        cut_disjoint=not any(
-            _segments_intersect(p, e, positions[j], ends[j])
-            for j in range(len(positions))
-            if j != i
-        ),
+        cut_disjoint=i not in d._crossed_cuts,
     )
 
 
@@ -474,7 +506,8 @@ def transfer_cut(d: AtfDiagram, node_index: int) -> AtfDiagram:
     if w == c:
         raise InternalConsistencyError("eigenline exits where it entered")
     for j, (pos, end) in enumerate(zip(positions, ends)):
-        if j != node_index and (_on_segment(pos, c, w) or _segments_intersect(c, w, pos, end)):
+        # a node on the chord is an end of its cut, so this finds it too
+        if j != node_index and _segments_intersect(c, w, pos, end):
             raise UnsupportedConfigurationError(
                 "eigenline meets another node or cut; slide the nodes first"
             )
@@ -546,6 +579,17 @@ def _reducing_frame(vectors: list[IntVec]) -> IntMat2:
             return m
 
 
+def _squares_pair(p1: int, p2: int) -> tuple[int, int]:
+    """(x, y) with p1^2 x + p2^2 y = 1 and 0 <= x < p2^2, for coprime p1
+    and p2 > 0, from one modular inverse and no Euclid on the squares: with
+    p1 u + p2 v = 1, the cube of that identity is p1^2 (p1 u^3 + 3 u^2 p2 v)
+    + p2^2 (3 p1 u v^2 + p2 v^3) = 1, and x is the first factor mod p2^2."""
+    u = pow(p1, -1, p2)
+    v = (1 - p1 * u) // p2
+    x = u * u * (p1 * u + 3 * p2 * v) % (p2 * p2)
+    return x, (1 - p1 * p1 * x) // (p2 * p2)
+
+
 def atf_for_markov(t: MarkovTriple) -> AtfDiagram:
     """Almost toric diagram of CP^2 for a Markov triple (p1, p2, p3): the
     moment triangle of the weighted projective plane P(p1^2, p2^2, p3^2),
@@ -560,10 +604,13 @@ def atf_for_markov(t: MarkovTriple) -> AtfDiagram:
     where the three eigenlines meet and no cut reaches, so no transfer of a
     cut is blocked.  The triangle is drawn in the reduced frame of its
     corners, starting at its least corner, and translated by (1, 1), which
-    makes (1,1,1) the standard triangle with its corners traded.
+    makes (1,1,1) the standard triangle with its corners traded.  The pair
+    (x, y) comes from one modular inverse (`_squares_pair`); another pair
+    shears the normals by a unimodular map, and the reduced frame gives the
+    same diagram as the Euclid pair `_bezout(w0, w1)`.
     """
     w = [p * p for p in t.entries()]
-    x, y = _bezout(w[0], w[1])
+    x, y = _squares_pair(t.p1, t.p2)
     # counterclockwise: n0, n2, n1
     normals = ((w[1], -w[2] * x), (0, 1), (-w[0], -w[2] * y))
     corners = []

@@ -17,6 +17,7 @@ from functools import cached_property
 from math import gcd
 
 from . import atf, farey, handles, lens, markov
+from .errors import LenscalcError
 from .farey import ZERO, EdgeSign, Slope
 
 
@@ -366,7 +367,9 @@ CRITERIA = (
 
 def run(numbers: Collection[int], depth: int = 8) -> list[CriterionResult]:
     """The criteria with the given numbers, in table order, at a tree depth.
-    One walk of the tree serves all their triple checks.  Each check is
+    One walk of the tree serves all their triple checks.  A `LenscalcError`
+    raised by a triple check is a failure of that criterion, naming the
+    triple, the error code and the message; the walk goes on.  Each check is
     looked up in this module when it is called, so a wrapper installed here
     sees every call."""
     fns = globals()
@@ -379,7 +382,11 @@ def run(numbers: Collection[int], depth: int = 8) -> list[CriterionResult]:
     for t in walk:
         record = TripleRecord(t)
         for extend, check in checks:
-            extend(fns[check](record))
+            try:
+                found = fns[check](record)
+            except LenscalcError as exc:
+                found = [f"{t}: {exc.code}: {exc}"]
+            extend(found)
     results = []
     for c in rows:
         if not c.title:

@@ -27,8 +27,13 @@ even to itself.
 
 The full normal form is the original `AtfDiagram.normal_form`: it maps
 every node under each of the 2n labellings and takes the least image.  The
-library maps the nodes only under the labellings that tie on the least
-ring of vertices; both must give the same key.
+library maps only the labellings that start along a shortest edge, and the
+nodes only under those that tie on the least ring of vertices; both must
+give the same key.
+
+The segment test is the original `_segments_intersect`, which computes all
+four signs before it decides; the library's stops at the first two when
+they decide.  Both must agree on every pair of segments.
 
 The transfer search is the original `transfer_cut`, which tried the
 monodromy and its inverse on either side of the eigenline and kept the

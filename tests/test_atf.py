@@ -301,6 +301,13 @@ class TestTransferCut:
         assert digest.hexdigest() == SVG_GOLDEN
 
 
+def shortest_edges(d):
+    """The number of edges of d of the least lattice length."""
+    verts = d.frame.vertices
+    lengths = [gcd(p[0] - q[0], p[1] - q[1]) for p, q in zip(verts, verts[1:] + verts[:1])]
+    return lengths.count(min(lengths))
+
+
 class TestConsistencyChecker:
     def test_perturbed_eigenvector_fails(self):
         d = traded_triangle()
@@ -347,6 +354,24 @@ class TestConsistencyChecker:
         assert sorted(node_boundary_lens(d, i).r for i in range(3)) == [1, 4, 25]
         moved = transfer_cut(d, 2)
         assert sorted(calls) == sorted((id(x), i) for x in (d, moved) for i in range(3))
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 6])
+    def test_each_pair_of_cuts_is_tested_once(self, monkeypatch, n):
+        # n short cuts from the corners of a hexagon towards its centre
+        corners = ((0, 0), (2, 0), (4, 2), (4, 4), (2, 4), (0, 2))
+        nodes = tuple(
+            AtfNode((x + (2 - x) // 2, y + (2 - y) // 2), atf._primitive((2 - x, 2 - y)), (x, y))
+            for x, y in corners[:n]
+        )
+        d = AtfDiagram(corners, nodes)
+        calls = []
+        real = atf._segments_intersect
+        monkeypatch.setattr(atf, "_segments_intersect", lambda *s: calls.append(s) or real(*s))
+        assert len(check_consistency(d)) == n
+        assert len(calls) == n * (n - 1) // 2
+        assert len({frozenset((s[:2], s[2:])) for s in calls}) == len(calls)
+        check_consistency(d)
+        assert len(calls) == n * (n - 1) // 2
 
     def test_frame_is_built_once_when_the_diagram_is_made(self, monkeypatch):
         calls = []
@@ -397,7 +422,9 @@ class TestConsistencyChecker:
         monkeypatch.setattr(atf, "_bezout", counted)
         for _ in range(3):
             assert affinely_equivalent(d, d) and not affinely_equivalent(d, other)
-        assert len(calls) == 2 * 6  # one map for each of the 2n labellings of each
+        # one Bezout solve for each shortest edge of each, which serves the
+        # two labellings that start along it; each has one shortest edge
+        assert len(calls) == shortest_edges(d) + shortest_edges(other) == 2
         assert d.normal_form is d.normal_form
 
     def test_cached_values_are_not_fields(self):

@@ -33,15 +33,25 @@ at a vertex and inside an edge, and on the depth-16 triple of the
 fastest-growing branch, where a transfer and its undo must come back to
 the start up to an integral affine map.
 
-`AtfDiagram.normal_form`, which maps the nodes only under the labellings
-that tie on the least ring, must give the key of the full minimum over all
-2n labellings: on every diagram to depth 6 after no, one and two
-transfers, on the traded standard triangle, where all six labellings tie,
-and on the standard triangle with one corner traded, where the rings tie
-and the nodes break the tie.
+`AtfDiagram.normal_form`, which maps only the labellings along a shortest
+edge and the nodes only under the labellings that tie on the least ring,
+must give the key of the full minimum over all 2n labellings: on every
+diagram to depth 6 after no, one and two transfers, on the traded standard
+triangle, where all six labellings tie, on the standard triangle with one
+corner traded, where the rings tie and the nodes break the tie, and on a
+square, a parallelogram, a hexagon and the triangle, where several edges
+tie for shortest, bare and with corners traded.
+
+`_segments_intersect` must agree with the original on every pair of
+segments with ends on a small grid, in both argument orders.
+
+`atf_for_markov` solves p1^2 x + p2^2 y = 1 from one modular inverse; its
+JSON must equal, byte for byte, the JSON it gives with the Euclid pair
+`_bezout(p1^2, p2^2)`, to depth 13 and on deeper words.
 """
 
 import json
+import random
 from fractions import Fraction
 from functools import cache
 from itertools import permutations
@@ -68,7 +78,7 @@ from lenscalc.atf import (
     transfer_cut,
 )
 from lenscalc.errors import LenscalcError, PreconditionError, UnsupportedConfigurationError
-from lenscalc.farey import IntMat2
+from lenscalc.farey import IntMat2, _bezout
 from lenscalc.markov import enumerate_tree, replay
 
 DEPTH = 5
@@ -95,6 +105,25 @@ def test_matches_replay(t):
 def test_closed_form_matches_fraction_construction():
     for t, _ in enumerate_tree(10):
         assert atf_for_markov(t).to_json_obj() == ref.fraction_atf_for_markov(t).to_json_obj(), t
+
+
+def test_squares_pair_gives_the_euclid_diagram(monkeypatch):
+    # the pair from one modular inverse and the Euclid pair of (p1^2, p2^2)
+    # differ for about half the triples, and give the same JSON, byte for
+    # byte: every triple to depth 13, the depth-16 word of the fastest
+    # branch, and seeded words of 14 to 20 letters
+    rng = random.Random(11)
+    words = ["L" * 16]
+    words += ["".join(rng.choice("LR") for _ in range(rng.randint(14, 20))) for _ in range(20)]
+    triples = [t for t, _ in enumerate_tree(13)] + [replay(w) for w in words]
+    for t in triples:
+        x, y = atf._squares_pair(t.p1, t.p2)
+        assert t.p1**2 * x + t.p2**2 * y == 1 and 0 <= x < t.p2**2, t
+    got = [json.dumps(atf_for_markov(t).to_json_obj()) for t in triples]
+    monkeypatch.setattr(atf, "_squares_pair", lambda p1, p2: _bezout(p1 * p1, p2 * p2))
+    assert sum(atf._squares_pair(t.p1, t.p2)[0] < 0 for t in triples) > len(triples) // 3
+    for t, text in zip(triples, got):
+        assert json.dumps(atf_for_markov(t).to_json_obj()) == text, t
 
 
 @settings(max_examples=300, deadline=None)
@@ -639,3 +668,52 @@ def test_normal_form_matches_full_minimum_when_rings_tie():
         assert len({ring for ring, _ in keys}) == 1
         assert len({nodes for _, nodes in keys}) > 1
         assert d.normal_form == ref.normal_form(d)
+
+
+# polygons where several edges tie for the least lattice length, so that
+# `normal_form` maps more than one shortest edge's pair of labellings
+TIED_POLYGONS = {
+    "square": ((0, 0), (2, 0), (2, 2), (0, 2)),
+    "parallelogram": ((0, 0), (2, 0), (3, 1), (1, 1)),
+    "hexagon": ((0, 0), (1, 0), (2, 1), (2, 2), (1, 2), (0, 1)),
+    "triangle": ((0, 0), (3, 0), (0, 3)),
+}
+
+
+def edge_lengths(d):
+    verts = d.frame.vertices
+    return [gcd(p[0] - q[0], p[1] - q[1]) for p, q in zip(verts, verts[1:] + verts[:1])]
+
+
+@pytest.mark.parametrize("name", sorted(TIED_POLYGONS))
+def test_normal_form_matches_full_minimum_when_shortest_edges_tie(name, monkeypatch):
+    # the bare polygon, each corner traded alone, and the traded standard
+    # triangle, whose three corners are all traded
+    bare = AtfDiagram(TIED_POLYGONS[name])
+    diagrams = [bare] + [nodal_trade(bare, k) for k in range(len(bare.vertices))]
+    if name == "triangle":
+        diagrams.append(nodal_trade(nodal_trade(diagrams[1], 1), 2))
+    solves = []
+    real = atf._bezout
+    monkeypatch.setattr(atf, "_bezout", lambda a, b: solves.append((a, b)) or real(a, b))
+    for d in diagrams:
+        lengths = edge_lengths(d)
+        assert lengths.count(min(lengths)) >= 2
+        del solves[:]
+        assert d.normal_form == ref.normal_form(d)
+        assert len(solves) == lengths.count(min(lengths))  # one per shortest edge
+
+
+def test_segments_intersect_matches_reference_on_a_grid():
+    # every pair of segments with ends on a 4 x 3 grid, in both orders:
+    # point segments, collinear overlaps and gaps, shared ends, crossings
+    grid = [(x, y) for x in range(4) for y in range(3)]
+    segments = [(p, q) for p in grid for q in grid]
+    seen = set()
+    for a, b in segments:
+        for c, d in segments:
+            want = ref._segments_intersect(a, b, c, d)
+            assert atf._segments_intersect(a, b, c, d) == want, (a, b, c, d)
+            assert atf._segments_intersect(c, d, a, b) == want, (a, b, c, d)
+            seen.add(want)
+    assert seen == {False, True}

@@ -14,9 +14,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from lenscalc import cli, markov, verify
+from lenscalc import atf, cli, markov, verify
 from lenscalc.atf import AtfDiagram, affinely_equivalent, atf_for_markov
-from lenscalc.errors import LenscalcError, PreconditionError
+from lenscalc.errors import LenscalcError, PreconditionError, UnsupportedConfigurationError
 from lenscalc.farey import DecoratedPath
 from lenscalc.handles import build_X
 from lenscalc.markov import MarkovTriple, derive_q, enumerate_tree, replay
@@ -870,6 +870,25 @@ class TestVerifyCommand:
             "ok 9 - one-curve boundary cross-check, p <= 30 (278 pairs checked)",
             "all criteria passed",
         ]
+
+    def test_typed_error_in_a_triple_check_fails_that_criterion(self, capsys, monkeypatch):
+        # criterion 8 transfers a cut at the root; a typed error there is a
+        # failure of criterion 8 naming the triple, and every line prints
+        def refuse(d, i):
+            raise UnsupportedConfigurationError("no transfer here")
+
+        monkeypatch.setattr(atf, "transfer_cut", refuse)
+        code, out, err = run(capsys, "verify", "all", "--depth", "2")
+        assert (code, err) == (1, "")
+        lines = out.splitlines()
+        assert [l.split(" - ")[0] for l in lines[:-1]] == [
+            "ok 1", "ok 2", "ok 3", "ok 4", "ok 5", "ok 6", "ok 7", "FAIL 8", "ok 9"
+        ]
+        assert lines[7] == (
+            "FAIL 8 - almost toric pipeline, tree depth 2 (3 diagrams generated; "
+            "failures: ['(1,1,1): unsupported-configuration: no transfer here'])"
+        )
+        assert lines[-1] == "some criteria FAILED"
 
     def test_full_sweep_golden(self, capsys):
         # the ten lines of `verify all --depth 8`, byte for byte
