@@ -376,17 +376,21 @@ def _parallel(u: IntVec, v: IntVec) -> bool:
 def _node_report(d: AtfDiagram, i: int) -> NodeReport:
     _, verts, positions, ends, eigens = d.frame
     a, b = eigens[i]
-    mat = monodromy(a, b)
+    # a transvection fixes the vector it runs along, and a JSON document can
+    # hold a vector that has no monodromy: read it as not fixed, not matched
+    primitive = gcd(a, b) == 1
+    mat = monodromy(a, b) if primitive else None
     p, e = positions[i], ends[i]
     cut_vec = _sub(e, p)
     flank = _flanking(verts, e)
     return NodeReport(
         i,
-        eigen_fixed=mat.apply_vec(a, b) == (a, b),
-        cut_parallel=cut_vec != (0, 0) and det(cut_vec, (a, b)) == 0,
+        eigen_fixed=primitive,
+        cut_parallel=_parallel(cut_vec, (a, b)),
         cut_on_boundary=flank is not None,
         position_interior=_interior(verts, p),
-        edges_match=flank is not None
+        edges_match=primitive
+        and flank is not None
         and (
             _parallel(mat.apply_vec(*flank[1]), flank[0])
             or _parallel(mat.apply_vec(*flank[0]), flank[1])
@@ -581,11 +585,11 @@ def _reducing_frame(vectors: list[IntVec]) -> IntMat2:
 
 def _squares_pair(p1: int, p2: int) -> tuple[int, int]:
     """(x, y) with p1^2 x + p2^2 y = 1 and 0 <= x < p2^2, for coprime p1
-    and p2 > 0, from one modular inverse and no Euclid on the squares: with
-    p1 u + p2 v = 1, the cube of that identity is p1^2 (p1 u^3 + 3 u^2 p2 v)
-    + p2^2 (3 p1 u v^2 + p2 v^3) = 1, and x is the first factor mod p2^2."""
-    u = pow(p1, -1, p2)
-    v = (1 - p1 * u) // p2
+    and p2 > 0, from the Bezout pair of p1 and p2 and none of the squares:
+    with p1 u + p2 v = 1, the cube of that identity is p1^2 (p1 u^3 +
+    3 u^2 p2 v) + p2^2 (3 p1 u v^2 + p2 v^3) = 1, and x is the first factor
+    mod p2^2."""
+    u, v = _bezout(p1, p2)
     x = u * u * (p1 * u + 3 * p2 * v) % (p2 * p2)
     return x, (1 - p1 * p1 * x) // (p2 * p2)
 
@@ -605,9 +609,9 @@ def atf_for_markov(t: MarkovTriple) -> AtfDiagram:
     cut is blocked.  The triangle is drawn in the reduced frame of its
     corners, starting at its least corner, and translated by (1, 1), which
     makes (1,1,1) the standard triangle with its corners traded.  The pair
-    (x, y) comes from one modular inverse (`_squares_pair`); another pair
-    shears the normals by a unimodular map, and the reduced frame gives the
-    same diagram as the Euclid pair `_bezout(w0, w1)`.
+    (x, y) comes from the Bezout pair of p1 and p2 (`_squares_pair`); any
+    other pair shears the normals by a unimodular map, and the reduced frame
+    gives the same diagram as, for example, Euclid's pair for (w0, w1).
     """
     w = [p * p for p in t.entries()]
     x, y = _squares_pair(t.p1, t.p2)

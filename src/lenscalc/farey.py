@@ -24,20 +24,15 @@ _RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
 
 
 def _bezout(a: int, b: int) -> tuple[int, int]:
-    """Return (x, y) with a*x + b*y = 1; requires gcd(a, b) = 1."""
-    old_r, r = a, b
-    old_x, x = 1, 0
-    old_y, y = 0, 1
-    while r != 0:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_x, x = x, old_x - q * x
-        old_y, y = y, old_y - q * y
-    if old_r == -1:
-        old_r, old_x, old_y = 1, -old_x, -old_y
-    if old_r != 1:
-        raise DegenerateInputError(f"gcd({a}, {b}) = {old_r}, expected 1")
-    return old_x, old_y
+    """Return (x, y) with a*x + b*y = 1, from one modular inverse, so
+    0 <= x < b when b > 0; requires gcd(a, b) = 1."""
+    if b == 0 and a in (1, -1):
+        return a, 0
+    try:
+        x = pow(a, -1, b)
+    except ValueError:
+        raise DegenerateInputError(f"gcd({a}, {b}) = {gcd(a, b)}, expected 1") from None
+    return x, (1 - a * x) // b
 
 
 @dataclass(frozen=True, slots=True)

@@ -7,6 +7,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .errors import InternalConsistencyError, InvariantError, PreconditionError
+from .farey import _bezout
 
 
 class Mutation(Enum):
@@ -92,13 +93,10 @@ class QTriple:
 
 
 def derive_q(t: MarkovTriple) -> QTriple:
-    """The deterministic q-triple: minimal Bezout pair with 0 <= x < p2."""
+    """The deterministic q-triple: the Bezout pair with 0 <= x < p2, and
+    (1, 0) in place of (0, 1) for p1 = p2 = 1."""
     p1, p2, p3 = t.entries()
-    if p2 == 1:
-        x, y = 1, 0
-    else:
-        x = pow(p1, -1, p2)
-        y = (1 - p1 * x) // p2
+    x, y = (1, 0) if p2 == 1 else _bezout(p1, p2)
     if p1 * x + p2 * y != 1 or x < 0 or y > 0:
         raise InternalConsistencyError("Bezout normalization failed")
     q1 = 3 * p3 * y

@@ -369,9 +369,10 @@ def run(numbers: Collection[int], depth: int = 8) -> list[CriterionResult]:
     """The criteria with the given numbers, in table order, at a tree depth.
     One walk of the tree serves all their triple checks.  A `LenscalcError`
     raised by a triple check is a failure of that criterion, naming the
-    triple, the error code and the message; the walk goes on.  Each check is
-    looked up in this module when it is called, so a wrapper installed here
-    sees every call."""
+    triple, the error code and the message; the walk goes on.  One raised by
+    a whole check fails that criterion's row, described by the check's name.
+    Each check is looked up in this module when it is called, so a wrapper
+    installed here sees every call."""
     fns = globals()
     rows = [c for c in CRITERIA if c.number in numbers]
     tree = [c for c in rows if c.title]
@@ -390,7 +391,10 @@ def run(numbers: Collection[int], depth: int = 8) -> list[CriterionResult]:
     results = []
     for c in rows:
         if not c.title:
-            results.append(fns[c.check]())
+            try:
+                results.append(fns[c.check]())
+            except LenscalcError as exc:
+                results.append(CriterionResult(c.number, c.check, False, f"{exc.code}: {exc}"))
             continue
         description = f"{c.title}, tree depth {depth}"
         results.append(_result(c.number, description, f"{len(walk)} {c.noun}", bad[c.number]))

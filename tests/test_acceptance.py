@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 
 from lenscalc import atf, farey, handles, lens, markov, verify
+from lenscalc.errors import InvariantError
 from lenscalc.farey import Slope, is_farey_edge
 
 
@@ -262,6 +263,22 @@ def test_run_all_reports_nine_passes():
     results = verify.run_all(4)
     assert [r.number for r in results] == list(range(1, 10))
     assert all(r.passed for r in results)
+
+
+@pytest.mark.parametrize("number", [5, 7, 9])
+def test_typed_error_in_a_whole_check_fails_its_row(monkeypatch, number):
+    check = verify.CRITERIA[number - 1].check
+
+    def boom():
+        raise InvariantError("boom")
+
+    monkeypatch.setattr(verify, check, boom)
+    results = verify.run_all(1)
+    assert [r.number for r in results] == list(range(1, 10))
+    assert [r.number for r in results if not r.passed] == [number]
+    assert results[number - 1] == verify.CriterionResult(
+        number, check, False, "invariant-violated: boom"
+    )
 
 
 @pytest.mark.parametrize("depth", range(7))

@@ -29,6 +29,7 @@ from lenscalc.errors import (
     InvariantError,
     LenscalcError,
     PreconditionError,
+    UnsupportedConfigurationError,
 )
 from lenscalc.farey import IntMat2, det
 from lenscalc.lens import LensSpace, boundary_Bpq
@@ -320,6 +321,23 @@ class TestConsistencyChecker:
         reports = check_consistency(broken)
         assert not reports[0].passed
         assert all(r.passed for r in reports[1:])
+
+    @pytest.mark.parametrize("eigenvector", [["2", "2"], ["0", "0"]])
+    def test_non_primitive_eigenvector_fails_its_node(self, eigenvector):
+        # a JSON document can hold a vector with no monodromy: its node fails
+        # the check, the others pass, and no report raises
+        obj = atf_for_markov(MarkovTriple(1, 1, 1)).to_json_obj()
+        obj["nodes"][1]["eigenvector"] = eigenvector
+        d = AtfDiagram.from_json_obj(obj)
+        reports = check_consistency(d)
+        assert [r.passed for r in reports] == [True, False, True]
+        bad = reports[1]
+        assert not (bad.eigen_fixed or bad.cut_parallel or bad.edges_match)
+        assert bad.cut_on_boundary and bad.position_interior and bad.cut_disjoint
+        with pytest.raises(PreconditionError, match="node fails the consistency check"):
+            transfer_cut(d, 1)
+        with pytest.raises(UnsupportedConfigurationError, match="re-glued diagram is inconsistent"):
+            transfer_cut(d, 2)
 
     def test_reports_are_computed_once(self, monkeypatch):
         calls = []

@@ -45,9 +45,10 @@ tie for shortest, bare and with corners traded.
 `_segments_intersect` must agree with the original on every pair of
 segments with ends on a small grid, in both argument orders.
 
-`atf_for_markov` solves p1^2 x + p2^2 y = 1 from one modular inverse; its
-JSON must equal, byte for byte, the JSON it gives with the Euclid pair
-`_bezout(p1^2, p2^2)`, to depth 13 and on deeper words.
+`atf_for_markov` solves p1^2 x + p2^2 y = 1 from the Bezout pair of p1 and
+p2; its JSON must equal, byte for byte, the JSON it gives with Euclid's pair
+of (p1^2, p2^2) from `farey_reference._bezout`, to depth 13 and on deeper
+words.
 """
 
 import json
@@ -62,6 +63,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import atf_reference as ref
+from farey_reference import _bezout as euclid
 from lenscalc import atf
 from lenscalc.atf import (
     AtfDiagram,
@@ -78,7 +80,7 @@ from lenscalc.atf import (
     transfer_cut,
 )
 from lenscalc.errors import LenscalcError, PreconditionError, UnsupportedConfigurationError
-from lenscalc.farey import IntMat2, _bezout
+from lenscalc.farey import IntMat2
 from lenscalc.markov import enumerate_tree, replay
 
 DEPTH = 5
@@ -108,7 +110,7 @@ def test_closed_form_matches_fraction_construction():
 
 
 def test_squares_pair_gives_the_euclid_diagram(monkeypatch):
-    # the pair from one modular inverse and the Euclid pair of (p1^2, p2^2)
+    # the pair from the Bezout pair of (p1, p2) and Euclid's of (p1^2, p2^2)
     # differ for about half the triples, and give the same JSON, byte for
     # byte: every triple to depth 13, the depth-16 word of the fastest
     # branch, and seeded words of 14 to 20 letters
@@ -120,7 +122,7 @@ def test_squares_pair_gives_the_euclid_diagram(monkeypatch):
         x, y = atf._squares_pair(t.p1, t.p2)
         assert t.p1**2 * x + t.p2**2 * y == 1 and 0 <= x < t.p2**2, t
     got = [json.dumps(atf_for_markov(t).to_json_obj()) for t in triples]
-    monkeypatch.setattr(atf, "_squares_pair", lambda p1, p2: _bezout(p1 * p1, p2 * p2))
+    monkeypatch.setattr(atf, "_squares_pair", lambda p1, p2: euclid(p1 * p1, p2 * p2))
     assert sum(atf._squares_pair(t.p1, t.p2)[0] < 0 for t in triples) > len(triples) // 3
     for t, text in zip(triples, got):
         assert json.dumps(atf_for_markov(t).to_json_obj()) == text, t

@@ -14,9 +14,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from lenscalc import atf, cli, markov, verify
+from lenscalc import atf, cli, lens, markov, verify
 from lenscalc.atf import AtfDiagram, affinely_equivalent, atf_for_markov
-from lenscalc.errors import LenscalcError, PreconditionError, UnsupportedConfigurationError
+from lenscalc.errors import (
+    InvariantError,
+    LenscalcError,
+    PreconditionError,
+    UnsupportedConfigurationError,
+)
 from lenscalc.farey import DecoratedPath
 from lenscalc.handles import build_X
 from lenscalc.markov import MarkovTriple, derive_q, enumerate_tree, replay
@@ -889,6 +894,22 @@ class TestVerifyCommand:
             "failures: ['(1,1,1): unsupported-configuration: no transfer here'])"
         )
         assert lines[-1] == "some criteria FAILED"
+
+    def test_typed_error_in_a_whole_check_fails_that_criterion(self, capsys, monkeypatch):
+        # criterion 9 runs whole; a typed error in it is a failure of its
+        # row, named by its check, and every other line prints
+        def boom(p, q):
+            raise InvariantError("boom")
+
+        monkeypatch.setattr(lens, "boundary_Bpq", boom)
+        code, out, err = run(capsys, "verify", "all", "--depth", "0")
+        assert (code, err) == (1, "")
+        lines = out.splitlines()
+        assert [l.split(" - ")[0] for l in lines[:8]] == [f"ok {n}" for n in range(1, 9)]
+        assert lines[8:] == [
+            "FAIL 9 - crit9_boundary_cross_check (invariant-violated: boom)",
+            "some criteria FAILED",
+        ]
 
     def test_full_sweep_golden(self, capsys):
         # the ten lines of `verify all --depth 8`, byte for byte

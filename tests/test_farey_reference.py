@@ -13,8 +13,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import farey_reference as ref
-from lenscalc import farey
+from lenscalc import atf, farey, lens, verify
+from lenscalc.errors import DegenerateInputError
 from lenscalc.farey import DecoratedPath, EdgeSign, Slope
+from lenscalc.markov import derive_q, enumerate_tree
 
 BIG = 2**60
 SIGNS = st.sampled_from(list(EdgeSign))
@@ -254,3 +256,67 @@ class TestDecoratedPath:
             assert p.is_minimal() == want, [str(s) for s in slopes]
             minimal += want
         assert minimal == 450
+
+
+def test_bezout_matches_the_euclid_oracle():
+    """The one modular inverse against Euclid's loop, on every a, b in
+    [-40, 40]: both solve exactly the coprime pairs, the pair solves
+    a x + b y = 1 with 0 <= x < b for b > 0, and the rest raise the same
+    type.  The two pairs differ for some inputs."""
+    differ = 0
+    for a in range(-40, 41):
+        for b in range(-40, 41):
+            got, want = outcome(farey._bezout, a, b), outcome(ref._bezout, a, b)
+            if gcd(a, b) != 1:
+                assert got[0] is want[0] is DegenerateInputError, (a, b)
+                continue
+            assert got[0] == want[0] == "ok", (a, b)
+            x, y = got[1]
+            assert a * x + b * y == 1 and (b <= 0 or 0 <= x < b), (a, b)
+            differ += got[1] != want[1]
+    assert differ > 0
+
+
+def _bezout_readouts():
+    """Every output that starts from a Bezout pair: the verify sweep, each
+    diagram to depth 8 with its transfers and their normal forms, the
+    q-triples to depth 10, and minimal paths, their lengths and lens
+    readouts on a grid of slopes."""
+    sweep = verify.run_all(8)
+    diagrams = []
+    for t, _ in enumerate_tree(8):
+        d = atf.atf_for_markov(t)
+        diagrams.append((d.to_json_obj(), d.normal_form))
+        for i in range(3):
+            kind, e = outcome(atf.transfer_cut, d, i)
+            diagrams.append((e.to_json_obj(), e.normal_form) if kind == "ok" else (kind, e))
+    qs = [derive_q(t) for t, _ in enumerate_tree(10)]
+    grid = list(dict.fromkeys(Slope(n, d) for n in range(-9, 10) for d in range(10) if n or d))
+    paths = [
+        (farey.minimal_path(u, v), farey.minimal_path_length(u, v))
+        for u in grid
+        for v in grid
+        if u != v
+    ]
+    # a readout's s may move by a multiple of r, which no output reads
+    readouts = [
+        (l.r, l.s % l.r if l.r else l.s, str(l), l.canonical, l.mirror_canonical)
+        for l in (lens.lens_from_meridian_slopes(u, v) for u in grid[::3] for v in grid)
+    ]
+    return sweep, diagrams, qs, paths, readouts
+
+
+def test_outputs_do_not_depend_on_the_bezout_pair(monkeypatch):
+    """No caller but `derive_q` depends on which pair it gets: with Euclid's
+    pair bound in every other module that solves one, every output is the
+    same.  `derive_q` prints its pair, the one with 0 <= x < p2, which is
+    Euclid's moved by a multiple of (p2, -p1)."""
+    want = _bezout_readouts()
+    for module in (farey, lens, atf):
+        monkeypatch.setattr(module, "_bezout", ref._bezout)
+    assert _bezout_readouts() == want
+    for t, _ in enumerate_tree(10):
+        if t.p2 > 1:
+            x = ref._bezout(t.p1, t.p2)[0] % t.p2
+            q = derive_q(t)
+            assert (q.bezout_x, q.bezout_y) == (x, (1 - t.p1 * x) // t.p2), t
