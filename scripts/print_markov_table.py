@@ -14,11 +14,7 @@ from lenscalc.lens import boundary_Bpq
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--depth", type=cli.integer, default=4, help="Markov tree depth")
-    args = parser.parse_args()
-    if args.depth < 0:
-        parser.error("--depth must be at least 0")
-    if args.depth > cli.DEPTH_CAP:
-        parser.error(f"--depth must be at most {cli.DEPTH_CAP}")
+    args = cli.parse_script_args(parser)
 
     print(f"{'triple':>18}  {'word':<8} {'q-triple':>24}  boundaries")
     for t, word in markov.enumerate_tree(args.depth):

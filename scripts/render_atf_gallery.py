@@ -14,11 +14,7 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--depth", type=cli.integer, default=3, help="Markov tree depth")
     parser.add_argument("--out", default="atf_gallery", help="output directory")
-    args = parser.parse_args()
-    if args.depth < 0:
-        parser.error("--depth must be at least 0")
-    if args.depth > cli.DEPTH_CAP:
-        parser.error(f"--depth must be at most {cli.DEPTH_CAP}")
+    args = cli.parse_script_args(parser)
 
     out_dir = pathlib.Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -537,7 +537,8 @@ def transfer_cut(d: AtfDiagram, node_index: int) -> AtfDiagram:
     for j, pos in enumerate(positions):
         side = det(ev, _sub(pos, p0))
         if j != node_index and side != 0 and (side > 0) == upper:
-            eigens[j] = _primitive(mat.apply_vec(*eigens[j]))
+            # M is unimodular, so M v is primitive exactly when v is
+            eigens[j] = mat.apply_vec(*eigens[j])
             positions[j], ends[j] = image(pos), image(ends[j])
     ring = [image(verts[k]) for k in chain1] + [w] + [verts[k] for k in chain2]
     try:

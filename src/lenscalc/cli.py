@@ -65,6 +65,16 @@ def integer(text: str) -> int:
     return int(text)
 
 
+def parse_script_args(parser: argparse.ArgumentParser) -> argparse.Namespace:
+    """A script's arguments: a `--depth` outside 0..DEPTH_CAP is a usage error."""
+    args = parser.parse_args()
+    if args.depth < 0:
+        parser.error("--depth must be at least 0")
+    if args.depth > DEPTH_CAP:
+        parser.error(f"--depth must be at most {DEPTH_CAP}")
+    return args
+
+
 def _check_depth(depth: int) -> int:
     if depth < 0 or depth > DEPTH_CAP:
         raise PreconditionError(f"depth must be between 0 and {DEPTH_CAP}")
@@ -234,13 +244,11 @@ def _cmd_atf_move(args) -> int:
 
 
 def _cmd_verify_all(args) -> int:
-    depth = _check_depth(args.depth)
-    results = verify.run_all(depth)
-    ok = True
+    results = verify.run_all(_check_depth(args.depth))
     for r in results:
         status = "ok" if r.passed else "FAIL"
         print(f"{status} {r.number} - {r.description} ({r.detail})")
-        ok = ok and r.passed
+    ok = all(r.passed for r in results)
     print("all criteria passed" if ok else "some criteria FAILED")
     return 0 if ok else 1
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import time
 from collections.abc import Collection
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from math import gcd
 
@@ -23,10 +23,15 @@ from .farey import ZERO, EdgeSign, Slope
 
 @dataclass(frozen=True)
 class CriterionResult:
+    """One row of a run.  `wall_s`, not compared, is the seconds the row
+    took: a whole criterion's one call, raising or not, or the sum of a tree
+    criterion's check calls, each shared value charged to its first user."""
+
     number: int
     description: str
     passed: bool
     detail: str
+    wall_s: float = field(default=0.0, compare=False)
 
 
 def _result(number: int, title: str, lead: str, bad: list) -> CriterionResult:
@@ -120,9 +125,10 @@ def crit4_surgery(r: TripleRecord) -> list[str]:
     bad = _surgery_example() if t.entries() == (1, 1, 1) else []
     # Meridian slopes of the two sides of the two-curve diagram, read on the
     # Heegaard torus between the curves; the dual knot is the longitude there.
-    lam, mu = handles.twist_matrix(handles.TorusCurve(-p2, q.q2)).apply_vec(1, 0)
+    inner, outer = r.sub.curves
+    lam, mu = handles.twist_matrix(inner).apply_vec(1, 0)
     m_in = Slope(mu, lam)
-    lam, mu = handles.twist_matrix(handles.TorusCurve(p1, q.q1)).inverse().apply_vec(1, 0)
+    lam, mu = handles.twist_matrix(outer).inverse().apply_vec(1, 0)
     m_out = Slope(mu, lam)
     ambient = lens.lens_from_meridian_slopes(m_in, m_out)
     if ambient != lens.LensSpace(-p3 * p3, p3 * q.q3 - 1):
@@ -158,7 +164,6 @@ def crit5_decorated_paths() -> CriterionResult:
     slowest = 0.0
     for path, want in expect:
         best = float("inf")
-        got = None
         for _ in range(5):
             t0 = time.perf_counter()
             got = farey.classify(path)
@@ -366,38 +371,42 @@ CRITERIA = (
 
 
 def run(numbers: Collection[int], depth: int = 8) -> list[CriterionResult]:
-    """The criteria with the given numbers, in table order, at a tree depth.
-    One walk of the tree serves all their triple checks.  A `LenscalcError`
-    raised by a triple check is a failure of that criterion, naming the
-    triple, the error code and the message; the walk goes on.  One raised by
-    a whole check fails that criterion's row, described by the check's name.
-    Each check is looked up in this module when it is called, so a wrapper
-    installed here sees every call."""
+    """The criteria with the given numbers, in table order, at a tree depth,
+    each timed in `wall_s`.  One walk of the tree serves all their triple
+    checks.  A `LenscalcError` from a triple check is a failure of that
+    criterion, naming the triple, the error code and the message; the walk
+    goes on.  One from a whole check fails that criterion's row, described
+    by the check's name.  Each check is looked up in this module when it is
+    called, so a wrapper installed here sees every call."""
     fns = globals()
     rows = [c for c in CRITERIA if c.number in numbers]
     tree = [c for c in rows if c.title]
     bad = {c.number: [] for c in tree}
+    spent = dict.fromkeys(bad, 0.0)
     # the words are not kept through the checks
     walk = [t for t, _ in markov.enumerate_tree(depth)] if tree else []
-    checks = [(bad[c.number].extend, c.check) for c in tree]
     for t in walk:
         record = TripleRecord(t)
-        for extend, check in checks:
+        for c in tree:
+            start = time.perf_counter()
             try:
-                found = fns[check](record)
+                bad[c.number] += fns[c.check](record)
             except LenscalcError as exc:
-                found = [f"{t}: {exc.code}: {exc}"]
-            extend(found)
+                bad[c.number].append(f"{t}: {exc.code}: {exc}")
+            spent[c.number] += time.perf_counter() - start
     results = []
     for c in rows:
-        if not c.title:
+        if c.title:
+            description = f"{c.title}, tree depth {depth}"
+            result = _result(c.number, description, f"{len(walk)} {c.noun}", bad[c.number])
+        else:
+            start = time.perf_counter()
             try:
-                results.append(fns[c.check]())
+                result = fns[c.check]()
             except LenscalcError as exc:
-                results.append(CriterionResult(c.number, c.check, False, f"{exc.code}: {exc}"))
-            continue
-        description = f"{c.title}, tree depth {depth}"
-        results.append(_result(c.number, description, f"{len(walk)} {c.noun}", bad[c.number]))
+                result = CriterionResult(c.number, c.check, False, f"{exc.code}: {exc}")
+            spent[c.number] = time.perf_counter() - start
+        results.append(replace(result, wall_s=spent[c.number]))
     return results
 
 

@@ -288,6 +288,46 @@ def test_run_all_matches_single_criterion_runs(depth):
     assert shared == alone
 
 
+def test_run_all_times_each_row():
+    # the rows' times are disjoint spans inside the call
+    results, elapsed = _timed(verify.run_all, 4)
+    assert all(r.wall_s >= 0 for r in results)
+    tree = {c.number for c in verify.CRITERIA if c.title}
+    assert len(tree) == 6
+    assert all(r.wall_s <= elapsed for r in results if r.number in tree)
+    assert sum(r.wall_s for r in results) <= elapsed
+
+
+def test_a_shared_value_is_charged_to_its_first_check(monkeypatch):
+    # criterion 1 is the first check to read the q-triple of each triple
+    real = markov.derive_q
+
+    def slow(t):
+        time.sleep(0.002)
+        return real(t)
+
+    monkeypatch.setattr(markov, "derive_q", slow)
+    results = verify.run([1, 2], 3)
+    assert all(r.passed for r in results)
+    triples = len(markov.enumerate_tree(3))
+    assert results[0].wall_s >= 0.002 * triples
+
+
+@pytest.mark.parametrize("number", [3, 5, 7, 9])
+def test_a_raising_check_is_timed(monkeypatch, number):
+    check = verify.CRITERIA[number - 1].check
+
+    def boom(*args):
+        time.sleep(0.002)
+        raise InvariantError("boom")
+
+    monkeypatch.setattr(verify, check, boom)
+    [result] = verify.run([number], 3)
+    assert not result.passed
+    calls = len(markov.enumerate_tree(3)) if number == 3 else 1
+    assert result.wall_s >= 0.002 * calls
+
+
 def test_run_all_walks_the_tree_once(monkeypatch):
     # one walk for all six tree criteria, one q-triple per triple
     calls = {"enumerate_tree": 0, "derive_q": []}

@@ -339,6 +339,23 @@ class TestConsistencyChecker:
         with pytest.raises(UnsupportedConfigurationError, match="re-glued diagram is inconsistent"):
             transfer_cut(d, 2)
 
+    @pytest.mark.parametrize("target", range(3))
+    @pytest.mark.parametrize("node", range(3))
+    @pytest.mark.parametrize("eigenvector", [["0", "0"], ["2", "2"]])
+    def test_bad_eigenvector_ends_every_transfer_in_a_typed_error(self, eigenvector, node, target):
+        # the re-glue carries a vector as it is: a (0, 0) vector does not
+        # raise unnamed and a (2, 2) one is not repaired, so the node's own
+        # transfer fails its check and any other transfer's result does
+        obj = atf_for_markov(MarkovTriple(1, 1, 1)).to_json_obj()
+        obj["nodes"][node]["eigenvector"] = eigenvector
+        d = AtfDiagram.from_json_obj(obj)
+        if node == target:
+            error, message = PreconditionError, "node fails the consistency check"
+        else:
+            error, message = UnsupportedConfigurationError, "re-glued diagram is inconsistent"
+        with pytest.raises(error, match=message):
+            transfer_cut(d, target)
+
     def test_reports_are_computed_once(self, monkeypatch):
         calls = []
         real = atf._node_report
