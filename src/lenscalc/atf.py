@@ -5,9 +5,12 @@ consistency checker, and per-Markov-triple generation with lens readouts.
 A diagram stores its integral frame (`AtfDiagram.frame`): one denominator,
 the least, and integer pairs over it for the vertices, node positions and
 cut ends, with the primitive integer eigenvectors.  Every move builds a new
-diagram from integers (`_diagram`).  Fractions appear only at the edges: the
-rational points `AtfDiagram(vertices, nodes)` takes, JSON in ("n/d" strings
-or integers) and out, and the `vertices` and `nodes` views.  A chord's far
+diagram from integers (`_diagram`), and so does the JSON reader, which takes
+each coordinate ("n/d" string or integer) as an integer pair (n, d > 0).
+Fractions appear only at the edges: the rational points `AtfDiagram(vertices,
+nodes)` takes, and the `vertices` and `nodes` views.  The monodromy of a node
+acts on vectors, v -> v + det(e, v) e (`farey.transvect`), with no matrix
+built, and the orientation tests run on unpacked integers.  A chord's far
 end is where an integer `det` turns sign (`_chord_end`).  Two diagrams are
 equal up to integral-affine maps iff their integer keys
 (`AtfDiagram.normal_form`) are: the least ring of vertices over the 2n
@@ -35,7 +38,7 @@ from .errors import (
     PreconditionError,
     UnsupportedConfigurationError,
 )
-from .farey import IntMat2, Slope, _bezout, _json_fraction, _json_int, det, transvection
+from .farey import IntMat2, Slope, _bezout, _json_int, _json_ratio, det, transvect, transvection
 from .lens import LensSpace, lens_from_meridian_slopes
 from .markov import MarkovTriple
 # unused here, but bench/test_bench.py checks that bench/tracer.py wraps this binding
@@ -93,14 +96,15 @@ def _segments_intersect(a: IntVec, b: IntVec, c: IntVec, d: IntVec) -> bool:
     are told apart by the first two signs, when [a,b] lies strictly on one
     side of the line through c and d; the other two and the collinear cases
     are computed only when those do not decide."""
-    cd = _sub(d, c)
-    d1 = det(cd, _sub(a, c))
-    d2 = det(cd, _sub(b, c))
+    (ax, ay), (bx, by), (cx, cy), (dx, dy) = a, b, c, d
+    ux, uy = dx - cx, dy - cy
+    d1 = ux * (ay - cy) - uy * (ax - cx)
+    d2 = ux * (by - cy) - uy * (bx - cx)
     if d1 * d2 > 0:
         return False
-    ab = _sub(b, a)
-    d3 = det(ab, _sub(c, a))
-    d4 = det(ab, _sub(d, a))
+    ux, uy = bx - ax, by - ay
+    d3 = ux * (cy - ay) - uy * (cx - ax)
+    d4 = ux * (dy - ay) - uy * (dx - ax)
     if d3 * d4 > 0:
         return False
     if d1 and d2 and d3 and d4:
@@ -117,9 +121,15 @@ def _segments_intersect(a: IntVec, b: IntVec, c: IntVec, d: IntVec) -> bool:
 
 
 def _interior(verts: list[IntVec], p: IntVec) -> bool:
-    """p lies strictly inside the counterclockwise polygon verts."""
-    edges = zip(verts, verts[1:] + verts[:1])
-    return all(det(_sub(b, a), _sub(p, a)) > 0 for a, b in edges)
+    """p lies strictly inside the counterclockwise polygon verts: det(b - a,
+    p - a) > 0 along every edge from a to b."""
+    px, py = p
+    ax, ay = verts[-1]
+    for bx, by in verts:
+        if (bx - ax) * (py - ay) - (by - ay) * (px - ax) <= 0:
+            return False
+        ax, ay = bx, by
+    return True
 
 
 def _flanking(verts: list[IntVec], p: IntVec) -> tuple[IntVec, IntVec] | None:
@@ -127,14 +137,15 @@ def _flanking(verts: list[IntVec], p: IntVec) -> tuple[IntVec, IntVec] | None:
     towards-next) when p is a vertex, the two along-edge directions when p
     is edge-interior, None when p is off the boundary."""
     n = len(verts)
-    if p in verts:
+    try:
         i = verts.index(p)
-        return _primitive(_sub(verts[i - 1], p)), _primitive(_sub(verts[(i + 1) % n], p))
-    for k in range(n):
-        a, b = verts[k], verts[(k + 1) % n]
-        if _on_segment(p, a, b):
-            return _primitive(_sub(a, p)), _primitive(_sub(b, p))
-    return None
+    except ValueError:  # p is not a vertex
+        for k in range(n):
+            a, b = verts[k], verts[(k + 1) % n]
+            if _on_segment(p, a, b):
+                return _primitive(_sub(a, p)), _primitive(_sub(b, p))
+        return None
+    return _primitive(_sub(verts[i - 1], p)), _primitive(_sub(verts[(i + 1) % n], p))
 
 
 def monodromy(a: int, b: int) -> IntMat2:
@@ -183,13 +194,20 @@ class AtfDiagram:
         groups = (vertices, positions, cut_ends)
         g = gcd(den, *(c for pts in groups for p in pts for c in p))
         verts, *marks = (tuple((x // g, y // g) for x, y in pts) for pts in groups)
-        n = len(verts)
-        if n < 3:
+        if len(verts) < 3:
             raise InvariantError("polygon needs at least three vertices")
-        edges = [_sub(verts[i], verts[i - 1]) for i in range(n)]
-        signs = [y > 0 for _, y in edges if y]
-        changes = sum(signs[i - 1] != signs[i] for i in range(len(signs)))
-        if changes != 2 or any(det(edges[i - 1], edges[i]) <= 0 for i in range(n)):
+        # each edge (ux, uy) turns left into the next, (vx, vy)
+        (x0, y0), (x1, y1) = verts[-2:]
+        ux, uy = x1 - x0, y1 - y0
+        signs = []
+        for x, y in verts:
+            vx, vy = x - x1, y - y1
+            if ux * vy - uy * vx <= 0:
+                raise InvariantError("vertices must be strictly convex counterclockwise")
+            if vy:
+                signs.append(vy > 0)
+            ux, uy, x1, y1 = vx, vy, x, y
+        if sum(signs[i - 1] != signs[i] for i in range(len(signs))) != 2:
             raise InvariantError("vertices must be strictly convex counterclockwise")
         frame = IntegralFrame(den // g, verts, *marks, tuple(eigenvectors))
         object.__setattr__(self, "frame", frame)
@@ -211,6 +229,12 @@ class AtfDiagram:
     @cached_property
     def _reports(self) -> tuple[NodeReport, ...]:
         return tuple(_node_report(self, i) for i in range(len(self.frame.positions)))
+
+    @cached_property
+    def _readouts(self) -> list[LensSpace | None]:
+        """Each node's lens readout once `node_boundary_lens` has derived it,
+        so every reader shares one object and its cached `canonical`."""
+        return [None] * len(self.frame.positions)
 
     @cached_property
     def _crossed_cuts(self) -> frozenset[int]:
@@ -272,20 +296,28 @@ class AtfDiagram:
                 # of the first row puts it at 0 <= s < t, whatever the pair
                 sign = 1 if a * ey - b * ex > 0 else -1
                 k = (x * ex + y * ey) // (sign * (a * ey - b * ex))
-                m = IntMat2(x + k * sign * b, y - k * sign * a, -sign * b, sign * a)
+                # the map, its rows (m00, m01) and (m10, m11)
+                m = m00, m01, m10, m11 = x + k * sign * b, y - k * sign * a, -sign * b, sign * a
+                ox, oy = o
                 ring = tuple(
-                    m.apply_vec(*_sub(verts[(start + step * i) % n], o)) for i in range(1, n)
+                    (m00 * (px - ox) + m01 * (py - oy), m10 * (px - ox) + m11 * (py - oy))
+                    for px, py in (verts[(start + step * i) % n] for i in range(1, n))
                 )
                 labellings.append((ring, o, m))
         least = min(ring for ring, _, _ in labellings)
 
-        def nodes(o: IntVec, m: IntMat2) -> tuple:
-            def image(p: IntVec) -> IntVec:
-                return m.apply_vec(p[0] - o[0], p[1] - o[1])
-
+        def nodes(o: IntVec, m: tuple[int, int, int, int]) -> tuple:
+            (ox, oy), (m00, m01, m10, m11) = o, m
             return tuple(sorted(
-                (image(p), max(m.apply_vec(u, v), m.apply_vec(-u, -v)), image(e))
-                for p, (u, v), e in zip(positions, eigens, ends)
+                (
+                    (m00 * (px - ox) + m01 * (py - oy), m10 * (px - ox) + m11 * (py - oy)),
+                    max(
+                        (m00 * a + m01 * b, m10 * a + m11 * b),
+                        (-m00 * a - m01 * b, -m10 * a - m11 * b),
+                    ),
+                    (m00 * (ex - ox) + m01 * (ey - oy), m10 * (ex - ox) + m11 * (ey - oy)),
+                )
+                for (px, py), (a, b), (ex, ey) in zip(positions, eigens, ends)
             ))
 
         return (den // g, least, min(nodes(o, m) for ring, o, m in labellings if ring == least))
@@ -320,19 +352,24 @@ class AtfDiagram:
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "AtfDiagram":
+        """The diagram of a JSON document, each coordinate read as an integer
+        pair (n, d > 0) and scaled to the lcm of the d, from which `_store`
+        reduces to the frame in lowest terms: "2/4" reads as "1/2" does."""
         try:
-            verts = tuple((_json_fraction(x), _json_fraction(y)) for x, y in obj["vertices"])
-            nodes = tuple(
-                AtfNode(
-                    (_json_fraction(n["position"][0]), _json_fraction(n["position"][1])),
-                    (_json_int(n["eigenvector"][0]), _json_int(n["eigenvector"][1])),
-                    (_json_fraction(n["cut_end"][0]), _json_fraction(n["cut_end"][1])),
-                )
-                for n in obj.get("nodes", ())
-            )
+            verts = [(_json_ratio(x), _json_ratio(y)) for x, y in obj["vertices"]]
+            positions, eigens, ends = [], [], []
+            for n in obj.get("nodes", ()):
+                positions.append((_json_ratio(n["position"][0]), _json_ratio(n["position"][1])))
+                eigens.append((_json_int(n["eigenvector"][0]), _json_int(n["eigenvector"][1])))
+                ends.append((_json_ratio(n["cut_end"][0]), _json_ratio(n["cut_end"][1])))
         except (KeyError, TypeError, ValueError) as exc:
             raise InvariantError(f"malformed diagram: {exc}") from exc
-        return cls(verts, nodes)
+        den = lcm(*(d for pts in (verts, positions, ends) for p in pts for _, d in p))
+
+        def scaled(pts: list) -> list[IntVec]:
+            return [(x * (den // dx), y * (den // dy)) for (x, dx), (y, dy) in pts]
+
+        return _diagram(den, scaled(verts), scaled(positions), scaled(ends), eigens)
 
 
 def _diagram(den: int, vertices, positions, cut_ends, eigenvectors) -> AtfDiagram:
@@ -379,21 +416,19 @@ def _node_report(d: AtfDiagram, i: int) -> NodeReport:
     # a transvection fixes the vector it runs along, and a JSON document can
     # hold a vector that has no monodromy: read it as not fixed, not matched
     primitive = gcd(a, b) == 1
-    mat = monodromy(a, b) if primitive else None
     p, e = positions[i], ends[i]
-    cut_vec = _sub(e, p)
     flank = _flanking(verts, e)
     return NodeReport(
         i,
         eigen_fixed=primitive,
-        cut_parallel=_parallel(cut_vec, (a, b)),
+        cut_parallel=_parallel(_sub(e, p), (a, b)),
         cut_on_boundary=flank is not None,
         position_interior=_interior(verts, p),
         edges_match=primitive
         and flank is not None
         and (
-            _parallel(mat.apply_vec(*flank[1]), flank[0])
-            or _parallel(mat.apply_vec(*flank[0]), flank[1])
+            _parallel(transvect(a, b, 1, *flank[1]), flank[0])
+            or _parallel(transvect(a, b, 1, *flank[0]), flank[1])
         ),
         cut_disjoint=i not in d._crossed_cuts,
     )
@@ -418,7 +453,8 @@ def _chord_end(verts: tuple[IntVec, ...], c: IntVec, e: IntVec) -> tuple[IntVec,
     det(e, v - c) is negative, then positive: the chord ends at the vertex
     v != c where it is zero, or inside the one edge where it turns positive."""
     n = len(verts)
-    f = [det(e, _sub(v, c)) for v in verts]
+    (ex, ey), (cx, cy) = e, c
+    f = [ex * (y - cy) - ey * (x - cx) for x, y in verts]
     for k in range(n):
         fa, fb = f[k], f[(k + 1) % n]
         if fa < 0 < fb:
@@ -478,9 +514,12 @@ def _cut_vertex(d: AtfDiagram, node_index: int) -> tuple[int, int]:
     node_index = range(len(ends))[node_index]
     if not d._reports[node_index].passed:
         raise PreconditionError("node fails the consistency check")
-    if ends[node_index] not in verts:
-        raise InternalConsistencyError("cut end of a consistent node is not a polygon vertex")
-    return node_index, verts.index(ends[node_index])
+    try:
+        return node_index, verts.index(ends[node_index])
+    except ValueError:
+        raise InternalConsistencyError(
+            "cut end of a consistent node is not a polygon vertex"
+        ) from None
 
 
 def transfer_cut(d: AtfDiagram, node_index: int) -> AtfDiagram:
@@ -522,10 +561,11 @@ def transfer_cut(d: AtfDiagram, node_index: int) -> AtfDiagram:
     chain2 = [(i_w + k) % n for k in range(1, (i_c - i_w - 1) % n + 1)]
     if not chain1 or not chain2:
         raise UnsupportedConfigurationError("eigenline runs along the boundary")
-    mat = monodromy(*ev)
+    (a, b), (x0, y0) = ev, p0
 
     def image(p: IntVec) -> IntVec:  # p0 + M(p - p0): the frame holds the node too
-        return _sub(p0, mat.apply_vec(p0[0] - p[0], p0[1] - p[1]))
+        x, y = transvect(a, b, 1, p[0] - x0, p[1] - y0)
+        return x0 + x, y0 + y
 
     # chain1 starts and chain2 ends at the vertices next to c
     next_c, prev_c = verts[chain1[0]], verts[chain2[-1]]
@@ -538,7 +578,7 @@ def transfer_cut(d: AtfDiagram, node_index: int) -> AtfDiagram:
         side = det(ev, _sub(pos, p0))
         if j != node_index and side != 0 and (side > 0) == upper:
             # M is unimodular, so M v is primitive exactly when v is
-            eigens[j] = mat.apply_vec(*eigens[j])
+            eigens[j] = transvect(a, b, 1, *eigens[j])
             positions[j], ends[j] = image(pos), image(ends[j])
     ring = [image(verts[k]) for k in chain1] + [w] + [verts[k] for k in chain2]
     try:
@@ -554,11 +594,15 @@ def node_boundary_lens(d: AtfDiagram, node_index: int) -> LensSpace:
     """Lens space traced out over a punctured neighborhood of the cut: the
     corner at the cut end glues two solid tori whose meridians are its two
     boundary directions (Vianna, arXiv:1305.7512).  The node must pass the
-    consistency check, which the diagram runs once and keeps."""
-    _, i = _cut_vertex(d, node_index)
-    verts = d.frame.vertices
-    u1, u2 = _flanking(verts, verts[i])
-    return lens_from_meridian_slopes(Slope(*u1), Slope(*u2))
+    consistency check, which the diagram runs once and keeps, with each
+    readout it derives."""
+    node_index, i = _cut_vertex(d, node_index)
+    readouts = d._readouts
+    if readouts[node_index] is None:
+        verts = d.frame.vertices
+        u1, u2 = _flanking(verts, verts[i])
+        readouts[node_index] = lens_from_meridian_slopes(Slope(*u1), Slope(*u2))
+    return readouts[node_index]
 
 
 def _reducing_frame(vectors: list[IntVec]) -> IntMat2:

@@ -133,6 +133,13 @@ def transvection(x: int, y: int, k: int) -> IntMat2:
     return IntMat2(1 - k * x * y, k * x * x, -k * y * y, 1 + k * x * y)
 
 
+def transvect(x: int, y: int, k: int, u: int, v: int) -> tuple[int, int]:
+    """transvection(x, y, k).apply_vec(u, v), (u, v) + k*det(e, (u, v))*e,
+    computed on the integers with no matrix."""
+    s = k * (x * v - y * u)
+    return u + s * x, v + s * y
+
+
 def is_farey_edge(u: Slope, v: Slope) -> bool:
     return abs(det((u.num, u.den), (v.num, v.den))) == 1
 
@@ -274,17 +281,22 @@ def _rational(text: str) -> Fraction:
     return Fraction(text)
 
 
-def _json_fraction(x) -> Fraction:
-    """A rational coordinate of a JSON document: an int that is not a bool,
-    or a string that `_rational` reads.  Floats, booleans and anything else
-    raise InvariantError."""
+def _json_ratio(x) -> tuple[int, int]:
+    """A rational coordinate of a JSON document as an integer pair (n, d),
+    d > 0, not necessarily in lowest terms: an int that is not a bool, or a
+    string "n" or "n/d" in decimal digits.  Floats, booleans, d = 0, more
+    digits than int() converts and anything else raise InvariantError."""
     if type(x) is int:
-        return Fraction(x)
-    if type(x) is str:
+        return x, 1
+    if type(x) is str and _RATIONAL.fullmatch(x):
+        n, _, d = x.partition("/")
         try:
-            return _rational(x)
-        except (ValueError, ZeroDivisionError):
+            n, d = int(n), int(d or 1)
+        except ValueError:  # more digits than int() converts
             pass
+        else:
+            if d:
+                return n, d
     raise InvariantError(f"not a rational: {x!r:.40}")
 
 

@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import json
+import re
 from fractions import Fraction
 from math import gcd
 
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lenscalc import atf, cli
+from lenscalc import atf, cli, farey
 from lenscalc.atf import (
     AtfDiagram,
     AtfNode,
@@ -109,6 +110,24 @@ class TestMonodromy:
         assert m.det() == 1
         assert m.apply_vec(a, b) == (a, b)
 
+    def test_checks_and_transfers_build_no_matrix(self, monkeypatch):
+        # the node reports, the transfers and the normal forms apply the
+        # monodromy and their maps to vectors
+        diagrams = [atf_for_markov(t) for t, _ in enumerate_tree(6)]
+
+        def refuse(*args):
+            raise AssertionError("a matrix on the vector path")
+
+        monkeypatch.setattr(atf, "monodromy", refuse)
+        monkeypatch.setattr(atf, "transvection", refuse)
+        monkeypatch.setattr(IntMat2, "apply_vec", refuse)
+        for d in diagrams:
+            assert is_consistent(d)
+            for i in range(3):
+                there = transfer_cut(d, i)
+                assert is_consistent(there)
+                assert affinely_equivalent(transfer_cut(there, i), d)
+
 
 class TestDiagramBasics:
     def test_standard_triangle(self):
@@ -138,6 +157,59 @@ class TestDiagramBasics:
             AtfDiagram.from_json_obj(doc)
         f = tmp_path / "star.json"
         f.write_text(json.dumps(doc))
+        assert cli.main(["atf", "move", str(f), "--transfer", "0"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert json.loads(err) == {"error": "invariant-violated", "message": message}
+
+
+def doubled(obj: dict) -> dict:
+    """The JSON document with every "n/d" written "2n/2d"."""
+    def twice(m: re.Match) -> str:
+        return f'"{2 * int(m[1])}/{2 * int(m[2])}"'
+
+    return json.loads(re.sub(r'"(-?[0-9]+)/([0-9]+)"', twice, json.dumps(obj)))
+
+
+class TestJsonReader:
+    """The reader takes each coordinate as an integer pair (n, d > 0) and
+    makes no Fraction; the frame it stores is in lowest terms."""
+
+    def test_unreduced_coordinates_give_the_same_diagram(self):
+        for t in [(1, 1, 1), (1, 2, 5), (5, 13, 194)]:
+            obj = atf_for_markov(MarkovTriple(*t)).to_json_obj()
+            twice = doubled(obj)
+            assert twice != obj
+            d, e = AtfDiagram.from_json_obj(obj), AtfDiagram.from_json_obj(twice)
+            assert d == e and repr(d) == repr(e) and e.to_json_obj() == obj
+
+    def test_equal_values_in_any_form_give_equal_diagrams(self):
+        def triangle(x, y):
+            return AtfDiagram.from_json_obj({"vertices": [[0, "0"], [x, "0"], ["0", y]]})
+
+        assert triangle("2/4", "1/2") == triangle("1/2", "1/2") == triangle("1/2", "3/6")
+        assert triangle(3, "3") == triangle("3", 3) == triangle("6/2", "3/1")
+        assert triangle(3, "3").frame.den == 1 and triangle("2/4", "1/2").frame.den == 2
+
+    @pytest.mark.parametrize("where", ["vertex", "position", "cut_end"])
+    @pytest.mark.parametrize(
+        "value",
+        [1.5, "1e3", "1/0", "1_0", "\u0663", True, "1" * 5000, "1/" + "1" * 5000],
+        ids=["float", "exponent", "zero-denominator", "underscore", "arabic-digit", "bool",
+             "long-numerator", "long-denominator"],
+    )
+    def test_malformed_coordinate_keeps_its_error(self, tmp_path, capsys, where, value):
+        obj = atf_for_markov(MarkovTriple(1, 1, 1)).to_json_obj()
+        if where == "vertex":
+            obj["vertices"][1][0] = value
+        else:
+            obj["nodes"][2][where][1] = value
+        message = "not a rational: " + repr(value)[:40]
+        with pytest.raises(InvariantError) as info:
+            AtfDiagram.from_json_obj(obj)
+        assert str(info.value) == message
+        f = tmp_path / "bad.json"
+        f.write_text(json.dumps(obj))
         assert cli.main(["atf", "move", str(f), "--transfer", "0"]) == 2
         out, err = capsys.readouterr()
         assert out == ""
@@ -390,6 +462,36 @@ class TestConsistencyChecker:
         moved = transfer_cut(d, 2)
         assert sorted(calls) == sorted((id(x), i) for x in (d, moved) for i in range(3))
 
+    def test_each_readout_is_derived_once(self, monkeypatch, tmp_path, capsys):
+        # the CLI's labels, `render_svg` and any later call share one object
+        calls = []
+        real = atf.lens_from_meridian_slopes
+        monkeypatch.setattr(atf, "lens_from_meridian_slopes", lambda *m: calls.append(m) or real(*m))
+        d = atf_for_markov(MarkovTriple(2, 5, 29))
+        first = [node_boundary_lens(d, i) for i in range(3)]
+        picture = render_svg(d)
+        assert len(calls) == 3
+        assert all(node_boundary_lens(d, i) is first[i] for i in range(-3, 3))
+        assert len(calls) == 3 and all(str(l) in picture for l in first)
+        del calls[:]
+        assert cli.main(["atf", "build", "2", "5", "29", "--svg", str(tmp_path / "d.svg")]) == 0
+        assert len(calls) == 3
+        assert (tmp_path / "d.svg").read_text() == picture
+        assert json.loads(capsys.readouterr().out) == d.to_json_obj()
+
+    def test_failing_node_raises_on_every_readout(self):
+        obj = atf_for_markov(MarkovTriple(1, 2, 5)).to_json_obj()
+        obj["nodes"][1]["eigenvector"] = ["2", "2"]
+        d = AtfDiagram.from_json_obj(obj)
+        for _ in range(2):
+            with pytest.raises(PreconditionError, match="node fails the consistency check"):
+                node_boundary_lens(d, 1)
+        picture = render_svg(d)
+        assert picture.count("<text ") == 2
+        assert str(node_boundary_lens(d, 2)) in picture
+        with pytest.raises(PreconditionError, match="node fails the consistency check"):
+            node_boundary_lens(d, -2)
+
     @pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 6])
     def test_each_pair_of_cuts_is_tested_once(self, monkeypatch, n):
         # n short cuts from the corners of a hexagon towards its centre
@@ -501,9 +603,9 @@ class TestConsistencyChecker:
 
 
 class TestFractionEdges:
-    """The build, check, readout, transfer, JSON-out and SVG paths run on
-    the integral frame: with `atf.Fraction` made to raise, they still run,
-    and only the Fraction views raise."""
+    """The build, check, readout, transfer, JSON and SVG paths run on the
+    integral frame: with `Fraction` made to raise in `atf` and in `farey`,
+    they still run, and only the Fraction views raise."""
 
     @staticmethod
     def refuse_fractions(monkeypatch):
@@ -511,6 +613,7 @@ class TestFractionEdges:
             raise AssertionError(f"Fraction{args} made on the integral path")
 
         monkeypatch.setattr(atf, "Fraction", refuse)
+        monkeypatch.setattr(farey, "Fraction", refuse)
 
     def test_library_makes_no_fraction(self, monkeypatch):
         triples = [t for t, _ in enumerate_tree(6)]
@@ -530,7 +633,8 @@ class TestFractionEdges:
             d.vertices
 
     def test_cli_build_and_transfer_make_no_fraction(self, monkeypatch, tmp_path, capsys):
-        # only the JSON reader, which is not in `atf`, makes Fractions
+        # the JSON reader reads integer pairs, so `atf move --transfer`
+        # makes no Fraction either
         self.refuse_fractions(monkeypatch)
         picture, first = tmp_path / "d.svg", tmp_path / "d.json"
         assert cli.main(["atf", "build", "5", "13", "194", "--svg", str(picture)]) == 0

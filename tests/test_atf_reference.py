@@ -706,6 +706,38 @@ def test_normal_form_matches_full_minimum_when_shortest_edges_tie(name, monkeypa
         assert len(solves) == lengths.count(min(lengths))  # one per shortest edge
 
 
+def test_interior_matches_reference_on_a_grid():
+    # seeded diagrams, in their frames scaled by 3: a grid over each one's
+    # bounding box, its vertices, node positions and cut ends, and the
+    # points at thirds of its edges, all integral in that frame
+    rng = random.Random(25)
+    diagrams = [atf_for_markov(t) for t in rng.sample(TRIPLES_TO_6, 8)]
+    diagrams.append(transfer_cut(atf_for_markov(SMALL_TRIPLES[0]), 0))
+    seen = set()
+    for d in diagrams:
+        den, *groups, _ = d.frame
+        verts, positions, ends = ([(3 * x, 3 * y) for x, y in pts] for pts in groups)
+        xs, ys = [x for x, _ in verts], [y for _, y in verts]
+        step = max(1, (max(xs) - min(xs)) // 12)
+        grid = [
+            (x, y)
+            for x in range(min(xs) - step, max(xs) + 2 * step, step)
+            for y in range(min(ys) - step, max(ys) + 2 * step, step)
+        ]
+        thirds = [
+            (((3 - k) * a[0] + k * b[0]) // 3, ((3 - k) * a[1] + k * b[1]) // 3)
+            for a, b in zip(verts, verts[1:] + verts[:1])
+            for k in (1, 2)
+        ]
+        for p in grid + verts + positions + ends + thirds:
+            want = ref.contains_interior(d, (Fraction(p[0], 3 * den), Fraction(p[1], 3 * den)))
+            assert atf._interior(verts, p) == want, (d, p)
+            seen.add(want)
+        assert not any(atf._interior(verts, p) for p in verts + ends + thirds)
+        assert all(atf._interior(verts, p) for p in positions)
+    assert seen == {False, True}
+
+
 def test_segments_intersect_matches_reference_on_a_grid():
     # every pair of segments with ends on a 4 x 3 grid, in both orders:
     # point segments, collinear overlaps and gaps, shared ends, crossings

@@ -21,6 +21,7 @@ from lenscalc.farey import (
     minimal_path_length,
     shorten,
     totally_inconsistent_path,
+    transvect,
     transvection,
 )
 
@@ -113,6 +114,19 @@ class TestTransvection:
     def test_action(self, e, v, k):
         t = k * det(e, v)
         assert transvection(*e, k).apply_vec(*v) == (v[0] + t * e[0], v[1] + t * e[1])
+
+    def test_vector_form_matches_the_matrix_on_a_grid(self):
+        # e and v in [-4, 4]^2: (0, 0) and non-primitive e such as (2, 4) included
+        grid = [(x, y) for x in range(-4, 5) for y in range(-4, 5)]
+        for e in grid:
+            for k in (-1, 0, 1):
+                m = transvection(*e, k)
+                for v in grid:
+                    assert transvect(*e, k, *v) == m.apply_vec(*v), (e, k, v)
+
+    @given(VECS, VECS, st.integers(-5, 5))
+    def test_vector_form_matches_the_matrix(self, e, v, k):
+        assert transvect(*e, k, *v) == transvection(*e, k).apply_vec(*v)
 
 
 class TestMinimalPath:
