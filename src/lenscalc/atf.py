@@ -2,26 +2,28 @@
 nodes, the three moves (nodal trade, nodal slide, transfer the cut), a
 consistency checker, and per-Markov-triple generation with lens readouts.
 
-A diagram stores its integral frame (`AtfDiagram.frame`): one denominator,
-the least, and integer pairs over it for the vertices, node positions and
-cut ends, with the primitive integer eigenvectors.  Every move builds a new
-diagram from integers (`_diagram`), and so does the JSON reader, which takes
-each coordinate ("n/d" string or integer) as an integer pair (n, d > 0).
-Fractions appear only at the edges: the rational points `AtfDiagram(vertices,
-nodes)` takes, and the `vertices` and `nodes` views.  The monodromy of a node
-acts on vectors, v -> v + det(e, v) e (`farey.transvect`), with no matrix
-built, and the orientation tests run on unpacked integers.  A chord's far
-end is where an integer `det` turns sign (`_chord_end`).  Two diagrams are
-equal up to integral-affine maps iff their integer keys
-(`AtfDiagram.normal_form`) are: the least ring of vertices over the 2n
-labellings, then the least image of the nodes over the labellings that tie
-on it.  Only the labellings along a shortest edge can give the least ring,
-so only those are mapped.  The consistency check tests each pair of cuts
-once per diagram (`AtfDiagram._crossed_cuts`), and `_segments_intersect`
-stops at the first two signs when they put one segment strictly on one
-side of the other's line.  A passing node's cut end is a vertex, so a
-transfer splices one point into the vertex loop, where the eigenline
-exits, and applies the one re-gluing that flattens the old cut end.
+A diagram is its integral frame (`AtfDiagram.frame`): one denominator, the
+least, and integer pairs over it for the vertices, node positions and cut
+ends, with the primitive integer eigenvectors.  The one constructor,
+`AtfDiagram(den, vertices, positions, cut_ends, eigenvectors)`, takes these
+fields, so `AtfDiagram(*d.frame) == d`.  Every move builds its diagram with
+it, and so does the JSON reader, which takes each coordinate ("n/d" string
+or integer) as an integer pair (n, d > 0).  A slide takes its ratio as two
+integers.  Fractions appear only in the `vertices` and `nodes` views.  The
+monodromy of a node acts on vectors, v -> v + det(e, v) e
+(`farey.transvect`), with no matrix built, and the orientation tests run on
+unpacked integers.  A chord's far end is where an integer `det` turns sign
+(`_chord_end`).  Two diagrams are equal up to integral-affine maps iff
+their integer keys (`AtfDiagram.normal_form`) are: the least ring of
+vertices over the 2n labellings, then the least image of the nodes over the
+labellings that tie on it.  Only the labellings along a shortest edge can
+give the least ring, so only those are mapped.  The consistency check tests
+each pair of cuts once per diagram (`AtfDiagram._crossed_cuts`), and
+`_segments_intersect` stops at the first two signs when they put one
+segment strictly on one side of the other's line.  A passing node's cut end
+is a vertex, so a transfer splices one point into the vertex loop, where
+the eigenline exits, and applies the one re-gluing that flattens the old
+cut end.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ from .errors import (
     PreconditionError,
     UnsupportedConfigurationError,
 )
-from .farey import IntMat2, Slope, _bezout, _json_int, _json_ratio, det, transvect, transvection
+from .farey import Slope, _bezout, _json_int, _json_ratio, det, transvect
 from .lens import LensSpace, lens_from_meridian_slopes
 from .markov import MarkovTriple
 # unused here, but bench/test_bench.py checks that bench/tracer.py wraps this binding
@@ -52,19 +54,10 @@ def _sub(p: IntVec, q: IntVec) -> IntVec:
     return (p[0] - q[0], p[1] - q[1])
 
 
-def _integral(points) -> tuple[int, list[IntVec]]:
-    """The lcm of the rational points' denominators, and the points scaled by
-    it as integer pairs.  A positive scaling keeps every sign of `det`, every
-    incidence and equality, and every primitive direction between the
-    points."""
-    den = lcm(*(c.denominator for p in points for c in p))
-    return den, [
-        (x.numerator * (den // x.denominator), y.numerator * (den // y.denominator))
-        for x, y in points
-    ]
-
-
 def _scaled(points, s: int) -> list[IntVec]:
+    """The points times s > 0.  A positive scaling keeps every sign of `det`,
+    every incidence and equality, and every primitive direction between the
+    points."""
     return [(s * x, s * y) for x, y in points]
 
 
@@ -148,14 +141,6 @@ def _flanking(verts: list[IntVec], p: IntVec) -> tuple[IntVec, IntVec] | None:
     return _primitive(_sub(verts[i - 1], p)), _primitive(_sub(verts[(i + 1) % n], p))
 
 
-def monodromy(a: int, b: int) -> IntMat2:
-    """The focus-focus monodromy fixing the primitive vector (a, b): the
-    transvection along it with k = 1."""
-    if gcd(a, b) != 1:
-        raise PreconditionError(f"({a},{b}) is not primitive")
-    return transvection(a, b, 1)
-
-
 @dataclass(frozen=True)
 class AtfNode:
     """A focus-focus node: position, eigendirection, and branch cut running
@@ -180,17 +165,12 @@ class AtfDiagram:
 
     frame: IntegralFrame
 
-    def __init__(self, vertices: tuple[Point, ...], nodes: tuple[AtfNode, ...] = ()) -> None:
-        nodes = tuple(nodes)
-        marks = [p for nd in nodes for p in (nd.position, nd.cut_end)]
-        den, ints = _integral([*vertices, *marks])
-        n = len(ints) - len(marks)
-        self._store(den, ints[:n], ints[n::2], ints[n + 1 :: 2], [nd.eigenvector for nd in nodes])
-
-    def _store(self, den: int, vertices, positions, cut_ends, eigenvectors) -> None:
-        """Store the frame of the integer points over den > 0, in lowest terms,
-        if the polygon turns left at every vertex and goes round once: its
-        edges' y-components, zeros left out, change sign exactly twice."""
+    def __init__(self, den: int, vertices, positions, cut_ends, eigenvectors) -> None:
+        """The diagram of the integer points over den > 0, node i at
+        positions[i] with its cut to cut_ends[i] and its eigenvector
+        eigenvectors[i].  It stores their frame in lowest terms, if the
+        polygon turns left at every vertex and goes round once: its edges'
+        y-components, zeros left out, change sign exactly twice."""
         groups = (vertices, positions, cut_ends)
         g = gcd(den, *(c for pts in groups for p in pts for c in p))
         verts, *marks = (tuple((x // g, y // g) for x, y in pts) for pts in groups)
@@ -353,8 +333,9 @@ class AtfDiagram:
     @classmethod
     def from_json_obj(cls, obj: dict) -> "AtfDiagram":
         """The diagram of a JSON document, each coordinate read as an integer
-        pair (n, d > 0) and scaled to the lcm of the d, from which `_store`
-        reduces to the frame in lowest terms: "2/4" reads as "1/2" does."""
+        pair (n, d > 0) and scaled to the lcm of the d, from which the
+        constructor reduces to the frame in lowest terms: "2/4" reads as
+        "1/2" does."""
         try:
             verts = [(_json_ratio(x), _json_ratio(y)) for x, y in obj["vertices"]]
             positions, eigens, ends = [], [], []
@@ -369,19 +350,12 @@ class AtfDiagram:
         def scaled(pts: list) -> list[IntVec]:
             return [(x * (den // dx), y * (den // dy)) for (x, dx), (y, dy) in pts]
 
-        return _diagram(den, scaled(verts), scaled(positions), scaled(ends), eigens)
-
-
-def _diagram(den: int, vertices, positions, cut_ends, eigenvectors) -> AtfDiagram:
-    """The diagram of the integer points over den > 0, made with no Fraction."""
-    d = AtfDiagram.__new__(AtfDiagram)
-    d._store(den, vertices, positions, cut_ends, eigenvectors)
-    return d
+        return cls(den, scaled(verts), scaled(positions), scaled(ends), eigens)
 
 
 def standard_cp2() -> AtfDiagram:
     """The toric triangle of side 3 (the scale is a free normalization)."""
-    return AtfDiagram(((0, 0), (3, 0), (0, 3)))
+    return AtfDiagram(1, ((0, 0), (3, 0), (0, 3)), (), (), ())
 
 
 @dataclass(frozen=True)
@@ -481,24 +455,28 @@ def nodal_trade(d: AtfDiagram, vertex_index: int) -> AtfDiagram:
     # over 2 q den, the node sits at the midpoint of the chord along the eigenline
     position = (q * corner[0] + end[0], q * corner[1] + end[1])
     verts, positions, ends = (_scaled(pts, 2 * q) for pts in (verts, positions, ends + (corner,)))
-    out = _diagram(2 * q * den, verts, positions + [position], ends, eigens + (eigen,))
+    out = AtfDiagram(2 * q * den, verts, positions + [position], ends, eigens + (eigen,))
     if not is_consistent(out):
         raise InternalConsistencyError("nodal trade produced an inconsistent diagram")
     return out
 
 
-def nodal_slide(d: AtfDiagram, node_index: int, new_position: Point) -> AtfDiagram:
-    """Move a node along its eigenline, keeping the cut end fixed."""
+def nodal_slide(d: AtfDiagram, node_index: int, n: int, m: int) -> AtfDiagram:
+    """Move a node along its eigenline, keeping the cut end fixed, so that its
+    cut becomes (n/m)(p - e), p the node and e its cut end: the node moves to
+    e + (p - e) n/m, on the frame over den m."""
+    if n <= 0 or m <= 0:
+        raise PreconditionError("slide parameter must be positive")
     den, verts, positions, ends, eigens = d.frame
-    k, [(x, y)] = _integral([new_position])
-    verts, positions, ends = (_scaled(pts, k) for pts in (verts, positions, ends))  # over den k
-    new = (den * x, den * y)
+    (px, py), (ex, ey) = positions[node_index], ends[node_index]
+    new = (m * ex + n * (px - ex), m * ey + n * (py - ey))
+    verts, positions, ends = (_scaled(pts, m) for pts in (verts, positions, ends))  # over den m
     if det(_sub(new, positions[node_index]), eigens[node_index]) != 0:
         raise PreconditionError("target is off the node's eigenline")
     if not _interior(verts, new):
         raise PreconditionError("target is not strictly interior")
     positions[node_index] = new
-    out = _diagram(den * k, verts, positions, ends, eigens)
+    out = AtfDiagram(den * m, verts, positions, ends, eigens)
     if not is_consistent(out):
         raise UnsupportedConfigurationError("slide would produce an inconsistent diagram")
     return out
@@ -582,7 +560,7 @@ def transfer_cut(d: AtfDiagram, node_index: int) -> AtfDiagram:
             positions[j], ends[j] = image(pos), image(ends[j])
     ring = [image(verts[k]) for k in chain1] + [w] + [verts[k] for k in chain2]
     try:
-        out = _diagram(q * den, ring, positions, ends, eigens)
+        out = AtfDiagram(q * den, ring, positions, ends, eigens)
     except InvariantError:
         raise UnsupportedConfigurationError("the re-glued polygon is not convex") from None
     if not is_consistent(out):
@@ -605,27 +583,27 @@ def node_boundary_lens(d: AtfDiagram, node_index: int) -> LensSpace:
     return readouts[node_index]
 
 
-def _reducing_frame(vectors: list[IntVec]) -> IntMat2:
-    """The unimodular map that Lagrange-reduces the second-moment form
-    sum v v^T = [[a, b], [b, c]] of the vectors: |2b| <= a <= c.  A reduced
-    form gives the identity.  The steps act on (a, b, c) alone and depend
-    only on its ratios, so any positive scaling of the vectors gives the
-    same map.  This frame keeps the coordinates small where a Bezout frame
-    can give long slivers."""
+def _reducing_frame(vectors: list[IntVec]) -> tuple[int, int, int, int]:
+    """The unimodular map, its rows (m00, m01) and (m10, m11), that
+    Lagrange-reduces the second-moment form sum v v^T = [[a, b], [b, c]] of
+    the vectors: |2b| <= a <= c.  A reduced form gives the identity.  The
+    steps act on (a, b, c) alone and depend only on its ratios, so any
+    positive scaling of the vectors gives the same map.  This frame keeps
+    the coordinates small where a Bezout frame can give long slivers."""
     a = sum(x * x for x, _ in vectors)
     b = sum(x * y for x, y in vectors)
     c = sum(y * y for _, y in vectors)
-    m = IntMat2.identity()
+    m00, m01, m10, m11 = 1, 0, 0, 1
     while True:
         if abs(2 * b) > a:
             k = (a - 2 * b) // (2 * a)  # nearest integer to -b/a
-            m = IntMat2(1, 0, k, 1) @ m  # (x, y) -> (x, y + k x)
+            m10, m11 = m10 + k * m00, m11 + k * m01  # (x, y) -> (x, y + k x)
             b, c = b + k * a, c + k * (2 * b + k * a)
         elif c < a:
-            m = IntMat2(0, 1, -1, 0) @ m  # (x, y) -> (y, -x)
+            m00, m01, m10, m11 = m10, m11, -m00, -m01  # (x, y) -> (y, -x)
             a, b, c = c, -b, a
         else:
-            return m
+            return m00, m01, m10, m11
 
 
 def _squares_pair(p1: int, p2: int) -> tuple[int, int]:
@@ -672,14 +650,15 @@ def atf_for_markov(t: MarkovTriple) -> AtfDiagram:
         corners.append((delta // g, (b - d) // g, (c - a) // g))
     den = lcm(*(e for e, _, _ in corners))
     ints = [(x * (den // e), y * (den // e)) for e, x, y in corners]
-    m = _reducing_frame(ints)
-    ints = [m.apply_vec(*v) for v in ints]
+    m00, m01, m10, m11 = _reducing_frame(ints)
+    ints = [(m00 * x + m01 * y, m10 * x + m11 * y) for x, y in ints]
     first = ints.index(min(ints))
     ints = ints[first:] + ints[:first]
     # over 4 den: the vertex (1, 1) + v / den and its node (1, 1) + v / (4 den)
     vertices = [(4 * (den + x), 4 * (den + y)) for x, y in ints]
     positions = [(4 * den + x, 4 * den + y) for x, y in ints]
-    return _diagram(4 * den, vertices, positions, vertices, [_primitive((-x, -y)) for x, y in ints])
+    eigens = [_primitive((-x, -y)) for x, y in ints]
+    return AtfDiagram(4 * den, vertices, positions, vertices, eigens)
 
 
 def affinely_equivalent(d1: AtfDiagram, d2: AtfDiagram) -> bool:

@@ -228,16 +228,15 @@ def _cmd_atf_move(args) -> int:
         out = atf.transfer_cut(d, _node_index(d, args.transfer))
     else:
         index, param = args.slide
-        node = d.nodes[_node_index(d, index)]
-        try:
-            factor = farey._rational(param)
-        except ZeroDivisionError:
-            raise ValueError(f"slide parameter {param} has denominator 0") from None
-        if factor <= 0:
-            raise PreconditionError("slide parameter must be positive")
-        (ex, ey), (px, py) = node.cut_end, node.position
-        target = (ex + (px - ex) * factor, ey + (py - ey) * factor)
-        out = atf.nodal_slide(d, index, target)
+        index = _node_index(d, index)
+        # "n" or "n/d" in decimal digits, the forms each `to_json_obj` writes
+        if not farey._RATIONAL.fullmatch(param):
+            raise ValueError(f"not an integer or n/d: {param!r:.40}")
+        n, _, m = param.partition("/")
+        n, m = int(n), int(m or 1)
+        if m == 0:
+            raise ValueError(f"slide parameter {param} has denominator 0")
+        out = atf.nodal_slide(d, index, n, m)
     _printable("the diagram", _diagram_integers(out))
     _dump(out.to_json_obj())
     return 0

@@ -4,6 +4,9 @@ Slopes are primitive integer vectors num/den with den >= 0 and infinity = 1/0.
 The circle is ordered clockwise: starting at infinity, the finite rationals
 appear in increasing order and wrap back to infinity.  All operations are
 pure functions over immutable values.
+
+The one transvection (`transvect`) acts on integer vectors and builds no
+matrix; `IntMat2` is the matrix form that `handles.twist_matrix` reports.
 """
 
 from __future__ import annotations
@@ -11,7 +14,6 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
 from math import gcd
 
 from .errors import DegenerateInputError, InvariantError, PreconditionError
@@ -89,20 +91,8 @@ class IntMat2:
     c: int
     d: int
 
-    @classmethod
-    def identity(cls) -> "IntMat2":
-        return cls(1, 0, 0, 1)
-
     def det(self) -> int:
         return self.a * self.d - self.b * self.c
-
-    def __matmul__(self, other: "IntMat2") -> "IntMat2":
-        return IntMat2(
-            self.a * other.a + self.b * other.c,
-            self.a * other.b + self.b * other.d,
-            self.c * other.a + self.d * other.c,
-            self.c * other.b + self.d * other.d,
-        )
 
     def inverse(self) -> "IntMat2":
         det = self.det()
@@ -126,16 +116,11 @@ def det(u, v):
     return u[0] * v[1] - u[1] * v[0]
 
 
-def transvection(x: int, y: int, k: int) -> IntMat2:
-    """The transvection v -> v + k*det(e, v)*e along e = (x, y).  It fixes e,
-    has det 1, and k, -k are inverse.  A Dehn twist of the torus along a
-    curve and the monodromy of a focus-focus node are both of this form."""
-    return IntMat2(1 - k * x * y, k * x * x, -k * y * y, 1 + k * x * y)
-
-
 def transvect(x: int, y: int, k: int, u: int, v: int) -> tuple[int, int]:
-    """transvection(x, y, k).apply_vec(u, v), (u, v) + k*det(e, (u, v))*e,
-    computed on the integers with no matrix."""
+    """The image (u, v) + k*det(e, (u, v))*e of (u, v) under the
+    transvection along e = (x, y).  It fixes e, has det 1, and k, -k are
+    inverse.  A Dehn twist of the torus along a curve and the monodromy of a
+    focus-focus node are both of this form."""
     s = k * (x * v - y * u)
     return u + s * x, v + s * y
 
@@ -269,16 +254,6 @@ def _json_int(x) -> int:
         except ValueError as exc:  # more digits than int() converts
             raise InvariantError(f"malformed integer: {exc}") from exc
     raise InvariantError(f"not an integer: {x!r:.40}")
-
-
-def _rational(text: str) -> Fraction:
-    """A rational written "n" or "n/d" in decimal digits, the forms each
-    `to_json_obj` writes.  Anything else, such as "1.5" or "1e999999999"
-    (whose power of ten `Fraction` would compute), raises ValueError; d = 0
-    raises ZeroDivisionError."""
-    if not _RATIONAL.fullmatch(text):
-        raise ValueError(f"not an integer or n/d: {text!r:.40}")
-    return Fraction(text)
 
 
 def _json_ratio(x) -> tuple[int, int]:

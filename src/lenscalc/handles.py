@@ -1,10 +1,12 @@
 """Genus-1 horizontal handle diagrams: Dehn-twist surgery calculus,
 boundary identification, CP^2 recognition, and the mutation handle slide.
 
-Curves are classes a*mu + b*lambda on the Heegaard torus; matrices act on
-(lambda; mu) column vectors.  Surgery with framing one less than the surface
+Curves are classes a*mu + b*lambda on the Heegaard torus; twists act on
+(lambda; mu) vectors.  Surgery with framing one less than the surface
 framing acts on the splitting torus as the right-handed Dehn twist
-v -> v + det(v, gamma) * gamma.
+v -> v + det(v, gamma) * gamma, the transvection `farey.transvect` along
+(lambda; mu) with k the framing, applied to each vector with no matrix
+built (`push`).
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from enum import Enum
 from math import gcd
 
 from .errors import InternalConsistencyError, InvariantError, PreconditionError
-from .farey import ZERO, IntMat2, Slope, _json_int, det, transvection
+from .farey import ZERO, IntMat2, Slope, _json_int, det, transvect
 from .lens import ThreeManifold, lens_from_meridian_slopes
 from .markov import MarkovTriple, QTriple, verify_q
 
@@ -38,10 +40,12 @@ class TorusCurve:
 
 
 def twist_matrix(c: TorusCurve) -> IntMat2:
-    """Action of surgery along c on (lambda; mu): the right-handed Dehn twist
-    for framing -1, its inverse for framing +1.  Both are the transvection
+    """Action of surgery along c on (lambda; mu) as a matrix: the
+    right-handed Dehn twist for framing -1, its inverse for framing +1.  Its
+    columns are the images of (1; 0) and (0; 1) under the transvection
     along (lambda; mu) with k the framing."""
-    return transvection(c.lam, c.mu, c.framing)
+    (a, c10), (b, c11) = (transvect(c.lam, c.mu, c.framing, *v) for v in ((1, 0), (0, 1)))
+    return IntMat2(a, b, c10, c11)
 
 
 @dataclass(frozen=True)
@@ -87,24 +91,24 @@ class HorizontalDiagram:
         return cls(curves, n3, n4)
 
 
-def composite_twist(d: HorizontalDiagram) -> IntMat2:
-    """Product of the twist matrices, innermost curve applied first: the
-    outward transit map for classes on the inner torus."""
-    m = IntMat2.identity()
+def push(d: HorizontalDiagram, lam: int, mu: int) -> tuple[int, int]:
+    """The class lam*lambda + mu*mu of the inner torus pushed out through
+    every surgery level, innermost curve first: the outward transit map,
+    one twist applied to the vector per curve."""
     for c in d.curves:
-        m = twist_matrix(c) @ m
-    return m
+        lam, mu = transvect(c.lam, c.mu, c.framing, lam, mu)
+    return lam, mu
 
 
 def boundary_of_diagram(d: HorizontalDiagram) -> ThreeManifold:
     """Boundary three-manifold: push the inner longitude (the meridian disk
     of the outer solid torus) out through all surgery levels and read the
-    resulting slope against the inner meridian."""
-    lam, mu = 1, 0
-    for c in d.curves:
-        lam, mu = twist_matrix(c).apply_vec(lam, mu)
-        if gcd(lam, mu) != 1:
-            raise InternalConsistencyError("imprimitive class after a Dehn twist")
+    resulting slope against the inner meridian.  An integer map never
+    divides the gcd of a vector, so a class imprimitive after any twist is
+    imprimitive at the end."""
+    lam, mu = push(d, 1, 0)
+    if gcd(lam, mu) != 1:
+        raise InternalConsistencyError("imprimitive class after a Dehn twist")
     outer = Slope(mu, lam)
     return ThreeManifold((lens_from_meridian_slopes(outer, ZERO),))
 
@@ -160,7 +164,7 @@ def slide_mutation(d: HorizontalDiagram, slot: Slot) -> HorizontalDiagram:
         fixed, (p, q) = TorusCurve(-p2, -q2), (p1, q1)
     else:
         fixed, (p, q) = TorusCurve(-p1, -q1), (p2, q2)
-    a, b = twist_matrix(fixed).apply_vec(-q, p)
+    a, b = transvect(fixed.lam, fixed.mu, fixed.framing, -q, p)
     new_pair = (fixed, TorusCurve(-b, -a))
     return HorizontalDiagram(new_pair + d.curves[2:], d.n3, d.n4)
 

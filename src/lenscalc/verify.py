@@ -102,7 +102,7 @@ def crit3_two_curve_boundary(r: TripleRecord) -> list[str]:
     want = lens.ThreeManifold((lens.LensSpace(-p3 * p3, p3 * r.q.q3 - 1),))
     bad = [] if r.boundary == want else [f"{r.t}: {r.boundary} != {want}"]
     if r.t.entries() == (1, 2, 5):
-        vec = handles.composite_twist(r.sub).apply_vec(1, 0)
+        vec = handles.push(r.sub, 1, 0)
         if vec != (-29, -25):
             bad.append(f"(1,2,5): pushed class {vec}, expected (-29, -25)")
     return bad
@@ -126,9 +126,10 @@ def crit4_surgery(r: TripleRecord) -> list[str]:
     # Meridian slopes of the two sides of the two-curve diagram, read on the
     # Heegaard torus between the curves; the dual knot is the longitude there.
     inner, outer = r.sub.curves
-    lam, mu = handles.twist_matrix(inner).apply_vec(1, 0)
+    lam, mu = farey.transvect(inner.lam, inner.mu, inner.framing, 1, 0)
     m_in = Slope(mu, lam)
-    lam, mu = handles.twist_matrix(outer).inverse().apply_vec(1, 0)
+    # the inverse twist: the transvection with k negated
+    lam, mu = farey.transvect(outer.lam, outer.mu, -outer.framing, 1, 0)
     m_out = Slope(mu, lam)
     ambient = lens.lens_from_meridian_slopes(m_in, m_out)
     if ambient != lens.LensSpace(-p3 * p3, p3 * q.q3 - 1):

@@ -46,6 +46,12 @@ message.  The Fraction re-gluing is that one re-gluing as the library had
 it before it moved onto the integral frame: the same steps, with the
 monodromy images x0 + M(p - x0) in Fractions.
 
+The rational builder (`rational_diagram`) is the original rational
+constructor of `AtfDiagram`: it scales the Fraction points by the lcm of
+their denominators and passes the integer frame to the one constructor.
+The focus-focus monodromy as a matrix (`monodromy`) is the one the library
+had before it applied the transvection to vectors.
+
 The module imports only public names of `lenscalc.atf`, and keeps its own
 copies of the point helpers (`_sub`, `_add`, `_integral`), so no helper it
 checks is also one it runs on.
@@ -56,12 +62,12 @@ from __future__ import annotations
 from fractions import Fraction
 from math import floor, gcd, lcm
 
+from farey_reference import transvection
 from lenscalc.atf import (
     AtfDiagram,
     AtfNode,
     NodeReport,
     is_consistent,
-    monodromy,
     nodal_slide,
     nodal_trade,
     standard_cp2,
@@ -73,20 +79,17 @@ from lenscalc.errors import (
     PreconditionError,
     UnsupportedConfigurationError,
 )
-from lenscalc.farey import IntMat2, _bezout, det, transvection
+from lenscalc.farey import IntMat2, _bezout, det
 from lenscalc.lens import S1XS2, S3, LensSpace
 from lenscalc.markov import MarkovTriple, mutation_path
 
 
-def _shrink_cuts(d: AtfDiagram, factor: Fraction) -> AtfDiagram:
-    """Slide every node towards its cut end so each cut has the given
-    fraction of its current length."""
+def _shrink_cuts(d: AtfDiagram, n: int, m: int) -> AtfDiagram:
+    """Slide every node towards its cut end so each cut has n/m of its
+    current length."""
     out = d
     for i in range(len(d.nodes)):
-        node = out.nodes[i]
-        (ex, ey), (px, py) = node.cut_end, node.position
-        target = (ex + (px - ex) * factor, ey + (py - ey) * factor)
-        out = nodal_slide(out, i, target)
+        out = nodal_slide(out, i, n, m)
     return out
 
 
@@ -112,12 +115,11 @@ def atf_for_markov(t: MarkovTriple) -> AtfDiagram:
 
 
 def _transfer_with_retries(d: AtfDiagram, node_index: int) -> AtfDiagram:
-    factor = Fraction(1, 2)
     for _ in range(12):
         try:
             return transfer_cut(d, node_index)
         except UnsupportedConfigurationError:
-            d = _shrink_cuts(d, factor)
+            d = _shrink_cuts(d, 1, 2)
     raise UnsupportedConfigurationError(
         "transfer remained blocked after shrinking all cuts"
     )
@@ -142,6 +144,24 @@ def _integral(points) -> tuple[int, list[tuple[int, int]]]:
     integer pairs."""
     den = lcm(*(Fraction(c).denominator for p in points for c in p))
     return den, [(int(x * den), int(y * den)) for x, y in points]
+
+
+def rational_diagram(vertices, nodes=()) -> AtfDiagram:
+    """The diagram of rational (Fraction or int) vertices and `AtfNode`s,
+    built from its integral frame."""
+    marks = [p for nd in nodes for p in (nd.position, nd.cut_end)]
+    den, ints = _integral([*vertices, *marks])
+    n = len(ints) - len(marks)
+    eigens = [nd.eigenvector for nd in nodes]
+    return AtfDiagram(den, ints[:n], ints[n::2], ints[n + 1 :: 2], eigens)
+
+
+def monodromy(a: int, b: int) -> IntMat2:
+    """The focus-focus monodromy fixing the primitive vector (a, b), as a
+    matrix: the transvection along it with k = 1."""
+    if gcd(a, b) != 1:
+        raise PreconditionError(f"({a},{b}) is not primitive")
+    return transvection(a, b, 1)
 
 
 def _cross(u: Vec, v: Vec):
@@ -354,7 +374,7 @@ def fraction_atf_for_markov(t: MarkovTriple) -> AtfDiagram:
         AtfNode((1 + v[0] / 4, 1 + v[1] / 4), _primitive((-v[0], -v[1])), (1 + v[0], 1 + v[1]))
         for v in corners
     )
-    return AtfDiagram(tuple((1 + v[0], 1 + v[1]) for v in corners), nodes)
+    return rational_diagram(tuple((1 + v[0], 1 + v[1]) for v in corners), nodes)
 
 
 # --- the map search ----------------------------------------------------------
@@ -574,7 +594,7 @@ def fraction_transfer_cut(d: AtfDiagram, node_index: int) -> AtfDiagram:
         new_nodes.append(other)
     ring = [transform(p) for p in chain1] + [w_end] + chain2
     try:
-        out = AtfDiagram(tuple(ring), tuple(new_nodes))
+        out = rational_diagram(tuple(ring), tuple(new_nodes))
     except InvariantError:
         raise UnsupportedConfigurationError("the re-glued polygon is not convex") from None
     if not is_consistent(out):
@@ -614,7 +634,7 @@ def _try_transfer(d, node_index, mat, side, sign1, x0, c_end, w_end, chain1, cha
         else:
             new_nodes.append(other)
     try:
-        out = AtfDiagram(tuple(loop), tuple(new_nodes))
+        out = rational_diagram(tuple(loop), tuple(new_nodes))
     except InvariantError:
         return None
     if not is_consistent(out):

@@ -7,6 +7,10 @@ plain tuples.  `tests/test_farey_reference.py`
 checks the integer-only versions in `lenscalc.farey` against them: same
 results, same exception types, same messages.  Only the checked `Slope`
 constructor and the enums are shared with the library.
+
+The matrix transvection (`transvection`), with the matrix product and the
+identity that compose it, is the oracle of the vector form
+`lenscalc.farey.transvect`, which the library applies with no matrix.
 """
 
 from __future__ import annotations
@@ -14,7 +18,27 @@ from __future__ import annotations
 from fractions import Fraction
 
 from lenscalc.errors import DegenerateInputError, InvariantError, PreconditionError
-from lenscalc.farey import EdgeSign, Slope
+from lenscalc.farey import EdgeSign, IntMat2, Slope
+
+
+def identity() -> IntMat2:
+    return IntMat2(1, 0, 0, 1)
+
+
+def matmul(m: IntMat2, n: IntMat2) -> IntMat2:
+    """The product m n: n applied first."""
+    return IntMat2(
+        m.a * n.a + m.b * n.c,
+        m.a * n.b + m.b * n.d,
+        m.c * n.a + m.d * n.c,
+        m.c * n.b + m.d * n.d,
+    )
+
+
+def transvection(x: int, y: int, k: int) -> IntMat2:
+    """The transvection v -> v + k*det(e, v)*e along e = (x, y) as a matrix.
+    It fixes e, has det 1, and k, -k are inverse."""
+    return IntMat2(1 - k * x * y, k * x * x, -k * y * y, 1 + k * x * y)
 
 
 def _bezout(a: int, b: int) -> tuple[int, int]:

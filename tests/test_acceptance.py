@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+from atf_reference import rational_diagram
 from lenscalc import atf, farey, handles, lens, markov, verify
 from lenscalc.errors import InvariantError
 from lenscalc.farey import Slope, is_farey_edge
@@ -152,7 +153,7 @@ def test_criterion_8_reports_a_missing_node(monkeypatch):
 
     def two_nodes(t):
         d = real(t)
-        return atf.AtfDiagram(d.vertices, d.nodes[:2])
+        return rational_diagram(d.vertices, d.nodes[:2])
 
     monkeypatch.setattr(atf, "atf_for_markov", two_nodes)
     result = _one(8, 3)

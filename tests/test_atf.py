@@ -1,15 +1,18 @@
 import dataclasses
+import fractions
 import hashlib
+import importlib
 import json
+import pkgutil
 import re
 from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from lenscalc import atf, cli, farey
+import lenscalc
+from atf_reference import rational_diagram
+from lenscalc import atf, cli, verify
 from lenscalc.atf import (
     AtfDiagram,
     AtfNode,
@@ -18,7 +21,6 @@ from lenscalc.atf import (
     atf_for_markov,
     check_consistency,
     is_consistent,
-    monodromy,
     nodal_slide,
     nodal_trade,
     node_boundary_lens,
@@ -88,45 +90,36 @@ def corner_order(d, corner):
 
 
 class TestMonodromy:
-    def test_one_one(self):
-        assert monodromy(1, 1) == IntMat2(0, 1, -1, 2)
-        assert monodromy(1, 1).apply_vec(1, 1) == (1, 1)
-
-    def test_two_one(self):
-        assert monodromy(2, 1) == IntMat2(-1, 4, -1, 3)
-
-    def test_imprimitive_rejected(self):
-        with pytest.raises(PreconditionError):
-            monodromy(2, 4)
-
-    @given(
-        st.tuples(st.integers(-100, 100), st.integers(-100, 100)).filter(
-            lambda t: t != (0, 0) and gcd(t[0], t[1]) == 1
-        )
-    )
-    def test_determinant_and_fixed_vector(self, ab):
-        a, b = ab
-        m = monodromy(a, b)
-        assert m.det() == 1
-        assert m.apply_vec(a, b) == (a, b)
-
-    def test_checks_and_transfers_build_no_matrix(self, monkeypatch):
-        # the node reports, the transfers and the normal forms apply the
-        # monodromy and their maps to vectors
+    def test_checks_and_transfers_build_no_matrix(self, monkeypatch, tmp_path, capsys):
+        # the sweep, the node reports, the transfers, the normal forms and the
+        # CLI's moves apply each twist, monodromy and map to vectors: with
+        # every `IntMat2` made to raise, they all still run
         diagrams = [atf_for_markov(t) for t, _ in enumerate_tree(6)]
 
         def refuse(*args):
             raise AssertionError("a matrix on the vector path")
 
-        monkeypatch.setattr(atf, "monodromy", refuse)
-        monkeypatch.setattr(atf, "transvection", refuse)
-        monkeypatch.setattr(IntMat2, "apply_vec", refuse)
+        monkeypatch.setattr(IntMat2, "__init__", refuse)
+        results = verify.run_all(6)
+        assert [r.number for r in results if not r.passed] == []
         for d in diagrams:
             assert is_consistent(d)
             for i in range(3):
                 there = transfer_cut(d, i)
                 assert is_consistent(there)
                 assert affinely_equivalent(transfer_cut(there, i), d)
+        diagram, handle = tmp_path / "d.json", tmp_path / "h.json"
+        for argv, f in [
+            (["atf", "build", "2", "5", "29"], diagram),
+            (["atf", "move", str(diagram), "--slide", "0", "1/2"], None),
+            (["handle", "build-x", "2", "5", "29", "--json"], handle),
+            (["handle", "mutate", str(handle), "--slot", "first"], None),
+        ]:
+            assert cli.main(argv) == 0
+            out, err = capsys.readouterr()
+            assert err == "" and json.loads(out)
+            if f is not None:
+                f.write_text(out)
 
 
 class TestDiagramBasics:
@@ -138,7 +131,7 @@ class TestDiagramBasics:
 
     def test_nonconvex_rejected(self):
         with pytest.raises(InvariantError):
-            AtfDiagram((pt(0, 0), pt(0, 3), pt(3, 0)))  # clockwise
+            rational_diagram((pt(0, 0), pt(0, 3), pt(3, 0)))  # clockwise
 
     def test_json_round_trip(self):
         d = traded_triangle()
@@ -152,7 +145,7 @@ class TestDiagramBasics:
         message = "vertices must be strictly convex counterclockwise"
         doc = {"vertices": [[x, y] for x, y in star], "nodes": []}
         with pytest.raises(InvariantError, match=f"^{message}$"):
-            AtfDiagram(star)
+            rational_diagram(star)
         with pytest.raises(InvariantError, match=f"^{message}$"):
             AtfDiagram.from_json_obj(doc)
         f = tmp_path / "star.json"
@@ -247,9 +240,9 @@ class TestNodalSlide:
             node.cut_end[0] + (node.position[0] - node.cut_end[0]) / 2,
             node.cut_end[1] + (node.position[1] - node.cut_end[1]) / 2,
         )
-        moved = nodal_slide(d, 0, halfway)
+        moved = nodal_slide(d, 0, 1, 2)
         assert moved.nodes[0].position == halfway
-        assert nodal_slide(moved, 0, node.position) == d
+        assert nodal_slide(moved, 0, 2, 1) == d
 
     def test_readout_unchanged(self):
         d = traded_triangle()
@@ -259,22 +252,35 @@ class TestNodalSlide:
             node.cut_end[0] + (node.position[0] - node.cut_end[0]) * Fraction(3, 4),
             node.cut_end[1] + (node.position[1] - node.cut_end[1]) * Fraction(3, 4),
         )
-        moved = nodal_slide(d, 1, target)
+        moved = nodal_slide(d, 1, 3, 4)
+        assert moved.nodes[1].position == target
         assert [node_boundary_lens(moved, i) for i in range(3)] == before
 
     def test_negative_index_counts_from_the_end(self):
         d = traded_triangle()
         node = d.nodes[2]
         halfway = tuple((e + p) / 2 for e, p in zip(node.cut_end, node.position))
-        moved = nodal_slide(d, -1, halfway)
-        assert moved == nodal_slide(d, 2, halfway) and len(moved.nodes) == 3
+        moved = nodal_slide(d, -1, 1, 2)
+        assert moved == nodal_slide(d, 2, 1, 2) and len(moved.nodes) == 3
+        assert moved.nodes[2].position == halfway
+
+    def test_ratio_in_any_terms_gives_the_same_diagram(self):
+        d = traded_triangle()
+        assert nodal_slide(d, 0, 2, 4) == nodal_slide(d, 0, 1, 2) == nodal_slide(d, 0, 50, 100)
+
+    @pytest.mark.parametrize("n, m", [(0, 1), (-1, 2), (1, 0), (1, -2), (-1, -2)])
+    def test_ratio_not_positive_rejected(self, n, m):
+        with pytest.raises(PreconditionError, match="^slide parameter must be positive$"):
+            nodal_slide(traded_triangle(), 0, n, m)
 
     def test_off_eigenline_rejected(self):
-        d = traded_triangle()
-        node = d.nodes[0]
-        bad = (node.position[0] + 7, node.position[1])
-        with pytest.raises(PreconditionError):
-            nodal_slide(d, 0, bad)
+        # node 0 with an eigenvector that is not along its cut: a slide by
+        # any ratio but 1 leaves the eigenline
+        den, verts, positions, ends, eigens = traded_triangle().frame
+        d = AtfDiagram(den, verts, positions, ends, ((1, 0),) + eigens[1:])
+        assert det((ends[0][0] - positions[0][0], ends[0][1] - positions[0][1]), (1, 0)) != 0
+        with pytest.raises(PreconditionError, match="^target is off the node's eigenline$"):
+            nodal_slide(d, 0, 1, 2)
 
 
 class TestTransferCut:
@@ -313,7 +319,7 @@ class TestTransferCut:
 
     def test_inconsistent_node_rejected(self):
         d = traded_triangle()
-        moved = AtfDiagram((pt(1, 1),) + d.vertices[1:], d.nodes)
+        moved = rational_diagram((pt(1, 1),) + d.vertices[1:], d.nodes)
         assert not check_consistency(moved)[0].passed
         with pytest.raises(PreconditionError):
             transfer_cut(moved, 0)
@@ -389,7 +395,7 @@ class TestConsistencyChecker:
         while gcd(a, b + 1) != 1:
             b += 1
         bad = AtfNode(node.position, (a, b + 1), node.cut_end)
-        broken = AtfDiagram(d.vertices, (bad,) + d.nodes[1:])
+        broken = rational_diagram(d.vertices, (bad,) + d.nodes[1:])
         reports = check_consistency(broken)
         assert not reports[0].passed
         assert all(r.passed for r in reports[1:])
@@ -500,7 +506,7 @@ class TestConsistencyChecker:
             AtfNode((x + (2 - x) // 2, y + (2 - y) // 2), atf._primitive((2 - x, 2 - y)), (x, y))
             for x, y in corners[:n]
         )
-        d = AtfDiagram(corners, nodes)
+        d = rational_diagram(corners, nodes)
         calls = []
         real = atf._segments_intersect
         monkeypatch.setattr(atf, "_segments_intersect", lambda *s: calls.append(s) or real(*s))
@@ -512,24 +518,20 @@ class TestConsistencyChecker:
 
     def test_frame_is_built_once_when_the_diagram_is_made(self, monkeypatch):
         calls = []
-        real = atf._integral
-
-        def counted(points):
-            calls.append(len(points))
-            return real(points)
-
-        monkeypatch.setattr(atf, "_integral", counted)
+        real = atf.IntegralFrame
+        monkeypatch.setattr(atf, "IntegralFrame", lambda *f: calls.append(f) or real(*f))
         d = atf_for_markov(MarkovTriple(1, 2, 5))
         moved = transfer_cut(d, 0)
-        assert calls == []  # the moves build their frames from integers
-        d = AtfDiagram(d.vertices, d.nodes)
-        assert calls == [9]
+        assert len(calls) == 2  # one frame for each diagram made
+        d = AtfDiagram(*d.frame)
+        assert len(calls) == 3
         assert d.frame is d.frame
         check_consistency(d)
         node_boundary_lens(d, 0)
-        assert transfer_cut(d, 0) == moved
         d.to_json_obj()
-        assert calls == [9]
+        assert len(calls) == 3
+        assert transfer_cut(d, 0) == moved
+        assert len(calls) == 4
         # the Fraction views are made on the first read, and only then
         want = (d.vertices, d.nodes)
         made = []
@@ -571,9 +573,9 @@ class TestConsistencyChecker:
         for name in ("frame", "vertices", "nodes", "normal_form"):
             with pytest.raises(AttributeError):
                 setattr(d, name, None)
-        fresh = AtfDiagram(d.vertices, d.nodes)
-        assert d == fresh and repr(d) == repr(fresh) and hash(d) == hash(fresh)
-        assert d.normal_form == fresh.normal_form
+        for fresh in (AtfDiagram(*d.frame), rational_diagram(d.vertices, d.nodes)):
+            assert d == fresh and repr(d) == repr(fresh) and hash(d) == hash(fresh)
+            assert d.normal_form == fresh.normal_form
         # the stored frame, in lowest terms, is all that repr shows
         assert repr(d) == (
             "AtfDiagram(frame=IntegralFrame(den=40, "
@@ -595,7 +597,7 @@ class TestConsistencyChecker:
         d = traded_triangle()
         node = d.nodes[0]
         edge_point = (Fraction(1), Fraction(0))
-        odd = AtfDiagram(d.vertices, (AtfNode(node.position, node.eigenvector, edge_point),))
+        odd = rational_diagram(d.vertices, (AtfNode(node.position, node.eigenvector, edge_point),))
         passing = NodeReport(0, True, True, True, True, True, True)
         monkeypatch.setattr(atf, "_node_report", lambda d, i: passing)
         with pytest.raises(InternalConsistencyError, match="is not a polygon vertex"):
@@ -603,9 +605,10 @@ class TestConsistencyChecker:
 
 
 class TestFractionEdges:
-    """The build, check, readout, transfer, JSON and SVG paths run on the
-    integral frame: with `Fraction` made to raise in `atf` and in `farey`,
-    they still run, and only the Fraction views raise."""
+    """The build, check, readout, transfer, slide, JSON and SVG paths run on
+    the integral frame: with `Fraction` made to raise in `atf`, the one
+    module that binds it, they still run, and only the Fraction views
+    raise."""
 
     @staticmethod
     def refuse_fractions(monkeypatch):
@@ -613,7 +616,16 @@ class TestFractionEdges:
             raise AssertionError(f"Fraction{args} made on the integral path")
 
         monkeypatch.setattr(atf, "Fraction", refuse)
-        monkeypatch.setattr(farey, "Fraction", refuse)
+
+    def test_only_atf_binds_fraction(self):
+        names = [m.name for m in pkgutil.iter_modules(lenscalc.__path__)]
+        assert "atf" in names and "cli" in names
+        binding = []
+        for name in names:
+            values = vars(importlib.import_module(f"lenscalc.{name}")).values()
+            if any(v is Fraction or v is fractions for v in values):
+                binding.append(name)
+        assert binding == ["atf"]
 
     def test_library_makes_no_fraction(self, monkeypatch):
         triples = [t for t, _ in enumerate_tree(6)]
@@ -633,18 +645,24 @@ class TestFractionEdges:
             d.vertices
 
     def test_cli_build_and_transfer_make_no_fraction(self, monkeypatch, tmp_path, capsys):
-        # the JSON reader reads integer pairs, so `atf move --transfer`
-        # makes no Fraction either
+        # the JSON reader reads integer pairs and `--slide` reads its ratio
+        # as two integers, so `atf move` makes no Fraction either
         self.refuse_fractions(monkeypatch)
         picture, first = tmp_path / "d.svg", tmp_path / "d.json"
+        d = atf_for_markov(MarkovTriple(5, 13, 194))
         assert cli.main(["atf", "build", "5", "13", "194", "--svg", str(picture)]) == 0
         first.write_text(capsys.readouterr().out)
-        assert cli.main(["atf", "move", str(first), "--transfer", "0"]) == 0
-        out, err = capsys.readouterr()
-        assert err == ""
-        want = transfer_cut(atf_for_markov(MarkovTriple(5, 13, 194)), 0)
-        assert AtfDiagram.from_json_obj(json.loads(out)) == want
-        assert picture.read_text() == render_svg(atf_for_markov(MarkovTriple(5, 13, 194)))
+        moves = [
+            (["--transfer", "0"], transfer_cut(d, 0)),
+            (["--slide", "0", "1/2"], nodal_slide(d, 0, 1, 2)),
+            (["--slide", "0", "2/4"], nodal_slide(d, 0, 1, 2)),
+        ]
+        for move, want in moves:
+            assert cli.main(["atf", "move", str(first), *move]) == 0
+            out, err = capsys.readouterr()
+            assert err == ""
+            assert AtfDiagram.from_json_obj(json.loads(out)) == want
+        assert picture.read_text() == render_svg(d)
 
 
 class TestMarkovPictures:
@@ -672,7 +690,7 @@ class TestMarkovPictures:
         def image(p):
             return (mat.a * p[0] + mat.b * p[1] + 5, mat.c * p[0] + mat.d * p[1] - 2)
 
-        moved = AtfDiagram(
+        moved = rational_diagram(
             tuple(image(v) for v in d.vertices),
             tuple(
                 AtfNode(

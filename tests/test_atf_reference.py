@@ -45,6 +45,10 @@ tie for shortest, bare and with corners traded.
 `_segments_intersect` must agree with the original on every pair of
 segments with ends on a small grid, in both argument orders.
 
+The matrix monodromy kept in `atf_reference`, the oracle of the vector
+transvection, fixes its primitive vector, has det 1 and rejects an
+imprimitive one.
+
 `atf_for_markov` solves p1^2 x + p2^2 y = 1 from the Bezout pair of p1 and
 p2; its JSON must equal, byte for byte, the JSON it gives with Euclid's pair
 of (p1^2, p2^2) from `farey_reference._bezout`, to depth 13 and on deeper
@@ -63,7 +67,9 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import atf_reference as ref
+from atf_reference import rational_diagram
 from farey_reference import _bezout as euclid
+from farey_reference import identity, matmul
 from lenscalc import atf
 from lenscalc.atf import (
     AtfDiagram,
@@ -96,11 +102,38 @@ def readouts(d):
     return sorted(node_boundary_lens(d, i).canonical for i in range(len(d.nodes)))
 
 
+class TestMonodromy:
+    """The matrix monodromy kept in `atf_reference`, the oracle of the
+    transvection the library applies to vectors."""
+
+    def test_one_one(self):
+        assert ref.monodromy(1, 1) == IntMat2(0, 1, -1, 2)
+        assert ref.monodromy(1, 1).apply_vec(1, 1) == (1, 1)
+
+    def test_two_one(self):
+        assert ref.monodromy(2, 1) == IntMat2(-1, 4, -1, 3)
+
+    def test_imprimitive_rejected(self):
+        with pytest.raises(PreconditionError):
+            ref.monodromy(2, 4)
+
+    @given(
+        st.tuples(st.integers(-100, 100), st.integers(-100, 100)).filter(
+            lambda t: t != (0, 0) and gcd(t[0], t[1]) == 1
+        )
+    )
+    def test_determinant_and_fixed_vector(self, ab):
+        a, b = ab
+        m = ref.monodromy(a, b)
+        assert m.det() == 1
+        assert m.apply_vec(a, b) == (a, b)
+
+
 @pytest.mark.parametrize("t", [t for t, _ in enumerate_tree(DEPTH)], ids=str)
 def test_matches_replay(t):
     got = atf_for_markov(t)
     want = ref.atf_for_markov(t)
-    assert affinely_equivalent(AtfDiagram(got.vertices), AtfDiagram(want.vertices))
+    assert affinely_equivalent(rational_diagram(got.vertices), rational_diagram(want.vertices))
     assert readouts(got) == readouts(want)
 
 
@@ -139,9 +172,9 @@ def test_squares_pair_gives_the_euclid_diagram(monkeypatch):
 )
 def test_reducing_frame_matches_fraction_reduction(vectors, scale):
     want = ref._reduced([(Fraction(x), Fraction(y)) for x, y in vectors])
-    m = _reducing_frame(vectors)
-    assert [m.apply_vec(x, y) for x, y in vectors] == want
-    assert abs(m.det()) == 1
+    m = m00, m01, m10, m11 = _reducing_frame(vectors)
+    assert [(m00 * x + m01 * y, m10 * x + m11 * y) for x, y in vectors] == want
+    assert abs(m00 * m11 - m01 * m10) == 1
     assert _reducing_frame([(x * scale, y * scale) for x, y in vectors]) == m
 
 
@@ -238,7 +271,7 @@ def trades():
     """Every corner trade of the hexagon, of the quadrilateral whose traded
     corner's eigenline ends at its opposite vertex, and of the standard
     triangle."""
-    for p in [HEXAGON, AtfDiagram(((0, 0), (2, 0), (0, 2), (-1, 1))), standard_cp2()]:
+    for p in [HEXAGON, rational_diagram(((0, 0), (2, 0), (0, 2), (-1, 1))), standard_cp2()]:
         for k in range(len(p.vertices)):
             try:
                 yield nodal_trade(p, k)
@@ -279,7 +312,7 @@ def test_integral_regluing_matches_fraction_images_at_depth_16():
 
 
 # a hexagon, whose chords between vertices two or three apart end at a vertex
-HEXAGON = AtfDiagram(((1, 0), (2, 0), (2, 1), (1, 2), (0, 2), (0, 1)))
+HEXAGON = rational_diagram(((1, 0), (2, 0), (2, 1), (1, 2), (0, 2), (0, 1)))
 
 
 def chords():
@@ -408,7 +441,7 @@ def perturbed(draw):
     else:
         nodes[i] = AtfNode(node.position, node.eigenvector, other.cut_end)
         nodes[j] = AtfNode(other.position, other.eigenvector, node.cut_end)
-    out = AtfDiagram(verts, tuple(nodes))
+    out = rational_diagram(verts, tuple(nodes))
     return from_json(out) if draw(st.booleans()) else out
 
 
@@ -430,8 +463,11 @@ def test_slide_interior_test_matches_reference(t, i, s):
     a, b = node.eigenvector
     target = (node.position[0] + a * s, node.position[1] + b * s)
     inside = ref.contains_interior(d, target)
+    # the cut p - e is l (a, b), so the target is e + (p - e) r with r = 1 + s/l
+    (px, py), (ex, ey) = node.position, node.cut_end
+    r = 1 + s / ((px - ex) / a if a else (py - ey) / b)
     try:
-        moved = nodal_slide(d, i, target)
+        moved = nodal_slide(d, i, r.numerator, r.denominator)
     except PreconditionError:
         assert not inside
     else:
@@ -440,9 +476,9 @@ def test_slide_interior_test_matches_reference(t, i, s):
 
 
 def slid(d, i, s):
-    """d with node i slid so that its cut has s times its length."""
-    (ex, ey), (px, py) = d.nodes[i].cut_end, d.nodes[i].position
-    return nodal_slide(d, i, (ex + (px - ex) * s, ey + (py - ey) * s))
+    """d with node i slid so that its cut has s times its length, s > 0 a
+    Fraction passed as its ratio of integers."""
+    return nodal_slide(d, i, s.numerator, s.denominator)
 
 
 def over_blocking_cases(test):
@@ -515,7 +551,7 @@ POINTS = st.tuples(rationals(3, 3), rationals(3, 3))
 @example([(0, 0), (1, 0), (0, 1)])
 def test_vertex_validation_matches_reference(vertices):
     want = outcome(ref.validate_vertices, vertices)[0]
-    got = outcome(AtfDiagram, tuple(vertices))[0]
+    got = outcome(rational_diagram, tuple(vertices))[0]
     assert got == want
 
 
@@ -559,9 +595,9 @@ def images(draw, d):
     """d under a random integral affine map (det +-1, rational translation),
     its vertices relabelled cyclically, its nodes shuffled, and each
     eigenvector times 1, -1, 2 or -3."""
-    m = IntMat2.identity()
+    m = identity()
     for step in draw(st.lists(ELEMENTARY, max_size=5)):
-        m = step @ m
+        m = matmul(step, m)
     shift = (draw(rationals(5, 12)), draw(rationals(5, 12)))
 
     def image(p):
@@ -577,7 +613,7 @@ def images(draw, d):
         AtfNode(image(nd.position), tuple(k * c for c in m.apply_vec(*nd.eigenvector)), image(nd.cut_end))
         for nd, k in zip(d.nodes, draw(factors))
     ]
-    return AtfDiagram(tuple(verts[r:] + verts[:r]), tuple(draw(st.permutations(nodes))))
+    return rational_diagram(tuple(verts[r:] + verts[:r]), tuple(draw(st.permutations(nodes))))
 
 
 @st.composite
@@ -598,7 +634,7 @@ def near_misses(draw, d):
         nodes[i] = AtfNode(nudged(node.position), node.eigenvector, node.cut_end)
     else:
         nodes[i] = AtfNode(node.position, node.eigenvector, nudged(node.cut_end))
-    return AtfDiagram(d.vertices, tuple(nodes))
+    return rational_diagram(d.vertices, tuple(nodes))
 
 
 @st.composite
@@ -691,7 +727,7 @@ def edge_lengths(d):
 def test_normal_form_matches_full_minimum_when_shortest_edges_tie(name, monkeypatch):
     # the bare polygon, each corner traded alone, and the traded standard
     # triangle, whose three corners are all traded
-    bare = AtfDiagram(TIED_POLYGONS[name])
+    bare = rational_diagram(TIED_POLYGONS[name])
     diagrams = [bare] + [nodal_trade(bare, k) for k in range(len(bare.vertices))]
     if name == "triangle":
         diagrams.append(nodal_trade(nodal_trade(diagrams[1], 1), 2))

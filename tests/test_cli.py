@@ -14,6 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from atf_reference import rational_diagram
 from lenscalc import atf, cli, lens, markov, verify
 from lenscalc.atf import AtfDiagram, affinely_equivalent, atf_for_markov
 from lenscalc.errors import (
@@ -1085,4 +1086,4 @@ class TestSvgRendering:
     )
     def test_extent_past_the_float_range(self, vertices):
         with pytest.raises(PreconditionError, match="float range of the SVG projection"):
-            render_svg(AtfDiagram(vertices))
+            render_svg(rational_diagram(vertices))

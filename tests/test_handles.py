@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from farey_reference import identity, matmul
 from lenscalc.errors import InvariantError, PreconditionError
 from lenscalc.farey import IntMat2
 from lenscalc.handles import (
@@ -10,7 +11,7 @@ from lenscalc.handles import (
     TorusCurve,
     boundary_of_diagram,
     build_X,
-    composite_twist,
+    push,
     recognize_cp2,
     slide_mutation,
     twist_matrix,
@@ -67,7 +68,7 @@ class TestTwistMatrix:
     @given(primitive_curves_st())
     def test_opposite_framings_invert(self, c):
         flipped = TorusCurve(c.mu, c.lam, -c.framing)
-        assert twist_matrix(c) @ twist_matrix(flipped) == IntMat2.identity()
+        assert matmul(twist_matrix(c), twist_matrix(flipped)) == identity()
 
 
 class TestPushPast:
@@ -84,8 +85,20 @@ class TestPushPast:
     def test_composition_example(self):
         # (1,2,5) with q = (0, 15): longitude lands on (-29)*lambda + (-25)*mu
         d = HorizontalDiagram((TorusCurve(-2, 15), TorusCurve(1, 0)))
-        lam, mu = composite_twist(d).apply_vec(1, 0)
+        lam, mu = push(d, 1, 0)
         assert (lam, mu) == (-29, -25)
+
+    @given(
+        st.lists(st.tuples(primitive_curves_st(), st.sampled_from([-1, 1])), max_size=4),
+        primitive_curves_st(),
+    )
+    def test_push_matches_the_product_of_twist_matrices(self, curves, v):
+        # the matrix oracle: the twist matrices multiplied, innermost first
+        d = HorizontalDiagram(tuple(TorusCurve(c.mu, c.lam, k) for c, k in curves))
+        m = identity()
+        for c in d.curves:
+            m = matmul(twist_matrix(c), m)
+        assert push(d, v.lam, v.mu) == m.apply_vec(v.lam, v.mu)
 
     @given(primitive_curves_st(), primitive_curves_st())
     def test_preserves_primitivity(self, v, c):
@@ -137,7 +150,9 @@ class TestBoundary:
         inward = HorizontalDiagram(
             tuple(TorusCurve(c.mu, c.lam, -c.framing) for c in reversed(d.curves))
         )
-        assert composite_twist(d) @ composite_twist(inward) == IntMat2.identity()
+        for v in ((1, 0), (0, 1)):
+            assert push(inward, *push(d, *v)) == v
+            assert push(d, *push(inward, *v)) == v
 
 
 class TestBuildX:
