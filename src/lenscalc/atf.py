@@ -12,22 +12,28 @@ or integer) as an integer pair (n, d > 0).  A slide takes its ratio as two
 integers.  Fractions appear only in the `vertices` and `nodes` views.  The
 monodromy of a node acts on vectors, v -> v + det(e, v) e
 (`farey.transvect`), with no matrix built, and the orientation tests run on
-unpacked integers.  A chord's far end is where an integer `det` turns sign
-(`_chord_end`).  Two diagrams are equal up to integral-affine maps iff
-their integer keys (`AtfDiagram.normal_form`) are: the least ring of
-vertices over the 2n labellings, then the least image of the nodes over the
-labellings that tie on it.  Only the labellings along a shortest edge can
-give the least ring, so only those are mapped.  The consistency check tests
-each pair of cuts once per diagram (`AtfDiagram._crossed_cuts`), and
-`_segments_intersect` stops at the first two signs when they put one
-segment strictly on one side of the other's line.  A passing node's cut end
-is a vertex, so a transfer splices one point into the vertex loop, where
-the eigenline exits, and applies the one re-gluing that flattens the old
-cut end.
+unpacked integers.  A node report tests parallelism on the raw integer edges
+at the cut end, as the frame holds them: the monodromy is linear, so
+M(k u) is parallel to w iff M u is, and the eigenvector's `gcd` is the
+report's only one.  A readout passes the same raw edges to `Slope`, which
+reduces each once.  A report is a `NodeReport` tuple, and a diagram's JSON
+text (`AtfDiagram.json_text`) is made once, for the SVG and the CLI.  A
+chord's far end is where an integer `det` turns sign (`_chord_end`).  Two
+diagrams are equal up to integral-affine maps iff their integer keys
+(`AtfDiagram.normal_form`) are: the least ring of vertices over the 2n
+labellings, then the least image of the nodes over the labellings that tie
+on it.  Only the labellings along a shortest edge can give the least ring,
+so only those are mapped.  The consistency check tests each pair of cuts
+once per diagram (`AtfDiagram._crossed_cuts`), and `_segments_intersect`
+stops at the first two signs when they put one segment strictly on one side
+of the other's line.  A passing node's cut end is a vertex, so a transfer
+splices one point into the vertex loop, where the eigenline exits, and
+applies the one re-gluing that flattens the old cut end.
 """
 
 from __future__ import annotations
 
+import json
 from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
@@ -126,19 +132,22 @@ def _interior(verts: list[IntVec], p: IntVec) -> bool:
 
 
 def _flanking(verts: list[IntVec], p: IntVec) -> tuple[IntVec, IntVec] | None:
-    """Primitive boundary directions leaving p, (towards-previous,
-    towards-next) when p is a vertex, the two along-edge directions when p
-    is edge-interior, None when p is off the boundary."""
+    """The boundary edge vectors leaving p, as the frame holds them, not
+    reduced: to the previous and the next vertex when p is a vertex, to the
+    two ends of its edge when p is edge-interior, None when p is off the
+    boundary.  Each is a positive multiple of its primitive direction."""
     n = len(verts)
+    px, py = p
     try:
         i = verts.index(p)
     except ValueError:  # p is not a vertex
         for k in range(n):
             a, b = verts[k], verts[(k + 1) % n]
             if _on_segment(p, a, b):
-                return _primitive(_sub(a, p)), _primitive(_sub(b, p))
+                return (a[0] - px, a[1] - py), (b[0] - px, b[1] - py)
         return None
-    return _primitive(_sub(verts[i - 1], p)), _primitive(_sub(verts[(i + 1) % n], p))
+    (ax, ay), (bx, by) = verts[i - 1], verts[(i + 1) % n]
+    return (ax - px, ay - py), (bx - px, by - py)
 
 
 @dataclass(frozen=True)
@@ -312,6 +321,12 @@ class AtfDiagram:
             tuple(tuple(_lowest(x, den) for x in p) for p in pts) for pts in self.frame[1:4]
         )
 
+    @cached_property
+    def json_text(self) -> str:
+        """`to_json_obj` as compact JSON, made once: the text that
+        `render_svg` embeds and `atf build` and `atf move` print."""
+        return json.dumps(self.to_json_obj(), separators=(",", ":"))
+
     def to_json_obj(self) -> dict:
         verts, positions, ends = self.lowest_terms
 
@@ -358,26 +373,20 @@ def standard_cp2() -> AtfDiagram:
     return AtfDiagram(1, ((0, 0), (3, 0), (0, 3)), (), (), ())
 
 
-@dataclass(frozen=True)
-class NodeReport:
-    index: int
-    eigen_fixed: bool
-    cut_parallel: bool
-    cut_on_boundary: bool
-    position_interior: bool
-    edges_match: bool
-    cut_disjoint: bool
+class NodeReport(
+    namedtuple(
+        "NodeReport",
+        "index eigen_fixed cut_parallel cut_on_boundary position_interior edges_match cut_disjoint",
+    )
+):
+    """One node's consistency tests, a tuple built positionally: its index,
+    then the six tests that `passed` needs."""
+
+    __slots__ = ()
 
     @property
     def passed(self) -> bool:
-        return (
-            self.eigen_fixed
-            and self.cut_parallel
-            and self.cut_on_boundary
-            and self.position_interior
-            and self.edges_match
-            and self.cut_disjoint
-        )
+        return all(self[1:])
 
 
 def _parallel(u: IntVec, v: IntVec) -> bool:
@@ -385,6 +394,9 @@ def _parallel(u: IntVec, v: IntVec) -> bool:
 
 
 def _node_report(d: AtfDiagram, i: int) -> NodeReport:
+    """Node i's tests on the frame.  The flanking edges are tested as the
+    frame holds them: the monodromy M is linear, so M(k u) is parallel to w
+    iff M u is, and no edge is reduced."""
     _, verts, positions, ends, eigens = d.frame
     a, b = eigens[i]
     # a transvection fixes the vector it runs along, and a JSON document can
@@ -394,17 +406,18 @@ def _node_report(d: AtfDiagram, i: int) -> NodeReport:
     flank = _flanking(verts, e)
     return NodeReport(
         i,
-        eigen_fixed=primitive,
-        cut_parallel=_parallel(_sub(e, p), (a, b)),
-        cut_on_boundary=flank is not None,
-        position_interior=_interior(verts, p),
-        edges_match=primitive
+        primitive,
+        _parallel(_sub(e, p), (a, b)),
+        flank is not None,
+        _interior(verts, p),
+        # no edge is zero, nor is its image, so det == 0 is parallelism
+        primitive
         and flank is not None
         and (
-            _parallel(transvect(a, b, 1, *flank[1]), flank[0])
-            or _parallel(transvect(a, b, 1, *flank[0]), flank[1])
+            det(transvect(a, b, 1, *flank[1]), flank[0]) == 0
+            or det(transvect(a, b, 1, *flank[0]), flank[1]) == 0
         ),
-        cut_disjoint=i not in d._crossed_cuts,
+        i not in d._crossed_cuts,
     )
 
 
@@ -573,7 +586,8 @@ def node_boundary_lens(d: AtfDiagram, node_index: int) -> LensSpace:
     corner at the cut end glues two solid tori whose meridians are its two
     boundary directions (Vianna, arXiv:1305.7512).  The node must pass the
     consistency check, which the diagram runs once and keeps, with each
-    readout it derives."""
+    readout it derives.  The two edges go to `Slope` as the frame holds
+    them, and `Slope` reduces each once."""
     node_index, i = _cut_vertex(d, node_index)
     readouts = d._readouts
     if readouts[node_index] is None:

@@ -211,7 +211,7 @@ def _cmd_atf_build(args) -> int:
                 fh.write(picture)
         except OSError as exc:
             raise PreconditionError(f"cannot write {args.svg}: {exc}") from exc
-    _dump(d.to_json_obj())
+    print(d.json_text)
     return 0
 
 
@@ -238,7 +238,7 @@ def _cmd_atf_move(args) -> int:
             raise ValueError(f"slide parameter {param} has denominator 0")
         out = atf.nodal_slide(d, index, n, m)
     _printable("the diagram", _diagram_integers(out))
-    _dump(out.to_json_obj())
+    print(out.json_text)
     return 0
 
 

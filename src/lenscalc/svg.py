@@ -4,7 +4,6 @@ The exact JSON form of the diagram is embedded as a metadata comment."""
 
 from __future__ import annotations
 
-import json
 import math
 
 from .atf import AtfDiagram, node_boundary_lens
@@ -46,7 +45,7 @@ def render_svg(d: AtfDiagram) -> str:
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
         f'width="{_fmt(width)}" height="{_fmt(height)}" '
         f'viewBox="0 0 {_fmt(width)} {_fmt(height)}">',
-        f"<!-- lenscalc:diagram {json.dumps(d.to_json_obj(), separators=(',', ':'))} -->",
+        f"<!-- lenscalc:diagram {d.json_text} -->",
     ]
     points = " ".join(
         f"{_fmt(px)},{_fmt(py)}" for px, py in (project(v) for v in verts)

@@ -303,8 +303,22 @@ def crit7_farey_oracle(max_den: int = 20) -> CriterionResult:
     return _result(7, title, f"{cases} pairs checked", bad[:5])
 
 
+def _corner_order(verts: tuple, p: tuple[int, int]) -> int | None:
+    """|det| of the two primitive edge directions at the vertex p of a
+    polygon, None if p is not a vertex.  Each edge is divided by its gcd
+    before the product, which keeps the factors small."""
+    if p not in verts:
+        return None
+    k = verts.index(p)
+    (x, y), (ax, ay), (bx, by) = p, verts[k - 1], verts[(k + 1) % len(verts)]
+    (ux, uy), (vx, vy) = (ax - x, ay - y), (bx - x, by - y)
+    g, h = gcd(ux, uy), gcd(vx, vy)
+    return abs(farey.det((ux // g, uy // g), (vx // h, vy // h)))
+
+
 def crit8_atf_pipeline(r: TripleRecord) -> list[str]:
-    """The almost toric diagram is consistent and its corners read
+    """The almost toric diagram is consistent, each node reads a lens space
+    of the order of the corner at its own cut end, and the corners read
     L(p_i^2, p_i q_i - 1) for the derived q-triple.  At the root, a cut
     transferred twice gives the diagram back."""
     t = r.t
@@ -313,6 +327,11 @@ def crit8_atf_pipeline(r: TripleRecord) -> list[str]:
         return [f"{t}: inconsistent diagram"]
     bad = []
     readouts = [atf.node_boundary_lens(d, i) for i in range(len(d.frame.positions))]
+    verts, ends = d.frame.vertices, d.frame.cut_ends
+    for i, (l, end) in enumerate(zip(readouts, ends)):
+        order = _corner_order(verts, end)
+        if l.r != order:
+            bad.append(f"{t}: node {i} reads {l} at a corner of order {order}")
     pq = zip(t.entries(), r.q.entries())
     want = [lens.LensSpace(p * p, p * q - 1) for p, q in pq]
     if not lens.same_lens_spaces(readouts, want):
@@ -330,17 +349,24 @@ def crit8_atf_pipeline(r: TripleRecord) -> list[str]:
 
 
 def crit9_boundary_cross_check(pmax: int = 30) -> CriterionResult:
-    """boundary_Bpq against the one-curve handle diagram."""
+    """boundary_Bpq against the one-curve handle diagram, and each chiral
+    boundary L(r, s), s^2 != -1 (mod r), against its mirror L(r, -s), from
+    which `==` must tell it apart."""
     bad = []
     count = 0
     for p in range(1, pmax + 1):
         for q in [1] if p == 1 else [q for q in range(1, p) if gcd(p, q) == 1]:
             count += 1
-            want = lens.ThreeManifold((lens.boundary_Bpq(p, q),))
+            space = lens.boundary_Bpq(p, q)
+            want = lens.ThreeManifold((space,))
             diagram = handles.HorizontalDiagram((handles.TorusCurve(-p, q),))
             got = handles.boundary_of_diagram(diagram)
             if got != want:
                 bad.append(f"B_({p},{q}): {got} != {want}")
+            # the negative control: a chiral space is not its mirror
+            r, s = space.r, space.s
+            if (s * s + 1) % r and space == lens.LensSpace(r, -s):
+                bad.append(f"B_({p},{q}): {space} equals its mirror")
     title = f"one-curve boundary cross-check, p <= {pmax}"
     return _result(9, title, f"{count} pairs checked", bad)
 

@@ -9,9 +9,13 @@ compares the closed-form construction against it at depth <= 5 only.
 
 The Fraction checker is the original `check_consistency` with its helpers,
 `node_boundary_lens` and the convexity test of `AtfDiagram`, all on Fraction
-points.  The library now runs these predicates on integer points (the
-diagram scaled by the lcm of its denominators); `tests/test_atf_reference.py`
-requires both to give the same reports, readouts and verdicts.
+points and primitive directions.  The library now runs these predicates on
+integer points (the diagram scaled by the lcm of its denominators) and tests
+the flanking edges unreduced; `tests/test_atf_reference.py` requires both to
+give the same reports, readouts and verdicts.  An eigenvector that is not
+primitive, which a JSON document can hold, has no monodromy: the checker
+reads it as not fixed and matching no edges, and a zero vector as parallel
+to nothing, as the library does.
 
 The Fraction construction is the closed-form `atf_for_markov` as it was
 when its Lagrange reduction stepped the Fraction corners themselves.  The
@@ -280,14 +284,14 @@ def check_consistency(d: AtfDiagram) -> list[NodeReport]:
     reports = []
     for i, node in enumerate(d.nodes):
         a, b = node.eigenvector
-        mat = monodromy(a, b)
-        eigen_fixed = mat.apply_vec(a, b) == (a, b)
+        mat = monodromy(a, b) if gcd(a, b) == 1 else None
+        eigen_fixed = mat is not None and mat.apply_vec(a, b) == (a, b)
         cut_vec = _sub(node.cut_end, node.position)
-        cut_parallel = cut_vec != (0, 0) and _cross(cut_vec, (Fraction(a), Fraction(b))) == 0
+        cut_parallel = _parallel(cut_vec, (Fraction(a), Fraction(b)))
         cut_on_boundary = on_boundary(d, node.cut_end)
         position_interior = contains_interior(d, node.position)
         edges_match = False
-        if cut_on_boundary:
+        if cut_on_boundary and mat is not None:
             e_prev, e_next = _flanking_directions(d, node.cut_end)
             img_next = mat.apply_vec(*e_next)
             img_prev = mat.apply_vec(*e_prev)

@@ -164,6 +164,30 @@ def doubled(obj: dict) -> dict:
     return json.loads(re.sub(r'"(-?[0-9]+)/([0-9]+)"', twice, json.dumps(obj)))
 
 
+class TestJsonText:
+    """One compact JSON text per diagram, made once, is what `render_svg`
+    embeds and what `atf build` and `atf move` print."""
+
+    def test_text_is_the_compact_json_made_once(self):
+        d = atf_for_markov(MarkovTriple(2, 5, 29))
+        assert d.json_text == json.dumps(d.to_json_obj(), separators=(",", ":"))
+        assert d.json_text is d.json_text
+
+    def test_build_makes_the_json_once_for_svg_and_stdout(self, monkeypatch, tmp_path, capsys):
+        calls = []
+        real = AtfDiagram.to_json_obj
+        monkeypatch.setattr(AtfDiagram, "to_json_obj", lambda d: calls.append(d) or real(d))
+        picture = tmp_path / "d.svg"
+        assert cli.main(["atf", "build", "2", "5", "29", "--svg", str(picture)]) == 0
+        out = capsys.readouterr().out
+        assert len(calls) == 1
+        meta = re.search(r"<!-- lenscalc:diagram (.*) -->", picture.read_text())
+        assert out == meta[1] + "\n"
+        assert cli.main(["atf", "build", "2", "5", "29"]) == 0
+        assert capsys.readouterr().out == out
+        assert out == atf_for_markov(MarkovTriple(2, 5, 29)).json_text + "\n"
+
+
 class TestJsonReader:
     """The reader takes each coordinate as an integer pair (n, d > 0) and
     makes no Fraction; the frame it stores is in lowest terms."""
@@ -433,6 +457,43 @@ class TestConsistencyChecker:
             error, message = UnsupportedConfigurationError, "re-glued diagram is inconsistent"
         with pytest.raises(error, match=message):
             transfer_cut(d, target)
+
+    def test_report_is_a_tuple_of_its_tests(self):
+        report = check_consistency(atf_for_markov(MarkovTriple(1, 2, 5)))[1]
+        assert type(report) is NodeReport and report == (1, True, True, True, True, True, True)
+        assert NodeReport._fields == (
+            "index",
+            "eigen_fixed",
+            "cut_parallel",
+            "cut_on_boundary",
+            "position_interior",
+            "edges_match",
+            "cut_disjoint",
+        )
+        assert repr(report) == (
+            "NodeReport(index=1, eigen_fixed=True, cut_parallel=True, cut_on_boundary=True, "
+            "position_interior=True, edges_match=True, cut_disjoint=True)"
+        )
+        assert report.passed and NodeReport(0, *report[1:]).passed
+        for k in range(1, 7):
+            assert not NodeReport(*(x if j != k else False for j, x in enumerate(report))).passed
+        with pytest.raises(AttributeError):
+            report.passed = False
+
+    def test_a_report_reduces_only_its_eigenvector(self, monkeypatch):
+        # the flanking edges are tested as the frame holds them, and a
+        # readout leaves their reduction to `Slope`: a report's one `gcd`
+        # is its eigenvector's, and a readout has none
+        calls = []
+        monkeypatch.setattr(atf, "gcd", lambda *v: calls.append(v) or gcd(*v))
+        for t, _ in enumerate_tree(6):
+            d = atf_for_markov(t)
+            del calls[:]
+            assert is_consistent(d)
+            assert calls == list(d.frame.eigenvectors)
+            readouts = [node_boundary_lens(d, i) for i in range(3)]
+            assert len(calls) == 3
+            assert sorted(l.r for l in readouts) == sorted(p * p for p in t.entries())
 
     def test_reports_are_computed_once(self, monkeypatch):
         calls = []

@@ -12,9 +12,11 @@ The integer consistency checker, `node_boundary_lens` and the convexity
 test of `AtfDiagram` are compared with their Fraction originals, on the
 generated diagrams after transfers of their cuts, on traded triangles, on
 slid diagrams, on perturbed diagrams, and on all of these read back from
-JSON.  Both must give equal reports and lens spaces, or raise the same
-exception type.  Each of these diagrams must also hold the integral frame
-of its own points.
+JSON; and on JSON documents made to test the unreduced edges: scaled so
+that every edge at a cut end has lattice length > 1, with a cut end inside
+an edge, and with an eigenvector (0, 0) or (2, 2).  Both must give equal
+reports and lens spaces, or raise the same exception type.  Each of these
+diagrams must also hold the integral frame of its own points.
 
 `affinely_equivalent`, which compares integer normal forms, must give the
 verdict of the original map search on these diagrams paired with their
@@ -449,6 +451,60 @@ def perturbed(draw):
 @given(perturbed())
 def test_checker_matches_fraction_checker_on_perturbed_diagrams(d):
     assert_checkers_agree(d)
+
+
+def lattice_length(v) -> Fraction:
+    """t with v = t w, w the primitive integer direction of the rational v."""
+    a, b = ref._primitive(v)
+    return v[0] / a if a else v[1] / b
+
+
+def json_variants(t, k: int):
+    """The JSON document of t's diagram with every coordinate times k and
+    its frame's denominator, so that each edge has lattice length k or more:
+    as it is, with node 0's cut end moved into each edge, and with each
+    node's eigenvector (0, 0) or (2, 2)."""
+    d = atf_for_markov(t)
+    scaled = d.to_json_obj()
+    points = scaled["vertices"] + [n[key] for n in scaled["nodes"] for key in ("position", "cut_end")]
+    for p in points:
+        p[:] = [str(Fraction(c) * k * d.frame.den) for c in p]
+    yield "scaled", scaled
+    verts = scaled["vertices"]
+    for j in range(len(verts)):
+        doc = json.loads(json.dumps(scaled))
+        a, b = verts[j], verts[j - 1]
+        doc["nodes"][0]["cut_end"] = [str((Fraction(x) + Fraction(y)) / 2) for x, y in zip(a, b)]
+        yield f"cut end inside edge {j}", doc
+    for i in range(3):
+        for eigenvector in (["0", "0"], ["2", "2"]):
+            doc = json.loads(json.dumps(scaled))
+            doc["nodes"][i]["eigenvector"] = eigenvector
+            yield f"node {i} eigenvector {eigenvector}", doc
+
+
+@pytest.mark.parametrize("k", [2, 3])
+@pytest.mark.parametrize("t", SMALL_TRIPLES[:4], ids=str)
+def test_checker_matches_fraction_checker_on_json_edge_cases(t, k):
+    # the reports test the flanking edges unreduced: at a corner whose edges
+    # have lattice length > 1, inside an edge, and with an eigenvector that
+    # has no monodromy, they must still read as the Fraction checker does
+    want = readouts(atf_for_markov(t))
+    for name, doc in json_variants(t, k):
+        d = AtfDiagram.from_json_obj(doc)
+        assert_checkers_agree(d)
+        reports = check_consistency(d)
+        if name == "scaled":
+            assert all(r.passed for r in reports) and readouts(d) == want
+            for node in d.nodes:
+                i = d.vertices.index(node.cut_end)
+                for v in (d.vertices[i - 1], d.vertices[(i + 1) % len(d.vertices)]):
+                    assert lattice_length(ref._sub(v, node.cut_end)) > 1
+        elif name.startswith("cut end"):
+            assert not reports[0].passed and reports[0].cut_on_boundary
+        else:
+            i = int(name.split()[1])
+            assert not reports[i].eigen_fixed and not reports[i].edges_match
 
 
 @settings(max_examples=200, deadline=None)

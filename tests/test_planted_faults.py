@@ -6,9 +6,12 @@ must be exactly the ones the table names.  A sweep that passes every row on
 a wrong library would pass vacuously, so these are the guard of every
 refactor of the checked code.
 
-Four faults pass every row today.  They stay in the table as strict xfails,
-so the change that makes `verify all` catch one must also record the rows
-it fails.
+One fault, a transfer of the wrong node, passes every row today: only the
+root's transfers are checked, and there the three nodes are alike.  It
+stays in the table as a strict xfail, so the change that makes `verify all`
+catch it must also record the rows it fails.  Row 9's negative control
+catches the two looser `LensSpace.__eq__`, and row 8's per-node corner
+order catches the readout of the wrong node.
 """
 
 from dataclasses import replace
@@ -98,7 +101,7 @@ def inverse_transvection_in(module):
     return plant
 
 
-SURVIVES = "ROADMAP item 15: `verify all` does not catch this fault yet"
+SURVIVES = "ROADMAP item 6: `verify all` does not catch this fault yet"
 
 # name: (the fault, the rows of run_all(6) it fails, None if it fails none)
 FAULTS = {
@@ -110,9 +113,9 @@ FAULTS = {
     "node-readout-mirrored": (node_readout_mirrored, [8]),
     "atf-transvect-inverse": (inverse_transvection_in(atf), [8]),
     "handles-transvect-inverse": (inverse_transvection_in(handles), [3, 6, 9]),
-    "eq-up-to-orientation": (eq_up_to_orientation, None),
-    "eq-orders-only": (eq_orders_only, None),
-    "readout-of-the-next-node": (next_node_readout, None),
+    "eq-up-to-orientation": (eq_up_to_orientation, [9]),
+    "eq-orders-only": (eq_orders_only, [9]),
+    "readout-of-the-next-node": (next_node_readout, [8]),
     "transfer-of-the-next-node": (next_node_transferred, None),
 }
 
