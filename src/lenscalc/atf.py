@@ -28,7 +28,9 @@ once per diagram (`AtfDiagram._crossed_cuts`), and `_segments_intersect`
 stops at the first two signs when they put one segment strictly on one side
 of the other's line.  A passing node's cut end is a vertex, so a transfer
 splices one point into the vertex loop, where the eigenline exits, and
-applies the one re-gluing that flattens the old cut end.
+applies the one re-gluing that flattens the old cut end.  Every move and
+readout resolves its vertex or node index as list indexing does,
+`range(n)[i]`: it takes exactly -n <= i < n and raises IndexError otherwise.
 """
 
 from __future__ import annotations
@@ -455,8 +457,8 @@ def _chord_end(verts: tuple[IntVec, ...], c: IntVec, e: IntVec) -> tuple[IntVec,
 def nodal_trade(d: AtfDiagram, vertex_index: int) -> AtfDiagram:
     """Exchange a unimodular corner for a node with a cut to that corner."""
     den, verts, positions, ends, eigens = d.frame
-    n = len(verts)
-    prev_v, corner, next_v = (verts[(vertex_index + k) % n] for k in (-1, 0, 1))
+    i = range(len(verts))[vertex_index]
+    prev_v, corner, next_v = verts[i - 1], verts[i], verts[(i + 1) % len(verts)]
     if corner in ends:
         raise PreconditionError("vertex already carries a cut")
     u = _primitive(_sub(prev_v, corner))
@@ -481,6 +483,7 @@ def nodal_slide(d: AtfDiagram, node_index: int, n: int, m: int) -> AtfDiagram:
     if n <= 0 or m <= 0:
         raise PreconditionError("slide parameter must be positive")
     den, verts, positions, ends, eigens = d.frame
+    node_index = range(len(positions))[node_index]
     (px, py), (ex, ey) = positions[node_index], ends[node_index]
     new = (m * ex + n * (px - ex), m * ey + n * (py - ey))
     verts, positions, ends = (_scaled(pts, m) for pts in (verts, positions, ends))  # over den m

@@ -215,20 +215,17 @@ def _cmd_atf_build(args) -> int:
     return 0
 
 
-def _node_index(d: atf.AtfDiagram, index: int) -> int:
+def _cmd_atf_move(args) -> int:
+    # the slide's index text is read before the file, as argparse reads --transfer's
+    index = args.transfer if args.slide is None else integer(args.slide[0])
+    d = atf.AtfDiagram.from_json_obj(_load_json(args.diagram))
     count = len(d.frame.positions)
     if not 0 <= index < count:
         raise IndexError(f"node index {index} is out of range for {count} nodes")
-    return index
-
-
-def _cmd_atf_move(args) -> int:
-    d = atf.AtfDiagram.from_json_obj(_load_json(args.diagram))
-    if args.transfer is not None:
-        out = atf.transfer_cut(d, _node_index(d, args.transfer))
+    if args.slide is None:
+        out = atf.transfer_cut(d, index)
     else:
-        index, param = args.slide
-        index = _node_index(d, index)
+        param = args.slide[1]
         # "n" or "n/d" in decimal digits, the forms each `to_json_obj` writes
         if not farey._RATIONAL.fullmatch(param):
             raise ValueError(f"not an integer or n/d: {param!r:.40}")
@@ -341,8 +338,6 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        if getattr(args, "slide", None) is not None:
-            args.slide = (integer(args.slide[0]), args.slide[1])
         return args.func(args)
     except SystemExit as exc:
         return int(exc.code or 0)

@@ -231,9 +231,6 @@ class EdgeSign(Enum):
     MINUS = "-"
     RING = "o"
 
-    def __str__(self) -> str:
-        return "∘" if self is EdgeSign.RING else self.value
-
 
 class Classification(Enum):
     UNIVERSALLY_TIGHT = "UniversallyTight"

@@ -1,5 +1,10 @@
 """Markov triples: validation, tree enumeration, mutation, and companion
-surgery coefficients (q-triples) with their verification conditions."""
+surgery coefficients (q-triples) with their verification conditions.
+
+The tree walk keeps no set of seen triples.  Its stem rule: the two
+mutations agree only on the stem (1,1,1) -> (1,1,2) -> (1,2,5), where the
+right child is skipped, and every other child is a new triple, as each
+triple descends to the root one way (`mutation_path`)."""
 
 from __future__ import annotations
 
@@ -53,25 +58,19 @@ def mutate(t: MarkovTriple, which: Mutation) -> MarkovTriple:
 
 def enumerate_tree(depth: int) -> list[tuple[MarkovTriple, str]]:
     """Breadth-first list of distinct triples to the given depth, each with
-    its mutation word from the root (1,1,1).
-
-    The stem (1,1,1) -> (1,1,2) -> (1,2,5) collapses to single children
-    because both mutations agree there; duplicates keep their first word.
-    """
+    its mutation word from the root (1,1,1), by the stem rule above."""
     if depth < 0:
         raise PreconditionError("depth must be non-negative")
     root = MarkovTriple(1, 1, 1)
     out = [(root, "")]
-    seen = {root}
     frontier = [(root, "")]
     for _ in range(depth):
         nxt = []
         for t, word in frontier:
-            for m in (Mutation.LEFT, Mutation.RIGHT):
-                child = mutate(t, m)
-                if child not in seen:
-                    seen.add(child)
-                    nxt.append((child, word + m.value))
+            left, right = mutate(t, Mutation.LEFT), mutate(t, Mutation.RIGHT)
+            nxt.append((left, word + "L"))
+            if right != left:
+                nxt.append((right, word + "R"))
         out.extend(nxt)
         frontier = nxt
     return out

@@ -2,10 +2,11 @@
 
 `CRITERIA` is the table of the nine criteria, and `run` runs any subset of
 it.  Six check each triple of the Markov tree: `run` walks the tree once
-for all of them, and each triple's `TripleRecord` derives its q-triple,
-diagram X, two-curve subdiagram and boundary once, on first use, for all
-their checks.  The other three run whole.  Depths follow the documented
-acceptance levels; the CLI can lower them for quick runs.
+for all of them, to the depth the caller gives, and each triple's
+`TripleRecord` derives its q-triple, diagram X, two-curve subdiagram and
+boundary once, on first use, for all their checks.  The other three run
+whole, each at its one fixed size: the figure paths, the Farey oracle on
+denominators up to 20, and the boundary cross-check for p up to 30.
 """
 
 from __future__ import annotations
@@ -183,15 +184,13 @@ def crit6_mutation_slide(r: TripleRecord) -> list[str]:
     t, q, sub = r.t, r.q, r.sub
     p1, p2, p3 = t.entries()
     bad = []
-    first = handles.slide_mutation(sub, handles.Slot.FIRST)
-    moved = first.curves[1]
-    if (moved.mu, moved.lam) != (3 * p2 * p3 - p1, 3 * q.q2 * p3 + q.q1):
-        bad.append(f"{t} first: got ({moved.mu},{moved.lam})")
-    second = handles.slide_mutation(sub, handles.Slot.SECOND)
-    moved = second.curves[1]
-    if (moved.mu, moved.lam) != (3 * p1 * p3 - p2, 3 * q.q1 * p3 + q.q2):
-        bad.append(f"{t} second: got ({moved.mu},{moved.lam})")
-    for slid in (first, second):
+    pq = ((p1, q.q1), (p2, q.q2))
+    # each slot's slide moves its own entry a to 3 b p3 - a, b the other's
+    for slot, (pa, qa), (pb, qb) in zip(handles.Slot, pq, pq[::-1]):
+        slid = handles.slide_mutation(sub, slot)
+        moved = slid.curves[1]
+        if (moved.mu, moved.lam) != (3 * pb * p3 - pa, 3 * qb * p3 + qa):
+            bad.append(f"{t} {slot.value}: got ({moved.mu},{moved.lam})")
         after = handles.boundary_of_diagram(slid)
         if after != r.boundary:
             bad.append(f"{t}: boundary {r.boundary} became {after}")
@@ -234,12 +233,12 @@ def _oracle_graph(den_limit: int) -> tuple[list[Slope], list[list[int]]]:
     return [Slope(n, d) for n, d in verts], succ
 
 
-def crit7_farey_oracle(max_den: int = 20) -> CriterionResult:
+def crit7_farey_oracle() -> CriterionResult:
     """minimal_path against a breadth-first search oracle.
 
     The oracle graph holds the slopes in [-2, 0] with denominator at most
-    2*max_den (geodesic interior vertices can need denominators beyond the
-    endpoints'); test pairs have denominator at most max_den.  The geodesic
+    40 (geodesic interior vertices can need denominators beyond the
+    endpoints'); test pairs have denominator at most 20.  The geodesic
     is taken in the clockwise-monotone subgraph, which is where minimality
     lives: clockwise means numerically increasing here.
 
@@ -256,11 +255,11 @@ def crit7_farey_oracle(max_den: int = 20) -> CriterionResult:
     # Bound here, when the criterion runs, so wrappers installed on the
     # module or the class (as a tracer does) still see every call.
     minimal_path = farey.minimal_path
-    verts, succ = _oracle_graph(2 * max_den)
+    verts, succ = _oracle_graph(40)
     nums = [s.num for s in verts]
     dens = [s.den for s in verts]
     n = len(verts)
-    sources = [i for i, s in enumerate(verts) if s.den <= max_den]
+    sources = [i for i, s in enumerate(verts) if s.den <= 20]
     cases = 0
     bad = []
     for k, si in enumerate(sources):
@@ -299,7 +298,7 @@ def crit7_farey_oracle(max_den: int = 20) -> CriterionResult:
                     bad.append(f"{src}->{dst}: vertex {s} is off the oracle geodesic")
                     break
                 j = parent[j]
-    title = f"minimal_path vs BFS oracle, denominators <= {max_den}"
+    title = "minimal_path vs BFS oracle, denominators <= 20"
     return _result(7, title, f"{cases} pairs checked", bad[:5])
 
 
@@ -348,13 +347,13 @@ def crit8_atf_pipeline(r: TripleRecord) -> list[str]:
     return bad
 
 
-def crit9_boundary_cross_check(pmax: int = 30) -> CriterionResult:
-    """boundary_Bpq against the one-curve handle diagram, and each chiral
-    boundary L(r, s), s^2 != -1 (mod r), against its mirror L(r, -s), from
-    which `==` must tell it apart."""
+def crit9_boundary_cross_check() -> CriterionResult:
+    """boundary_Bpq against the one-curve handle diagram for p <= 30, and
+    each chiral boundary L(r, s), s^2 != -1 (mod r), against its mirror
+    L(r, -s), from which `==` must tell it apart."""
     bad = []
     count = 0
-    for p in range(1, pmax + 1):
+    for p in range(1, 31):
         for q in [1] if p == 1 else [q for q in range(1, p) if gcd(p, q) == 1]:
             count += 1
             space = lens.boundary_Bpq(p, q)
@@ -367,7 +366,7 @@ def crit9_boundary_cross_check(pmax: int = 30) -> CriterionResult:
             r, s = space.r, space.s
             if (s * s + 1) % r and space == lens.LensSpace(r, -s):
                 bad.append(f"B_({p},{q}): {space} equals its mirror")
-    title = f"one-curve boundary cross-check, p <= {pmax}"
+    title = "one-curve boundary cross-check, p <= 30"
     return _result(9, title, f"{count} pairs checked", bad)
 
 
@@ -397,7 +396,7 @@ CRITERIA = (
 )
 
 
-def run(numbers: Collection[int], depth: int = 8) -> list[CriterionResult]:
+def run(numbers: Collection[int], depth: int) -> list[CriterionResult]:
     """The criteria with the given numbers, in table order, at a tree depth,
     each timed in `wall_s`.  One walk of the tree serves all their triple
     checks.  A `LenscalcError` from a triple check is a failure of that
@@ -437,5 +436,5 @@ def run(numbers: Collection[int], depth: int = 8) -> list[CriterionResult]:
     return results
 
 
-def run_all(depth: int = 8) -> list[CriterionResult]:
+def run_all(depth: int) -> list[CriterionResult]:
     return run(range(1, len(CRITERIA) + 1), depth)

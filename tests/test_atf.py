@@ -307,6 +307,33 @@ class TestNodalSlide:
             nodal_slide(d, 0, 1, 2)
 
 
+class TestIndexRule:
+    """Every move and readout resolves its index as list indexing does: it
+    takes exactly range(-n, n) and raises IndexError outside it."""
+
+    def test_trade_takes_a_vertex_index(self):
+        d = standard_cp2()
+        for i in range(-3, 3):
+            assert nodal_trade(d, i) == nodal_trade(d, i % 3)
+        # 3 and 5 once wrapped round to vertices 0 and 2
+        for i in (-5, -4, 3, 5):
+            with pytest.raises(IndexError, match="^range object index out of range$"):
+                nodal_trade(d, i)
+
+    @pytest.mark.parametrize(
+        "move",
+        [lambda d, i: nodal_slide(d, i, 1, 2), transfer_cut, node_boundary_lens],
+        ids=["nodal_slide", "transfer_cut", "node_boundary_lens"],
+    )
+    def test_node_moves_take_a_node_index(self, move):
+        d = traded_triangle()
+        for i in range(-3, 3):
+            assert move(d, i) == move(d, i % 3)
+        for i in (-5, -4, 3, 5):
+            with pytest.raises(IndexError, match="^range object index out of range$"):
+                move(d, i)
+
+
 class TestTransferCut:
     def test_produces_next_markov_picture(self):
         d = transfer_cut(traded_triangle(), 0)

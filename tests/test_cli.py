@@ -856,6 +856,24 @@ class TestAtfCommands:
         assert out == ""
         assert json.loads(err)["error"] == "bad-input"
 
+    @pytest.mark.parametrize(
+        "move, code, message",
+        [
+            (["--slide", "x", "1/2"], "bad-input", "invalid integer value: 'x'"),
+            (["--slide", "0", "x"], "precondition-failed", "cannot read "),
+            (["--slide", "-1", "1/2"], "precondition-failed", "cannot read "),
+        ],
+    )
+    def test_move_reads_the_slide_index_before_the_file(
+        self, capsys, tmp_path, move, code, message
+    ):
+        # the index text is read first, then the file, then the index range
+        # and the slide parameter
+        status, out, err = run(capsys, "atf", "move", str(tmp_path / "missing.json"), *move)
+        assert (status, out) == (2, "")
+        error = json.loads(err)
+        assert error["error"] == code and error["message"].startswith(message)
+
 
 class TestVerifyCommand:
     def test_shallow_sweep_passes(self, capsys):

@@ -20,6 +20,24 @@ DEPTH = 6
 TREE = [t for t, _ in enumerate_tree(DEPTH)]
 
 
+def enumerate_with_seen_set(depth):
+    """The tree walk with a set of the triples seen so far: a child already
+    seen is dropped, so a triple keeps its first word."""
+    root = MarkovTriple(1, 1, 1)
+    out, frontier, seen = [(root, "")], [(root, "")], {root}
+    for _ in range(depth):
+        nxt = []
+        for t, word in frontier:
+            for m in (Mutation.LEFT, Mutation.RIGHT):
+                child = mutate(t, m)
+                if child not in seen:
+                    seen.add(child)
+                    nxt.append((child, word + m.value))
+        out.extend(nxt)
+        frontier = nxt
+    return out
+
+
 def cond3_by_inverses(t, q):
     """(cond3_some, cond3_all) read with a modular inverse per ordering:
     q_i = +-3 p_j p_k^{-1} mod p_i, for (j, k) either way round."""
@@ -111,6 +129,13 @@ class TestTree:
 
     def test_distinct(self):
         assert len(set(TREE)) == len(TREE)
+
+    @pytest.mark.parametrize("depth", range(13))
+    def test_stem_rule_matches_the_seen_set_walk(self, depth):
+        # only the stem's two mutations agree, so no other child repeats a triple
+        rows = enumerate_tree(depth)
+        assert rows == enumerate_with_seen_set(depth)
+        assert len({t for t, _ in rows}) == len(rows) == (2 ** (depth - 1) + 1 if depth else 1)
 
 
 class TestDeriveQ:
