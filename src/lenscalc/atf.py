@@ -7,30 +7,33 @@ least, and integer pairs over it for the vertices, node positions and cut
 ends, with the primitive integer eigenvectors.  The one constructor,
 `AtfDiagram(den, vertices, positions, cut_ends, eigenvectors)`, takes these
 fields, so `AtfDiagram(*d.frame) == d`.  Every move builds its diagram with
-it, and so does the JSON reader, which takes each coordinate ("n/d" string
-or integer) as an integer pair (n, d > 0).  A slide takes its ratio as two
-integers.  Fractions appear only in the `vertices` and `nodes` views.  The
-monodromy of a node acts on vectors, v -> v + det(e, v) e
+it, and so does the JSON reader, which takes each point or eigenvector as an
+array of exactly two entries (`farey._json_pair`) and each coordinate ("n/d"
+string or integer) as an integer pair (n, d > 0).  A slide takes its ratio
+as two integers.  Fractions appear only in the `vertices` and `nodes` views.
+The monodromy of a node acts on vectors, v -> v + det(e, v) e
 (`farey.transvect`), with no matrix built, and the orientation tests run on
 unpacked integers.  A node report tests parallelism on the raw integer edges
-at the cut end, as the frame holds them: the monodromy is linear, so
-M(k u) is parallel to w iff M u is, and the eigenvector's `gcd` is the
-report's only one.  A readout passes the same raw edges to `Slope`, which
-reduces each once.  A report is a `NodeReport` tuple, and a diagram's JSON
-text (`AtfDiagram.json_text`) is made once, for the SVG and the CLI.  A
-chord's far end is where an integer `det` turns sign (`_chord_end`).  Two
-diagrams are equal up to integral-affine maps iff their integer keys
+at the cut end, as the frame holds them: the monodromy is linear, so M(k u)
+is parallel to w iff M u is, and the eigenvector's `gcd` is the report's
+only one.  A readout passes the same raw edges to `Slope`, which reduces
+each once.  A report is a `NodeReport` tuple, and a diagram's JSON text
+(`AtfDiagram.json_text`) is made once, for the SVG and the CLI.  A chord's
+far end is where an integer `det` turns sign (`_chord_end`).  Two diagrams
+are equal up to integral-affine maps iff their integer keys
 (`AtfDiagram.normal_form`) are: the least ring of vertices over the 2n
 labellings, then the least image of the nodes over the labellings that tie
 on it.  Only the labellings along a shortest edge can give the least ring,
-so only those are mapped.  The consistency check tests each pair of cuts
-once per diagram (`AtfDiagram._crossed_cuts`), and `_segments_intersect`
-stops at the first two signs when they put one segment strictly on one side
-of the other's line.  A passing node's cut end is a vertex, so a transfer
-splices one point into the vertex loop, where the eigenline exits, and
-applies the one re-gluing that flattens the old cut end.  Every move and
-readout resolves its vertex or node index as list indexing does,
-`range(n)[i]`: it takes exactly -n <= i < n and raises IndexError otherwise.
+so only those are mapped.  A diagram derives its checks once, on the first
+read: its node reports (`AtfDiagram._reports`), which test each pair of cuts
+once, and its readouts (`AtfDiagram._readouts`), one per passing node.
+`_segments_intersect` stops at the first two signs when they put one segment
+strictly on one side of the other's line.  A passing node's cut end is a
+vertex, so a transfer splices one point into the vertex loop, where the
+eigenline exits, and applies the one re-gluing that flattens the old cut
+end.  Every move and readout resolves its vertex or node index as list
+indexing does, `range(n)[i]`: it takes exactly -n <= i < n and raises
+IndexError otherwise.
 """
 
 from __future__ import annotations
@@ -48,7 +51,7 @@ from .errors import (
     PreconditionError,
     UnsupportedConfigurationError,
 )
-from .farey import Slope, _bezout, _json_int, _json_ratio, det, transvect
+from .farey import Slope, _bezout, _json_int, _json_pair, _json_ratio, det, transvect
 from .lens import LensSpace, lens_from_meridian_slopes
 from .markov import MarkovTriple
 # unused here, but bench/test_bench.py checks that bench/tracer.py wraps this binding
@@ -171,8 +174,8 @@ IntegralFrame = namedtuple("IntegralFrame", "den vertices positions cut_ends eig
 class AtfDiagram:
     """Strictly convex polygon (counterclockwise rational vertices) with
     nodes, stored as its integral frame.  Its Fraction views, its node
-    reports, computed on the first check, and its normal form are cached
-    properties, not fields."""
+    reports and readouts, and its normal form are cached properties, each
+    derived on its first read, not fields."""
 
     frame: IntegralFrame
 
@@ -219,25 +222,27 @@ class AtfDiagram:
 
     @cached_property
     def _reports(self) -> tuple[NodeReport, ...]:
-        return tuple(_node_report(self, i) for i in range(len(self.frame.positions)))
-
-    @cached_property
-    def _readouts(self) -> list[LensSpace | None]:
-        """Each node's lens readout once `node_boundary_lens` has derived it,
-        so every reader shares one object and its cached `canonical`."""
-        return [None] * len(self.frame.positions)
-
-    @cached_property
-    def _crossed_cuts(self) -> frozenset[int]:
-        """The nodes whose cut meets another node's cut, each pair of cuts
-        tested once."""
+        """Each node's report.  Each pair of cuts is tested once, and every
+        report reads the nodes whose cut meets another's."""
         _, _, positions, ends, _ = self.frame
+        n = len(positions)
         crossed = set()
-        for i in range(len(positions)):
-            for j in range(i + 1, len(positions)):
+        for i in range(n):
+            for j in range(i + 1, n):
                 if _segments_intersect(positions[i], ends[i], positions[j], ends[j]):
                     crossed.update((i, j))
-        return frozenset(crossed)
+        return tuple(_node_report(self, i, crossed) for i in range(n))
+
+    @cached_property
+    def _readouts(self) -> tuple[LensSpace | None, ...]:
+        """Each node's lens readout, None for a node that fails its report:
+        every reader shares one object and its cached `canonical`."""
+        verts = self.frame.vertices
+        return tuple(
+            lens_from_meridian_slopes(*(Slope(*u) for u in _flanking(verts, e)))
+            if r.passed else None
+            for r, e in zip(self._reports, self.frame.cut_ends)
+        )
 
     @cached_property
     def normal_form(self) -> tuple:
@@ -354,12 +359,12 @@ class AtfDiagram:
         constructor reduces to the frame in lowest terms: "2/4" reads as
         "1/2" does."""
         try:
-            verts = [(_json_ratio(x), _json_ratio(y)) for x, y in obj["vertices"]]
+            verts = [_json_pair(v, _json_ratio) for v in obj["vertices"]]
             positions, eigens, ends = [], [], []
             for n in obj.get("nodes", ()):
-                positions.append((_json_ratio(n["position"][0]), _json_ratio(n["position"][1])))
-                eigens.append((_json_int(n["eigenvector"][0]), _json_int(n["eigenvector"][1])))
-                ends.append((_json_ratio(n["cut_end"][0]), _json_ratio(n["cut_end"][1])))
+                positions.append(_json_pair(n["position"], _json_ratio))
+                eigens.append(_json_pair(n["eigenvector"], _json_int))
+                ends.append(_json_pair(n["cut_end"], _json_ratio))
         except (KeyError, TypeError, ValueError) as exc:
             raise InvariantError(f"malformed diagram: {exc}") from exc
         den = lcm(*(d for pts in (verts, positions, ends) for p in pts for _, d in p))
@@ -395,10 +400,10 @@ def _parallel(u: IntVec, v: IntVec) -> bool:
     return u != (0, 0) and v != (0, 0) and det(u, v) == 0
 
 
-def _node_report(d: AtfDiagram, i: int) -> NodeReport:
-    """Node i's tests on the frame.  The flanking edges are tested as the
-    frame holds them: the monodromy M is linear, so M(k u) is parallel to w
-    iff M u is, and no edge is reduced."""
+def _node_report(d: AtfDiagram, i: int, crossed: set[int]) -> NodeReport:
+    """Node i's tests on the frame, given the nodes whose cuts cross.  The
+    flanking edges are tested as the frame holds them: the monodromy M is
+    linear, so M(k u) is parallel to w iff M u is, and no edge is reduced."""
     _, verts, positions, ends, eigens = d.frame
     a, b = eigens[i]
     # a transvection fixes the vector it runs along, and a JSON document can
@@ -419,7 +424,7 @@ def _node_report(d: AtfDiagram, i: int) -> NodeReport:
             det(transvect(a, b, 1, *flank[1]), flank[0]) == 0
             or det(transvect(a, b, 1, *flank[0]), flank[1]) == 0
         ),
-        i not in d._crossed_cuts,
+        i not in crossed,
     )
 
 
@@ -457,12 +462,10 @@ def _chord_end(verts: tuple[IntVec, ...], c: IntVec, e: IntVec) -> tuple[IntVec,
 def nodal_trade(d: AtfDiagram, vertex_index: int) -> AtfDiagram:
     """Exchange a unimodular corner for a node with a cut to that corner."""
     den, verts, positions, ends, eigens = d.frame
-    i = range(len(verts))[vertex_index]
-    prev_v, corner, next_v = verts[i - 1], verts[i], verts[(i + 1) % len(verts)]
+    corner = verts[range(len(verts))[vertex_index]]
     if corner in ends:
         raise PreconditionError("vertex already carries a cut")
-    u = _primitive(_sub(prev_v, corner))
-    w = _primitive(_sub(next_v, corner))
+    u, w = map(_primitive, _flanking(verts, corner))
     if abs(det(u, w)) != 1:
         raise PreconditionError("corner is not unimodular; cannot trade")
     eigen = _primitive((u[0] + w[0], u[1] + w[1]))
@@ -588,16 +591,9 @@ def node_boundary_lens(d: AtfDiagram, node_index: int) -> LensSpace:
     """Lens space traced out over a punctured neighborhood of the cut: the
     corner at the cut end glues two solid tori whose meridians are its two
     boundary directions (Vianna, arXiv:1305.7512).  The node must pass the
-    consistency check, which the diagram runs once and keeps, with each
-    readout it derives.  The two edges go to `Slope` as the frame holds
-    them, and `Slope` reduces each once."""
-    node_index, i = _cut_vertex(d, node_index)
-    readouts = d._readouts
-    if readouts[node_index] is None:
-        verts = d.frame.vertices
-        u1, u2 = _flanking(verts, verts[i])
-        readouts[node_index] = lens_from_meridian_slopes(Slope(*u1), Slope(*u2))
-    return readouts[node_index]
+    consistency check.  The diagram derives its reports and every passing
+    node's readout once, on the first read, and keeps them."""
+    return d._readouts[_cut_vertex(d, node_index)[0]]
 
 
 def _reducing_frame(vectors: list[IntVec]) -> tuple[int, int, int, int]:

@@ -272,6 +272,15 @@ def _json_ratio(x) -> tuple[int, int]:
     raise InvariantError(f"not a rational: {x!r:.40}")
 
 
+def _json_pair(x, read) -> tuple:
+    """A pair of a JSON document: an array of exactly two entries, each read
+    by `read`.  Anything else, a two-character string included, raises
+    InvariantError."""
+    if type(x) is not list or len(x) != 2:
+        raise InvariantError(f"not a pair: {x!r:.40}")
+    return read(x[0]), read(x[1])
+
+
 @dataclass(frozen=True, slots=True)
 class DecoratedPath:
     """A strictly clockwise Farey path with signed edges.
@@ -346,7 +355,7 @@ class DecoratedPath:
     @classmethod
     def from_json_obj(cls, obj: dict) -> "DecoratedPath":
         try:
-            slopes = tuple(Slope(_json_int(n), _json_int(d)) for n, d in obj["slopes"])
+            slopes = tuple(Slope(*_json_pair(s, _json_int)) for s in obj["slopes"])
             signs = tuple(EdgeSign(s) for s in obj["signs"])
         except (KeyError, TypeError, ValueError) as exc:
             raise InvariantError(f"malformed decorated path: {exc}") from exc

@@ -232,6 +232,24 @@ class TestJsonReader:
         assert out == ""
         assert json.loads(err) == {"error": "invariant-violated", "message": message}
 
+    @pytest.mark.parametrize("where", ["vertex", "position", "eigenvector", "cut_end"])
+    @pytest.mark.parametrize(
+        "value",
+        ["30", ["3"], ["3", "0", "x"], {"0": "3", "1": "0"}],
+        ids=["string", "one-entry", "three-entry", "object"],
+    )
+    def test_each_pair_is_an_array_of_two_entries(self, where, value):
+        # a string or an object unpacks as a pair, and indexing a short
+        # array raises IndexError
+        obj = atf_for_markov(MarkovTriple(1, 1, 1)).to_json_obj()
+        if where == "vertex":
+            obj["vertices"][1] = value
+        else:
+            obj["nodes"][2][where] = value
+        with pytest.raises(InvariantError) as info:
+            AtfDiagram.from_json_obj(obj)
+        assert str(info.value) == "not a pair: " + repr(value)[:40]
+
 
 class TestNodalTrade:
     def test_three_trades_give_root_picture(self):
@@ -526,9 +544,9 @@ class TestConsistencyChecker:
         calls = []
         real = atf._node_report
 
-        def counted(d, i):
+        def counted(d, i, crossed):
             calls.append(i)
-            return real(d, i)
+            return real(d, i, crossed)
 
         monkeypatch.setattr(atf, "_node_report", counted)
         d = atf_for_markov(MarkovTriple(1, 2, 5))
@@ -541,13 +559,27 @@ class TestConsistencyChecker:
         assert len(check_consistency(d)) == 3 and calls == [0, 1, 2]
         assert [node_boundary_lens(d, i) for i in range(3)] == readouts
 
+    def test_derived_check_state_is_the_reports_and_readouts(self):
+        # a diagram keeps what its checks derive in two tuples, and no reader
+        # writes into either
+        d = atf_for_markov(MarkovTriple(1, 2, 5))
+        assert is_consistent(d)
+        readouts = [node_boundary_lens(d, i) for i in range(3)]
+        assert set(vars(d)) == {"frame", "_reports", "_readouts"}
+        assert type(d._reports) is tuple and type(d._readouts) is tuple
+        assert list(d._reports) == check_consistency(d) and list(d._readouts) == readouts
+        obj = d.to_json_obj()
+        obj["nodes"][1]["eigenvector"] = ["2", "2"]
+        d = AtfDiagram.from_json_obj(obj)
+        assert d._readouts == (readouts[0], None, readouts[2])
+
     def test_reports_are_computed_once_per_diagram_and_node(self, monkeypatch):
         calls = []
         real = atf._node_report
 
-        def counted(d, i):
+        def counted(d, i, crossed):
             calls.append((id(d), i))
-            return real(d, i)
+            return real(d, i, crossed)
 
         monkeypatch.setattr(atf, "_node_report", counted)
         d = atf_for_markov(MarkovTriple(1, 2, 5))
@@ -687,7 +719,7 @@ class TestConsistencyChecker:
         edge_point = (Fraction(1), Fraction(0))
         odd = rational_diagram(d.vertices, (AtfNode(node.position, node.eigenvector, edge_point),))
         passing = NodeReport(0, True, True, True, True, True, True)
-        monkeypatch.setattr(atf, "_node_report", lambda d, i: passing)
+        monkeypatch.setattr(atf, "_node_report", lambda d, i, crossed: passing)
         with pytest.raises(InternalConsistencyError, match="is not a polygon vertex"):
             move(odd, 0)
 

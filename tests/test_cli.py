@@ -435,7 +435,8 @@ class TestIntegerFields:
     """Integer fields read only ints and decimal strings, and rational
     coordinates only ints and "n" or "n/d" strings: a float or a boolean is
     an error, not a truncation, and a decimal point or an exponent is an
-    error too."""
+    error too.  Each pair is a JSON array of exactly two entries: a string,
+    or an array of one or three entries, is an error, not a pair."""
 
     def check_rejected(self, capsys, tmp_path, argv, doc):
         f = tmp_path / "input.json"
@@ -447,6 +448,14 @@ class TestIntegerFields:
 
     def test_float_and_bool_slope_entries(self, capsys, tmp_path):
         doc = {"slopes": [[-2.9, 1], [-1.5, 1], [True, False]], "signs": ["o", "o"]}
+        self.check_rejected(capsys, tmp_path, ["farey", "classify"], doc)
+
+    @pytest.mark.parametrize(
+        "slope", ["10", ["1"], ["1", "0", "x"]], ids=["string", "one-entry", "three-entry"]
+    )
+    def test_slope_not_a_pair(self, capsys, tmp_path, slope):
+        # "10" once read as the pair ("1", "0"), and the path as inf, -1, 0
+        doc = {"slopes": [slope, ["-1", "1"], ["0", "1"]], "signs": ["o", "o"]}
         self.check_rejected(capsys, tmp_path, ["farey", "classify"], doc)
 
     def test_float_mu(self, capsys, tmp_path):
@@ -493,6 +502,14 @@ class TestIntegerFields:
             ("position", ["3/4", " 3/4"]),
             ("cut_end", ["+0", "0/1"]),
             ("cut_end", ["0/1", "1/-1"]),
+            # pairs: vertex 0 is (0, 0), so "00" once read as it
+            ("vertex", "00"),
+            ("position", ["3/4"]),
+            ("position", ["3/4", "3/4", "x"]),
+            ("eigenvector", ["1"]),
+            ("eigenvector", ["1", "1", "x"]),
+            ("cut_end", ["0/1"]),
+            ("cut_end", ["0/1", "0/1", "x"]),
         ],
     )
     def test_float_and_bool_coordinates(self, capsys, tmp_path, field, value):

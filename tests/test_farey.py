@@ -346,6 +346,18 @@ class TestDecoratedPathValidation:
         p = totally_inconsistent_path(s("-3"), s("-8/5"))
         assert DecoratedPath.from_json_obj(p.to_json_obj()) == p
 
+    @pytest.mark.parametrize(
+        "slope",
+        ["10", ["1"], ["1", "0", "x"], {"1": "x", "0": "y"}],
+        ids=["string", "one-entry", "three-entry", "object"],
+    )
+    def test_each_slope_is_an_array_of_two_entries(self, slope):
+        # a string or an object unpacks as a pair: "10" and the keys "1", "0" read as inf
+        obj = {"slopes": [slope, ["-1", "1"], ["0", "1"]], "signs": ["o", "o"]}
+        with pytest.raises(InvariantError) as info:
+            DecoratedPath.from_json_obj(obj)
+        assert str(info.value) == "not a pair: " + repr(slope)[:40]
+
 
 class TestValueSemantics:
     """Slotted frozen dataclasses: no instance dict, no assignment, and the
