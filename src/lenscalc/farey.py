@@ -281,6 +281,14 @@ def _json_pair(x, read) -> tuple:
     return read(x[0]), read(x[1])
 
 
+def _json_array(x) -> list:
+    """An array of a JSON document.  Anything else, a string or an object
+    included, raises InvariantError."""
+    if type(x) is not list:
+        raise InvariantError(f"not an array: {x!r:.40}")
+    return x
+
+
 @dataclass(frozen=True, slots=True)
 class DecoratedPath:
     """A strictly clockwise Farey path with signed edges.
@@ -355,8 +363,8 @@ class DecoratedPath:
     @classmethod
     def from_json_obj(cls, obj: dict) -> "DecoratedPath":
         try:
-            slopes = tuple(Slope(*_json_pair(s, _json_int)) for s in obj["slopes"])
-            signs = tuple(EdgeSign(s) for s in obj["signs"])
+            slopes = tuple(Slope(*_json_pair(s, _json_int)) for s in _json_array(obj["slopes"]))
+            signs = tuple(EdgeSign(s) for s in _json_array(obj["signs"]))
         except (KeyError, TypeError, ValueError) as exc:
             raise InvariantError(f"malformed decorated path: {exc}") from exc
         return cls(slopes, signs)

@@ -1,8 +1,9 @@
 """Verification criteria shared by the CLI and the acceptance tests.
 
-`CRITERIA` is the table of the nine criteria, and `run` runs any subset of
-it.  Six check each triple of the Markov tree: `run` walks the tree once
-for all of them, to the depth the caller gives, and each triple's
+`CRITERIA` is the one table of the nine criteria.  Each check returns only
+what it found, and `run`, which runs any subset of the table, makes every
+result.  Six check each triple of the Markov tree: `run` walks the tree
+once for all of them, to the depth the caller gives, and each triple's
 `TripleRecord` derives its q-triple, diagram X, two-curve subdiagram and
 boundary once, on first use, for all their checks.  The other three run
 whole, each at its one fixed size: the figure paths, the Farey oracle on
@@ -13,7 +14,7 @@ from __future__ import annotations
 
 import time
 from collections.abc import Collection
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 from math import gcd
 
@@ -33,10 +34,6 @@ class CriterionResult:
     passed: bool
     detail: str
     wall_s: float = field(default=0.0, compare=False)
-
-
-def _result(number: int, title: str, lead: str, bad: list) -> CriterionResult:
-    return CriterionResult(number, title, not bad, lead + (f"; failures: {bad}" if bad else ""))
 
 
 @dataclass(frozen=True)
@@ -148,7 +145,7 @@ def crit4_surgery(r: TripleRecord) -> list[str]:
     return bad
 
 
-def crit5_decorated_paths() -> CriterionResult:
+def crit5_decorated_paths() -> tuple[int, list[str]]:
     """The figure paths classify as stated."""
     s = Slope.parse
     signs = (EdgeSign.RING, EdgeSign.MINUS, EdgeSign.RING)
@@ -175,8 +172,7 @@ def crit5_decorated_paths() -> CriterionResult:
             bad.append(f"{[str(x) for x in path.slopes]}: {got} != {want}")
     if slowest >= 0.001:
         bad.append(f"classification took {slowest * 1000:.3f} ms")
-    title = "decorated-path classifications of the figure paths"
-    return _result(5, title, f"{len(expect)} paths classified", bad)
+    return len(expect), bad
 
 
 def crit6_mutation_slide(r: TripleRecord) -> list[str]:
@@ -233,7 +229,7 @@ def _oracle_graph(den_limit: int) -> tuple[list[Slope], list[list[int]]]:
     return [Slope(n, d) for n, d in verts], succ
 
 
-def crit7_farey_oracle() -> CriterionResult:
+def crit7_farey_oracle() -> tuple[int, list[str]]:
     """minimal_path against a breadth-first search oracle.
 
     The oracle graph holds the slopes in [-2, 0] with denominator at most
@@ -298,8 +294,7 @@ def crit7_farey_oracle() -> CriterionResult:
                     bad.append(f"{src}->{dst}: vertex {s} is off the oracle geodesic")
                     break
                 j = parent[j]
-    title = "minimal_path vs BFS oracle, denominators <= 20"
-    return _result(7, title, f"{cases} pairs checked", bad[:5])
+    return cases, bad[:5]
 
 
 def _corner_order(verts: tuple, p: tuple[int, int]) -> int | None:
@@ -347,7 +342,7 @@ def crit8_atf_pipeline(r: TripleRecord) -> list[str]:
     return bad
 
 
-def crit9_boundary_cross_check() -> CriterionResult:
+def crit9_boundary_cross_check() -> tuple[int, list[str]]:
     """boundary_Bpq against the one-curve handle diagram for p <= 30, and
     each chiral boundary L(r, s), s^2 != -1 (mod r), against its mirror
     L(r, -s), from which `==` must tell it apart."""
@@ -366,47 +361,49 @@ def crit9_boundary_cross_check() -> CriterionResult:
             r, s = space.r, space.s
             if (s * s + 1) % r and space == lens.LensSpace(r, -s):
                 bad.append(f"B_({p},{q}): {space} equals its mirror")
-    title = "one-curve boundary cross-check, p <= 30"
-    return _result(9, title, f"{count} pairs checked", bad)
+    return count, bad
 
 
 @dataclass(frozen=True)
 class Criterion:
-    """A row of `CRITERIA`, naming its check.  A tree criterion's check turns
-    each `TripleRecord` to the sweep's depth into failure strings.  Any other
-    criterion's check runs it whole, at its own size, and returns the
-    `CriterionResult`."""
+    """A row of `CRITERIA`.  A per-triple check returns one triple's failure
+    strings; a whole check runs at its own size and returns (count, failures)."""
 
     number: int
     check: str
-    title: str = ""
-    noun: str = ""
+    title: str
+    noun: str
+    per_triple: bool
 
 
 CRITERIA = (
-    Criterion(1, "crit1_q_sweep", "q-triple derivation conditions", "triples checked"),
-    Criterion(2, "crit2_cp2_recognition", "CP^2 recognition sweep", "diagrams checked"),
-    Criterion(3, "crit3_two_curve_boundary", "two-curve boundary identity", "boundaries checked"),
-    Criterion(4, "crit4_surgery", "torus-framed surgery splitting", "splittings checked"),
-    Criterion(5, "crit5_decorated_paths"),
-    Criterion(6, "crit6_mutation_slide", "mutation handle slide identities", "triples checked"),
-    Criterion(7, "crit7_farey_oracle"),
-    Criterion(8, "crit8_atf_pipeline", "almost toric pipeline", "diagrams generated"),
-    Criterion(9, "crit9_boundary_cross_check"),
+    Criterion(1, "crit1_q_sweep", "q-triple derivation conditions", "triples checked", True),
+    Criterion(2, "crit2_cp2_recognition", "CP^2 recognition sweep", "diagrams checked", True),
+    Criterion(3, "crit3_two_curve_boundary",
+              "two-curve boundary identity", "boundaries checked", True),
+    Criterion(4, "crit4_surgery", "torus-framed surgery splitting", "splittings checked", True),
+    Criterion(5, "crit5_decorated_paths",
+              "decorated-path classifications of the figure paths", "paths classified", False),
+    Criterion(6, "crit6_mutation_slide",
+              "mutation handle slide identities", "triples checked", True),
+    Criterion(7, "crit7_farey_oracle",
+              "minimal_path vs BFS oracle, denominators <= 20", "pairs checked", False),
+    Criterion(8, "crit8_atf_pipeline", "almost toric pipeline", "diagrams generated", True),
+    Criterion(9, "crit9_boundary_cross_check",
+              "one-curve boundary cross-check, p <= 30", "pairs checked", False),
 )
 
 
 def run(numbers: Collection[int], depth: int) -> list[CriterionResult]:
     """The criteria with the given numbers, in table order, at a tree depth,
     each timed in `wall_s`.  One walk of the tree serves all their triple
-    checks.  A `LenscalcError` from a triple check is a failure of that
-    criterion, naming the triple, the error code and the message; the walk
-    goes on.  One from a whole check fails that criterion's row, described
-    by the check's name.  Each check is looked up in this module when it is
-    called, so a wrapper installed here sees every call."""
+    checks.  A `LenscalcError` in a check fails its row: a triple check's
+    names the triple, the code and the message, and the walk goes on; a
+    whole check's code and message are the row's detail.  Each check is
+    looked up in this module when called, so a wrapper here sees every call."""
     fns = globals()
     rows = [c for c in CRITERIA if c.number in numbers]
-    tree = [c for c in rows if c.title]
+    tree = [c for c in rows if c.per_triple]
     bad = {c.number: [] for c in tree}
     spent = dict.fromkeys(bad, 0.0)
     # the words are not kept through the checks
@@ -422,17 +419,19 @@ def run(numbers: Collection[int], depth: int) -> list[CriterionResult]:
             spent[c.number] += time.perf_counter() - start
     results = []
     for c in rows:
-        if c.title:
-            description = f"{c.title}, tree depth {depth}"
-            result = _result(c.number, description, f"{len(walk)} {c.noun}", bad[c.number])
+        if c.per_triple:
+            lead, failures = f"{len(walk)} {c.noun}", bad[c.number]
         else:
             start = time.perf_counter()
             try:
-                result = fns[c.check]()
+                count, failures = fns[c.check]()
+                lead = f"{count} {c.noun}"
             except LenscalcError as exc:
-                result = CriterionResult(c.number, c.check, False, f"{exc.code}: {exc}")
+                lead, failures = f"{exc.code}: {exc}", None  # no count, and the row fails
             spent[c.number] = time.perf_counter() - start
-        results.append(replace(result, wall_s=spent[c.number]))
+        title = f"{c.title}, tree depth {depth}" if c.per_triple else c.title
+        detail = lead + (f"; failures: {failures}" if failures else "")
+        results.append(CriterionResult(c.number, title, failures == [], detail, spent[c.number]))
     return results
 
 

@@ -47,7 +47,7 @@ def test_criterion_4_surgery_splitting():
 
 def test_criterion_5_decorated_path_classification():
     # the per-path timing budget (< 1 ms) is asserted inside the criterion
-    result = verify.crit5_decorated_paths()
+    result = _one(5, 0)
     assert result.passed, result.detail
 
 
@@ -57,7 +57,7 @@ def test_criterion_6_mutation_slide():
 
 
 def test_criterion_7_farey_path_oracle():
-    result, elapsed = _timed(verify.crit7_farey_oracle)
+    result, elapsed = _timed(_one, 7, 0)
     assert result.passed, result.detail
     assert result.detail == "32896 pairs checked"
     assert elapsed < 30.0
@@ -108,7 +108,7 @@ def test_criterion_7_reports_a_bad_path(monkeypatch, mutate, failure):
     # a wrong path is a failed criterion, not an exception
     real = farey.minimal_path
     monkeypatch.setattr(farey, "minimal_path", lambda src, dst: mutate(real(src, dst)))
-    result = verify.crit7_farey_oracle()
+    result = _one(7, 0)
     assert not result.passed
     # every pair of denominator <= 20 runs, 32 896 of them, where denominators
     # <= 8 would give 990
@@ -166,7 +166,7 @@ def test_criterion_8_reports_a_missing_node(monkeypatch):
 
 
 def test_criterion_9_boundary_cross_check():
-    result = verify.crit9_boundary_cross_check()
+    result = _one(9, 0)
     assert result.passed, result.detail
 
 
@@ -239,7 +239,7 @@ def _branch(mutation, depth):
 def test_triple_checks_pass_deep_on_both_extreme_branches(mutation, depth, budget):
     # LEFT keeps the two largest entries every time (22 876-bit entries at
     # depth 20); RIGHT keeps p1 = 1 and grows slowest
-    checks = [c.check for c in verify.CRITERIA if c.title]
+    checks = [c.check for c in verify.CRITERIA if c.per_triple]
     assert len(checks) == 6
     record = verify.TripleRecord(_branch(mutation, depth))
     start = time.perf_counter()
@@ -269,8 +269,37 @@ def test_run_all_reports_nine_passes():
     assert all(r.passed for r in results)
 
 
-@pytest.mark.parametrize("number", [5, 7, 9])
-def test_typed_error_in_a_whole_check_fails_its_row(monkeypatch, number):
+def test_the_table_holds_every_row():
+    # nine rows, numbered in order, each with its title and count noun;
+    # criteria 5, 7 and 9 run whole
+    assert [c.number for c in verify.CRITERIA] == list(range(1, 10))
+    assert all(c.title and c.noun for c in verify.CRITERIA)
+    assert [c.number for c in verify.CRITERIA if not c.per_triple] == [5, 7, 9]
+    assert all(callable(getattr(verify, c.check)) for c in verify.CRITERIA)
+
+
+def test_run_makes_a_whole_row_from_the_table(monkeypatch):
+    # a whole check returns its count and failures; run adds the title,
+    # the count noun and the failure list
+    monkeypatch.setattr(verify, "crit5_decorated_paths", lambda: (2, ["x"]))
+    assert _one(5, 0) == verify.CriterionResult(
+        5,
+        "decorated-path classifications of the figure paths",
+        False,
+        "2 paths classified; failures: ['x']",
+    )
+
+
+@pytest.mark.parametrize(
+    "number, title",
+    [
+        (5, "decorated-path classifications of the figure paths"),
+        (7, "minimal_path vs BFS oracle, denominators <= 20"),
+        (9, "one-curve boundary cross-check, p <= 30"),
+    ],
+)
+def test_typed_error_in_a_whole_check_fails_its_row(monkeypatch, number, title):
+    # the row keeps its table title; the detail is the error alone
     check = verify.CRITERIA[number - 1].check
 
     def boom():
@@ -281,7 +310,7 @@ def test_typed_error_in_a_whole_check_fails_its_row(monkeypatch, number):
     assert [r.number for r in results] == list(range(1, 10))
     assert [r.number for r in results if not r.passed] == [number]
     assert results[number - 1] == verify.CriterionResult(
-        number, check, False, "invariant-violated: boom"
+        number, title, False, "invariant-violated: boom"
     )
 
 
@@ -296,7 +325,7 @@ def test_run_all_times_each_row():
     # the rows' times are disjoint spans inside the call
     results, elapsed = _timed(verify.run_all, 4)
     assert all(r.wall_s >= 0 for r in results)
-    tree = {c.number for c in verify.CRITERIA if c.title}
+    tree = {c.number for c in verify.CRITERIA if c.per_triple}
     assert len(tree) == 6
     assert all(r.wall_s <= elapsed for r in results if r.number in tree)
     assert sum(r.wall_s for r in results) <= elapsed

@@ -436,7 +436,9 @@ class TestIntegerFields:
     coordinates only ints and "n" or "n/d" strings: a float or a boolean is
     an error, not a truncation, and a decimal point or an exponent is an
     error too.  Each pair is a JSON array of exactly two entries: a string,
-    or an array of one or three entries, is an error, not a pair."""
+    or an array of one or three entries, is an error, not a pair.  A
+    decorated path's slopes and signs are JSON arrays, never a string or an
+    object."""
 
     def check_rejected(self, capsys, tmp_path, argv, doc):
         f = tmp_path / "input.json"
@@ -457,6 +459,26 @@ class TestIntegerFields:
         # "10" once read as the pair ("1", "0"), and the path as inf, -1, 0
         doc = {"slopes": [slope, ["-1", "1"], ["0", "1"]], "signs": ["o", "o"]}
         self.check_rejected(capsys, tmp_path, ["farey", "classify"], doc)
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("signs", "o-o", "not an array: 'o-o'"),
+            ("signs", {"o": 1, "-": 2, "+": 3}, "not an array: {'o': 1, '-': 2, '+': 3}"),
+            ("slopes", "abc", "not an array: 'abc'"),
+            ("slopes", {"a": 1}, "not an array: {'a': 1}"),
+        ],
+        ids=["signs-string", "signs-object", "slopes-string", "slopes-object"],
+    )
+    def test_slopes_and_signs_are_arrays(self, capsys, tmp_path, field, value, message):
+        # "o-o" once classified as the signs o, -, o: UniversallyTight, exit 0
+        slopes = [["-8", "5"], ["-3", "2"], ["-1", "1"], ["0", "1"]]
+        f = tmp_path / "input.json"
+        f.write_text(json.dumps({"slopes": slopes, "signs": ["o", "-", "o"], field: value}))
+        code, out, err = run(capsys, "farey", "classify", str(f))
+        assert (code, out) == (2, "")
+        error = {"error": "invariant-violated", "message": message}
+        assert err == json.dumps(error, separators=(",", ":")) + "\n"
 
     def test_float_mu(self, capsys, tmp_path):
         curves = [{**HANDLE_DOC["curves"][0], "mu": -1.9}] + HANDLE_DOC["curves"][1:]
@@ -933,7 +955,7 @@ class TestVerifyCommand:
 
     def test_typed_error_in_a_whole_check_fails_that_criterion(self, capsys, monkeypatch):
         # criterion 9 runs whole; a typed error in it is a failure of its
-        # row, named by its check, and every other line prints
+        # row, described by its title, and every other line prints
         def boom(p, q):
             raise InvariantError("boom")
 
@@ -943,7 +965,7 @@ class TestVerifyCommand:
         lines = out.splitlines()
         assert [l.split(" - ")[0] for l in lines[:8]] == [f"ok {n}" for n in range(1, 9)]
         assert lines[8:] == [
-            "FAIL 9 - crit9_boundary_cross_check (invariant-violated: boom)",
+            "FAIL 9 - one-curve boundary cross-check, p <= 30 (invariant-violated: boom)",
             "some criteria FAILED",
         ]
 

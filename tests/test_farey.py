@@ -358,6 +358,26 @@ class TestDecoratedPathValidation:
             DecoratedPath.from_json_obj(obj)
         assert str(info.value) == "not a pair: " + repr(slope)[:40]
 
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("signs", "o-o", "not an array: 'o-o'"),
+            ("signs", {"o": 1, "-": 2, "+": 3}, "not an array: {'o': 1, '-': 2, '+': 3}"),
+            ("slopes", "abc", "not an array: 'abc'"),
+            ("slopes", {"a": 1}, "not an array: {'a': 1}"),
+        ],
+        ids=["signs-string", "signs-object", "slopes-string", "slopes-object"],
+    )
+    def test_slopes_and_signs_are_arrays(self, field, value, message):
+        # "o-o" once read as the three signs o, -, o, and an object as its keys
+        slopes = [["-8", "5"], ["-3", "2"], ["-1", "1"], ["0", "1"]]
+        obj = {"slopes": slopes, "signs": ["o", "-", "o"]}
+        signs = (EdgeSign.RING, EdgeSign.MINUS, EdgeSign.RING)
+        assert DecoratedPath.from_json_obj(obj).signs == signs
+        with pytest.raises(InvariantError) as info:
+            DecoratedPath.from_json_obj({**obj, field: value})
+        assert str(info.value) == message
+
 
 class TestValueSemantics:
     """Slotted frozen dataclasses: no instance dict, no assignment, and the
