@@ -7,9 +7,11 @@ least, and integer pairs over it for the vertices, node positions and cut
 ends, with the primitive integer eigenvectors.  The one constructor,
 `AtfDiagram(den, vertices, positions, cut_ends, eigenvectors)`, takes these
 fields, so `AtfDiagram(*d.frame) == d`.  Every move builds its diagram with
-it, and so does the JSON reader, which takes each point or eigenvector as an
-array of exactly two entries (`farey._json_pair`) and each coordinate ("n/d"
-string or integer) as an integer pair (n, d > 0).  A slide takes its ratio
+it, and so does the JSON reader.  A document is a JSON object; its
+`vertices` and `nodes` are arrays, each node is an object, each point or
+eigenvector an array of exactly two entries (`farey._json_pair`), and each
+coordinate ("n/d" string or integer) an integer pair (n, d > 0).  The reader
+rejects anything else with one exact message.  A slide takes its ratio
 as two integers.  Fractions appear only in the `vertices` and `nodes` views.
 The monodromy of a node acts on vectors, v -> v + det(e, v) e
 (`farey.transvect`), with no matrix built, and the orientation tests run on
@@ -51,7 +53,8 @@ from .errors import (
     PreconditionError,
     UnsupportedConfigurationError,
 )
-from .farey import Slope, _bezout, _json_int, _json_pair, _json_ratio, det, transvect
+from .farey import Slope, _bezout, det, transvect
+from .farey import _json_array, _json_int, _json_member, _json_pair, _json_ratio
 from .lens import LensSpace, lens_from_meridian_slopes
 from .markov import MarkovTriple
 # unused here, but bench/test_bench.py checks that bench/tracer.py wraps this binding
@@ -343,11 +346,7 @@ class AtfDiagram:
         return {
             "vertices": [point(v) for v in verts],
             "nodes": [
-                {
-                    "position": point(p),
-                    "eigenvector": [str(a), str(b)],
-                    "cut_end": point(c),
-                }
+                {"position": point(p), "eigenvector": [str(a), str(b)], "cut_end": point(c)}
                 for p, (a, b), c in zip(positions, self.frame.eigenvectors, ends)
             ],
         }
@@ -358,15 +357,12 @@ class AtfDiagram:
         pair (n, d > 0) and scaled to the lcm of the d, from which the
         constructor reduces to the frame in lowest terms: "2/4" reads as
         "1/2" does."""
-        try:
-            verts = [_json_pair(v, _json_ratio) for v in obj["vertices"]]
-            positions, eigens, ends = [], [], []
-            for n in obj.get("nodes", ()):
-                positions.append(_json_pair(n["position"], _json_ratio))
-                eigens.append(_json_pair(n["eigenvector"], _json_int))
-                ends.append(_json_pair(n["cut_end"], _json_ratio))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise InvariantError(f"malformed diagram: {exc}") from exc
+        verts = [_json_pair(v, _json_ratio) for v in _json_array(_json_member(obj, "vertices"))]
+        positions, eigens, ends = [], [], []
+        for n in _json_array(_json_member(obj, "nodes", [])):
+            positions.append(_json_pair(_json_member(n, "position"), _json_ratio))
+            eigens.append(_json_pair(_json_member(n, "eigenvector"), _json_int))
+            ends.append(_json_pair(_json_member(n, "cut_end"), _json_ratio))
         den = lcm(*(d for pts in (verts, positions, ends) for p in pts for _, d in p))
 
         def scaled(pts: list) -> list[IntVec]:
@@ -639,30 +635,28 @@ def atf_for_markov(t: MarkovTriple) -> AtfDiagram:
     n0 = (w1, -w2 x), n1 = (-w0, -w2 y), n2 = (0, 1) satisfy
     w0 n0 + w1 n1 + w2 n2 = 0, and the triangle <n_i, v> >= -1 has area 9/2
     and its centre at the origin.  The corner where n_j and n_k meet has
-    order |det(n_j, n_k)| = w_i, and its eigenline runs through the centre.
-    Each node sits three quarters of the way from its corner to the centre,
-    where the three eigenlines meet and no cut reaches, so no transfer of a
-    cut is blocked.  The triangle is drawn in the reduced frame of its
-    corners, starting at its least corner, and translated by (1, 1), which
-    makes (1,1,1) the standard triangle with its corners traded.  The pair
-    (x, y) comes from the Bezout pair of p1 and p2 (`_squares_pair`); any
-    other pair shears the normals by a unimodular map, and the reduced frame
-    gives the same diagram as, for example, Euclid's pair for (w0, w1).
+    order |det(n_j, n_k)| = w_i, its eigenline runs through the centre, and
+    Cramer's rule puts it over p1 p2 p3 in closed form.  Each node sits
+    three quarters of the way from its corner to the centre, where the three
+    eigenlines meet and no cut reaches, so no transfer of a cut is blocked.
+    The triangle is drawn in the reduced frame of its corners, starting at
+    its least corner, and translated by (1, 1), which makes (1,1,1) the
+    standard triangle with its corners traded.  The pair (x, y) comes from
+    the Bezout pair of p1 and p2 (`_squares_pair`); any other pair shears
+    the normals by a unimodular map, and the reduced frame gives the same
+    diagram as, for example, Euclid's pair for (w0, w1).
     """
-    w = [p * p for p in t.entries()]
-    x, y = _squares_pair(t.p1, t.p2)
-    # counterclockwise: n0, n2, n1
-    normals = ((w[1], -w[2] * x), (0, 1), (-w[0], -w[2] * y))
-    corners = []
-    for i in range(3):
-        # the corner where consecutive edges meet, by Cramer's rule, over its
-        # least denominator e > 0
-        (a, b), (c, d) = normals[i - 1], normals[i]
-        delta = det(normals[i - 1], normals[i])
-        g = gcd(delta, b - d, c - a) * (1 if delta > 0 else -1)
-        corners.append((delta // g, (b - d) // g, (c - a) // g))
-    den = lcm(*(e for e, _, _ in corners))
-    ints = [(x * (den // e), y * (den // e)) for e, x, y in corners]
+    p1, p2, p3 = t.entries()
+    x, y = _squares_pair(p1, p2)
+    # counterclockwise, the corners where n1 meets n0, n0 n2 and n2 n1, over
+    # den; p1^2 + p2^2 = p3 (3 p1 p2 - p3), and p1 | 1 + p3^2 y as p3^2 =
+    # -p2^2 (mod p1) and p2^2 y = 1 (mod p1^2); p2 | 1 + p3^2 x alike
+    den = p1 * p2 * p3
+    ints = [
+        ((x - y) * den, (3 * p1 * p2 - p3) * p1 * p2),
+        (-((1 + p3 * p3 * x) // p2) * p1 * p3, -den),
+        ((1 + p3 * p3 * y) // p1 * p2 * p3, -den),
+    ]
     m00, m01, m10, m11 = _reducing_frame(ints)
     ints = [(m00 * x + m01 * y, m10 * x + m11 * y) for x, y in ints]
     first = ints.index(min(ints))

@@ -242,14 +242,14 @@ class Classification(Enum):
 def _json_int(x) -> int:
     """An integer field of a JSON document: an int that is not a bool, or a
     decimal integer string, the form each `to_json_obj` writes.  Floats,
-    booleans and anything else raise InvariantError."""
+    booleans, more digits than int() converts and the rest raise InvariantError."""
     if type(x) is int:
         return x
     if type(x) is str and _DECIMAL.fullmatch(x):
         try:
             return int(x)
-        except ValueError as exc:  # more digits than int() converts
-            raise InvariantError(f"malformed integer: {exc}") from exc
+        except ValueError:  # more digits than int() converts
+            pass
     raise InvariantError(f"not an integer: {x!r:.40}")
 
 
@@ -287,6 +287,19 @@ def _json_array(x) -> list:
     if type(x) is not list:
         raise InvariantError(f"not an array: {x!r:.40}")
     return x
+
+
+def _json_member(obj, key: str, default=None):
+    """The member `key` of a JSON object, or `default` when it has none; a
+    missing member with no default, or anything but an object, raises
+    InvariantError."""
+    if type(obj) is not dict:
+        raise InvariantError(f"not an object: {obj!r:.40}")
+    if key in obj:
+        return obj[key]
+    if default is None:
+        raise InvariantError(f"missing member: {key!r}")
+    return default
 
 
 @dataclass(frozen=True, slots=True)
@@ -362,12 +375,12 @@ class DecoratedPath:
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "DecoratedPath":
-        try:
-            slopes = tuple(Slope(*_json_pair(s, _json_int)) for s in _json_array(obj["slopes"]))
-            signs = tuple(EdgeSign(s) for s in _json_array(obj["signs"]))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise InvariantError(f"malformed decorated path: {exc}") from exc
-        return cls(slopes, signs)
+        slopes = _json_array(_json_member(obj, "slopes"))
+        slopes = tuple(Slope(*_json_pair(s, _json_int)) for s in slopes)
+        signs = _json_array(_json_member(obj, "signs"))
+        if bad := [s for s in signs if s not in ("+", "-", "o")]:
+            raise InvariantError(f"not a sign: {bad[0]!r:.40}")
+        return cls(slopes, tuple(map(EdgeSign, signs)))
 
 
 @dataclass(frozen=True)

@@ -6,7 +6,9 @@ Curves are classes a*mu + b*lambda on the Heegaard torus; twists act on
 framing acts on the splitting torus as the right-handed Dehn twist
 v -> v + det(v, gamma) * gamma, the transvection `farey.transvect` along
 (lambda; mu) with k the framing, applied to each vector with no matrix
-built (`push`).
+built (`push`).  A diagram's JSON document is an object whose `curves` is
+an array; each curve and `handles` are objects, and the reader rejects
+anything else with one exact message.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from enum import Enum
 from math import gcd
 
 from .errors import InternalConsistencyError, InvariantError, PreconditionError
-from .farey import ZERO, IntMat2, Slope, _json_int, det, transvect
+from .farey import ZERO, IntMat2, Slope, _json_array, _json_int, _json_member, det, transvect
 from .lens import ThreeManifold, lens_from_meridian_slopes
 from .markov import MarkovTriple, QTriple, verify_q
 
@@ -68,27 +70,17 @@ class HorizontalDiagram:
                 {"mu": str(c.mu), "lambda": str(c.lam), "framing": c.framing}
                 for c in self.curves
             ],
-            "handles": {
-                "h0": 1,
-                "h1": 1,
-                "h3": self.n3,
-                "h4": self.n4,
-            },
+            "handles": {"h0": 1, "h1": 1, "h3": self.n3, "h4": self.n4},
         }
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "HorizontalDiagram":
-        try:
-            curves = tuple(
-                TorusCurve(_json_int(c["mu"]), _json_int(c["lambda"]), _json_int(c["framing"]))
-                for c in obj["curves"]
-            )
-            handles = obj.get("handles", {})
-            n3 = _json_int(handles.get("h3", 0))
-            n4 = _json_int(handles.get("h4", 0))
-        except (KeyError, TypeError, ValueError, AttributeError) as exc:
-            raise InvariantError(f"malformed diagram: {exc}") from exc
-        return cls(curves, n3, n4)
+        curves = tuple(
+            TorusCurve(*(_json_int(_json_member(c, k)) for k in ("mu", "lambda", "framing")))
+            for c in _json_array(_json_member(obj, "curves"))
+        )
+        handles = _json_member(obj, "handles", {})
+        return cls(curves, *(_json_int(_json_member(handles, k, 0)) for k in ("h3", "h4")))
 
 
 def push(d: HorizontalDiagram, lam: int, mu: int) -> tuple[int, int]:

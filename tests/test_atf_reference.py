@@ -140,7 +140,8 @@ def test_matches_replay(t):
 
 
 def test_closed_form_matches_fraction_construction():
-    for t, _ in enumerate_tree(10):
+    # the tree to depth 10, and the fastest- and slowest-growing branches
+    for t in [t for t, _ in enumerate_tree(10)] + [replay("L" * 19), replay("R" * 300)]:
         assert atf_for_markov(t).to_json_obj() == ref.fraction_atf_for_markov(t).to_json_obj(), t
 
 

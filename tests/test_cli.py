@@ -24,7 +24,7 @@ from lenscalc.errors import (
     UnsupportedConfigurationError,
 )
 from lenscalc.farey import DecoratedPath
-from lenscalc.handles import build_X
+from lenscalc.handles import HorizontalDiagram, build_X
 from lenscalc.markov import MarkovTriple, derive_q, enumerate_tree, replay
 from lenscalc.svg import render_svg
 
@@ -334,7 +334,8 @@ class TestDecoratedPathLoaderFuzz:
     def test_from_json_obj_returns_a_path_or_a_typed_error(self, obj):
         try:
             p = DecoratedPath.from_json_obj(obj)
-        except LenscalcError:
+        except LenscalcError as exc:
+            assert_no_python_wording(str(exc))
             return
         assert isinstance(p, DecoratedPath)
         assert DecoratedPath.from_json_obj(p.to_json_obj()) == p
@@ -347,9 +348,20 @@ class TestDecoratedPathLoaderFuzz:
         ends_in_json(["farey", "classify"], obj, "classification")
 
 
+# the wording of Python's own KeyError, TypeError, ValueError and
+# AttributeError texts, which no reader's message may carry
+PYTHON_WORDING = ["indices must be", "has no attribute", "is not a valid", "not subscriptable",
+                  "unhashable"]
+
+
+def assert_no_python_wording(message):
+    assert not [w for w in PYTHON_WORDING if w in message], message
+
+
 def ends_in_json(argv, obj, key):
     """Run the command on obj written as a JSON file: it exits 0 or 1 with
-    JSON holding key on stdout, or 2 with an error object on stderr."""
+    JSON holding key on stdout, or 2 with an error object on stderr whose
+    message carries no Python exception wording."""
     out, err = io.StringIO(), io.StringIO()
     with tempfile.TemporaryDirectory() as d:
         path = os.path.join(d, "input.json")
@@ -360,7 +372,9 @@ def ends_in_json(argv, obj, key):
     assert code in (0, 1, 2)
     if code == 2:
         assert out.getvalue() == ""
-        assert set(json.loads(err.getvalue())) == {"error", "message"}
+        error = json.loads(err.getvalue())
+        assert set(error) == {"error", "message"}
+        assert_no_python_wording(error["message"])
     else:
         assert err.getvalue() == ""
         assert key in json.loads(out.getvalue())
@@ -542,6 +556,134 @@ class TestIntegerFields:
             doc["nodes"][0][field] = value
         for move in (["--transfer", "0"], ["--transfer", "1"], ["--slide", "1", "1/2"]):
             self.check_rejected(capsys, tmp_path, ["atf", "move", *move], doc)
+
+
+PATH_DOC = {"slopes": [["-8", "5"], ["-3", "2"], ["-1", "1"], ["0", "1"]], "signs": ["o", "-", "o"]}
+ROOT_HANDLE_DOC = build_X(MarkovTriple(1, 1, 1), derive_q(MarkovTriple(1, 1, 1))).to_json_obj()
+# each reader with a command that reads its document, and a good document
+READERS = {
+    "path": (DecoratedPath, ["farey", "classify"], PATH_DOC),
+    "handle": (HorizontalDiagram, ["handle", "recognize"], ROOT_HANDLE_DOC),
+    "atf": (AtfDiagram, ["atf", "move", "--transfer", "0"], ATF_ROOT_DOC),
+}
+DELETE = object()
+
+
+class TestDocumentShape:
+    """A document is a JSON object.  `vertices`, `nodes`, `curves`, `slopes`
+    and `signs` are arrays; each node, each curve and `handles` are objects;
+    a sign is "+", "-" or "o".  Each reader rejects anything else with one
+    exact message, through the library and through the CLI: exit 2,
+    `invariant-violated`, the message on stderr and nothing on stdout."""
+
+    def check(self, capsys, tmp_path, reader, where, value, message):
+        """Read the reader's good document with the member at the key path
+        `where` set to value, or deleted when value is DELETE."""
+        cls, argv, doc = READERS[reader]
+        doc = json.loads(json.dumps(doc))
+        if not where:
+            doc = value
+        else:
+            parent = doc
+            for key in where[:-1]:
+                parent = parent[key]
+            if value is DELETE:
+                del parent[where[-1]]
+            else:
+                parent[where[-1]] = value
+        with pytest.raises(InvariantError) as info:
+            cls.from_json_obj(doc)
+        assert str(info.value) == message
+        f = tmp_path / "input.json"
+        f.write_text(json.dumps(doc))
+        code, out, err = run(capsys, *argv[:2], str(f), *argv[2:])
+        assert (code, out) == (2, "")
+        error = {"error": "invariant-violated", "message": message}
+        assert err == json.dumps(error, separators=(",", ":")) + "\n"
+
+    @pytest.mark.parametrize(
+        "reader, field",
+        [("path", "slopes"), ("path", "signs"), ("handle", "curves"), ("atf", "vertices"),
+         ("atf", "nodes")],
+    )
+    @pytest.mark.parametrize("value", ["abc", {}, {"a": 1}, 5], ids=["string", "empty-object",
+                                                                    "object", "number"])
+    def test_each_array_member_is_an_array(self, capsys, tmp_path, reader, field, value):
+        # "nodes": {} and "curves": {} once read as no nodes and no curves,
+        # and "nodes": "abc" failed with Python's own indexing text
+        message = "not an array: " + repr(value)[:40]
+        self.check(capsys, tmp_path, reader, [field], value, message)
+
+    @pytest.mark.parametrize(
+        "reader, where, value",
+        [
+            ("atf", ["nodes", 0], "abc"),
+            ("atf", ["nodes", 2], ["3/4", "3/4"]),
+            ("handle", ["curves", 0], "ab"),
+            ("handle", ["curves", 1], [-1, 1]),
+            ("handle", ["handles"], []),
+            ("handle", ["handles"], "h3"),
+            ("path", [], []),
+            ("handle", [], []),
+            ("atf", [], []),
+            ("path", [], "slopes"),
+            ("atf", [], None),
+            ("handle", [], 5),
+        ],
+        ids=["node-string", "node-array", "curve-string", "curve-array", "handles-array",
+             "handles-string", "path-array", "handle-array", "atf-array", "path-string",
+             "atf-null", "handle-number"],
+    )
+    def test_each_object_is_an_object(self, capsys, tmp_path, reader, where, value):
+        # "handles": [] once failed with "'list' object has no attribute
+        # 'get'", and a top-level array with "list indices must be integers"
+        message = "not an object: " + repr(value)[:40]
+        self.check(capsys, tmp_path, reader, where, value, message)
+
+    @pytest.mark.parametrize(
+        "reader, where",
+        [
+            ("path", ["slopes"]),
+            ("path", ["signs"]),
+            ("handle", ["curves"]),
+            ("handle", ["curves", 0, "mu"]),
+            ("handle", ["curves", 2, "lambda"]),
+            ("handle", ["curves", 1, "framing"]),
+            ("atf", ["vertices"]),
+            ("atf", ["nodes", 0, "position"]),
+            ("atf", ["nodes", 1, "eigenvector"]),
+            ("atf", ["nodes", 2, "cut_end"]),
+        ],
+        ids=lambda v: v if isinstance(v, str) else ".".join(map(str, v)),
+    )
+    def test_a_required_member_is_present(self, capsys, tmp_path, reader, where):
+        self.check(capsys, tmp_path, reader, where, DELETE, f"missing member: {where[-1]!r}")
+
+    @pytest.mark.parametrize("sign", ["x", "", "++", "∘", "O", 1, None, ["o"], {"o": 1}],
+                             ids=repr)
+    def test_a_sign_is_one_of_three_strings(self, capsys, tmp_path, sign):
+        # "x" once failed with "'x' is not a valid EdgeSign"
+        self.check(capsys, tmp_path, "path", ["signs", 1], sign, "not a sign: " + repr(sign)[:40])
+
+    def test_a_long_value_is_cut_to_40_characters(self, capsys, tmp_path):
+        value = "x" * 100
+        message = "not an array: '" + "x" * 39
+        self.check(capsys, tmp_path, "atf", ["nodes"], value, message)
+        self.check(capsys, tmp_path, "handle", ["curves", 0], value, "not an object: '" + "x" * 39)
+
+    def test_the_optional_members_default_as_before(self):
+        # an absent `nodes` reads as no nodes, an absent `handles`, `h3` or
+        # `h4` as no such handles
+        verts = ATF_ROOT_DOC["vertices"]
+        assert AtfDiagram.from_json_obj({"vertices": verts}).frame.positions == ()
+        curves = ROOT_HANDLE_DOC["curves"]
+        assert HorizontalDiagram.from_json_obj({"curves": curves}) == HorizontalDiagram(
+            HorizontalDiagram.from_json_obj(ROOT_HANDLE_DOC).curves
+        )
+        d = HorizontalDiagram.from_json_obj({"curves": curves, "handles": {"h4": "2"}})
+        assert (d.n3, d.n4) == (0, 2)
+        for reader, (cls, _, doc) in READERS.items():
+            assert cls.from_json_obj(doc).to_json_obj() == doc, reader
 
 
 class TestDecimalArguments:
