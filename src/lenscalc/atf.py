@@ -8,7 +8,8 @@ ends, with the primitive integer eigenvectors.  The one constructor,
 `AtfDiagram(den, vertices, positions, cut_ends, eigenvectors)`, takes these
 fields, so `AtfDiagram(*d.frame) == d`.  Every move builds its diagram with
 it, and so does the JSON reader.  A document is a JSON object; its
-`vertices` and `nodes` are arrays, each node is an object, each point or
+`vertices` and `nodes` are arrays, each node is an object, neither object
+has a member the reader does not name (`farey._json_object`), each point or
 eigenvector an array of exactly two entries (`farey._json_pair`), and each
 coordinate ("n/d" string or integer) an integer pair (n, d > 0).  The reader
 rejects anything else with one exact message.  A slide takes its ratio
@@ -54,9 +55,9 @@ from .errors import (
     UnsupportedConfigurationError,
 )
 from .farey import Slope, _bezout, det, transvect
-from .farey import _json_array, _json_int, _json_member, _json_pair, _json_ratio
+from .farey import _json_array, _json_int, _json_object, _json_pair, _json_ratio
 from .lens import LensSpace, lens_from_meridian_slopes
-from .markov import MarkovTriple
+from .markov import MarkovTriple, derive_q
 # unused here, but bench/test_bench.py checks that bench/tracer.py wraps this binding
 from .markov import mutation_path  # noqa: F401
 
@@ -357,12 +358,14 @@ class AtfDiagram:
         pair (n, d > 0) and scaled to the lcm of the d, from which the
         constructor reduces to the frame in lowest terms: "2/4" reads as
         "1/2" does."""
-        verts = [_json_pair(v, _json_ratio) for v in _json_array(_json_member(obj, "vertices"))]
+        verts, nodes = map(_json_array, _json_object(obj, "vertices", nodes=[]))
+        verts = [_json_pair(v, _json_ratio) for v in verts]
         positions, eigens, ends = [], [], []
-        for n in _json_array(_json_member(obj, "nodes", [])):
-            positions.append(_json_pair(_json_member(n, "position"), _json_ratio))
-            eigens.append(_json_pair(_json_member(n, "eigenvector"), _json_int))
-            ends.append(_json_pair(_json_member(n, "cut_end"), _json_ratio))
+        for n in nodes:
+            p, e, c = _json_object(n, "position", "eigenvector", "cut_end")
+            positions.append(_json_pair(p, _json_ratio))
+            eigens.append(_json_pair(e, _json_int))
+            ends.append(_json_pair(c, _json_ratio))
         den = lcm(*(d for pts in (verts, positions, ends) for p in pts for _, d in p))
 
         def scaled(pts: list) -> list[IntVec]:
@@ -615,48 +618,33 @@ def _reducing_frame(vectors: list[IntVec]) -> tuple[int, int, int, int]:
             return m00, m01, m10, m11
 
 
-def _squares_pair(p1: int, p2: int) -> tuple[int, int]:
-    """(x, y) with p1^2 x + p2^2 y = 1 and 0 <= x < p2^2, for coprime p1
-    and p2 > 0, from the Bezout pair of p1 and p2 and none of the squares:
-    with p1 u + p2 v = 1, the cube of that identity is p1^2 (p1 u^3 +
-    3 u^2 p2 v) + p2^2 (3 p1 u v^2 + p2 v^3) = 1, and x is the first factor
-    mod p2^2."""
-    u, v = _bezout(p1, p2)
-    x = u * u * (p1 * u + 3 * p2 * v) % (p2 * p2)
-    return x, (1 - p1 * p1 * x) // (p2 * p2)
-
-
 def atf_for_markov(t: MarkovTriple) -> AtfDiagram:
     """Almost toric diagram of CP^2 for a Markov triple (p1, p2, p3): the
     moment triangle of the weighted projective plane P(p1^2, p2^2, p3^2),
     a degeneration of CP^2, with its three corners traded for nodes.
 
-    With w = (p1^2, p2^2, p3^2) and w0 x + w1 y = 1, the primitive normals
-    n0 = (w1, -w2 x), n1 = (-w0, -w2 y), n2 = (0, 1) satisfy
-    w0 n0 + w1 n1 + w2 n2 = 0, and the triangle <n_i, v> >= -1 has area 9/2
-    and its centre at the origin.  The corner where n_j and n_k meet has
-    order |det(n_j, n_k)| = w_i, its eigenline runs through the centre, and
-    Cramer's rule puts it over p1 p2 p3 in closed form.  Each node sits
-    three quarters of the way from its corner to the centre, where the three
-    eigenlines meet and no cut reaches, so no transfer of a cut is blocked.
-    The triangle is drawn in the reduced frame of its corners, starting at
-    its least corner, and translated by (1, 1), which makes (1,1,1) the
-    standard triangle with its corners traded.  The pair (x, y) comes from
-    the Bezout pair of p1 and p2 (`_squares_pair`); any other pair shears
-    the normals by a unimodular map, and the reduced frame gives the same
-    diagram as, for example, Euclid's pair for (w0, w1).
-    """
+    The triangle is read off the q-triple (Hacking-Prokhorov,
+    arXiv:0808.1550; Vianna, arXiv:1305.7512).  Over den = p1 p2 p3, its
+    edges run counterclockwise along (p1^2, p1 q1 - 1), (-p2^2, p2 q2 - 1)
+    and (0, -1), with lattice lengths 3 p2^2, 3 p1^2 and 3 p3^2, between
+    corners of orders p3^2, p2^2 and p1^2; it closes by `verify_q`'s
+    condition 1.  Its centre, the origin, is at lattice distance 1 from
+    each edge, which puts the corner of order p1^2 at (-den, -p2 p3 q1).
+    Each node sits three quarters of the way from its corner to the centre,
+    where the three eigenlines meet and no cut reaches, so no transfer of a
+    cut is blocked.  The triangle is drawn in the reduced frame of its
+    corners, starting at its least corner, and translated by (1, 1), which
+    makes (1,1,1) the standard triangle with its corners traded."""
     p1, p2, p3 = t.entries()
-    x, y = _squares_pair(p1, p2)
-    # counterclockwise, the corners where n1 meets n0, n0 n2 and n2 n1, over
-    # den; p1^2 + p2^2 = p3 (3 p1 p2 - p3), and p1 | 1 + p3^2 y as p3^2 =
-    # -p2^2 (mod p1) and p2^2 y = 1 (mod p1^2); p2 | 1 + p3^2 x alike
+    # q1 + p1 shears the triangle by (x, y) -> (x, x + y), and any shear
+    # reduces to the same frame unless the reduced form ties, as it does at
+    # (1,1,1), proportional to [[6, -3], [-3, 6]]: there the sheared corners
+    # are the ones that reduce to the frame of the standard triangle
+    q1 = derive_q(t).q1 + p1
     den = p1 * p2 * p3
-    ints = [
-        ((x - y) * den, (3 * p1 * p2 - p3) * p1 * p2),
-        (-((1 + p3 * p3 * x) // p2) * p1 * p3, -den),
-        ((1 + p3 * p3 * y) // p1 * p2 * p3, -den),
-    ]
+    ax, ay = -den, -p2 * p3 * q1
+    s = 3 * p2 * p2
+    ints = [(ax + s * p1 * p1, ay + s * (p1 * q1 - 1)), (ax, ay + 3 * p3 * p3), (ax, ay)]
     m00, m01, m10, m11 = _reducing_frame(ints)
     ints = [(m00 * x + m01 * y, m10 * x + m11 * y) for x, y in ints]
     first = ints.index(min(ints))

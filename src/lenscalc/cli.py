@@ -60,9 +60,9 @@ class _Parser(argparse.ArgumentParser):
 def integer(text: str) -> int:
     """An integer argument in decimal digits, the form every JSON reader
     takes; anything else raises ValueError."""
-    if not farey._DECIMAL.fullmatch(text):
+    if "/" in text or (nd := farey._decimal(text)) is None:
         raise ValueError(f"invalid integer value: {text!r:.40}")
-    return int(text)
+    return nd[0]
 
 
 def parse_script_args(parser: argparse.ArgumentParser) -> argparse.Namespace:
@@ -227,10 +227,9 @@ def _cmd_atf_move(args) -> int:
     else:
         param = args.slide[1]
         # "n" or "n/d" in decimal digits, the forms each `to_json_obj` writes
-        if not farey._RATIONAL.fullmatch(param):
+        if (nm := farey._decimal(param)) is None:
             raise ValueError(f"not an integer or n/d: {param!r:.40}")
-        n, _, m = param.partition("/")
-        n, m = int(n), int(m or 1)
+        n, m = nm
         if m == 0:
             raise ValueError(f"slide parameter {param} has denominator 0")
         out = atf.nodal_slide(d, index, n, m)

@@ -19,10 +19,23 @@ from math import gcd
 from .errors import DegenerateInputError, InvariantError, PreconditionError
 
 
-# integers and rationals in ASCII decimal digits, the forms every JSON
-# reader and argument takes; int() would also take "1_0", " 3" or "٣"
-_DECIMAL = re.compile(r"-?[0-9]+")
-_RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
+# "n" or "n/d" in ASCII decimal digits, the one form every JSON reader and
+# argument takes; int() would also take "1_0", " 3" or "٣"
+_DECIMAL = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
+
+
+def _decimal(text) -> tuple[int, int] | None:
+    """(n, d) of a string "n" (d = 1) or "n/d" in ASCII decimal digits, d
+    possibly 0; None for anything else, more digits than int() converts
+    included."""
+    m = type(text) is str and _DECIMAL.fullmatch(text)
+    if not m:
+        return None
+    n, d = m.groups()
+    try:
+        return int(n), int(d or 1)
+    except ValueError:  # more digits than int() converts
+        return None
 
 
 def _bezout(a: int, b: int) -> tuple[int, int]:
@@ -62,10 +75,9 @@ class Slope:
         "-inf"; anything else raises ValueError."""
         if text in ("inf", "-inf"):
             return cls(1, 0)
-        if not _RATIONAL.fullmatch(text):
+        if (nd := _decimal(text)) is None:
             raise ValueError(f"not a slope n or n/d: {text!r:.40}")
-        n, _, d = text.partition("/")
-        return cls(int(n), int(d or 1))
+        return cls(*nd)
 
     def __str__(self) -> str:
         if self.den == 0:
@@ -245,11 +257,8 @@ def _json_int(x) -> int:
     booleans, more digits than int() converts and the rest raise InvariantError."""
     if type(x) is int:
         return x
-    if type(x) is str and _DECIMAL.fullmatch(x):
-        try:
-            return int(x)
-        except ValueError:  # more digits than int() converts
-            pass
+    if (nd := _decimal(x)) and "/" not in x:
+        return nd[0]
     raise InvariantError(f"not an integer: {x!r:.40}")
 
 
@@ -260,15 +269,8 @@ def _json_ratio(x) -> tuple[int, int]:
     digits than int() converts and anything else raise InvariantError."""
     if type(x) is int:
         return x, 1
-    if type(x) is str and _RATIONAL.fullmatch(x):
-        n, _, d = x.partition("/")
-        try:
-            n, d = int(n), int(d or 1)
-        except ValueError:  # more digits than int() converts
-            pass
-        else:
-            if d:
-                return n, d
+    if (nd := _decimal(x)) and nd[1]:
+        return nd
     raise InvariantError(f"not a rational: {x!r:.40}")
 
 
@@ -289,17 +291,18 @@ def _json_array(x) -> list:
     return x
 
 
-def _json_member(obj, key: str, default=None):
-    """The member `key` of a JSON object, or `default` when it has none; a
-    missing member with no default, or anything but an object, raises
-    InvariantError."""
+def _json_object(obj, *required: str, **optional) -> list:
+    """The members of a JSON object, in the order named: each required one,
+    then each optional one, or its default when the object has none.
+    Anything but an object, then a missing required member, then the first
+    member in document order that is not named, raises InvariantError."""
     if type(obj) is not dict:
         raise InvariantError(f"not an object: {obj!r:.40}")
-    if key in obj:
-        return obj[key]
-    if default is None:
-        raise InvariantError(f"missing member: {key!r}")
-    return default
+    if missing := [k for k in required if k not in obj]:
+        raise InvariantError(f"missing member: {missing[0]!r}")
+    if unknown := [k for k in obj if k not in required and k not in optional]:
+        raise InvariantError(f"unknown member: {unknown[0]!r:.40}")
+    return [obj[k] for k in required] + [obj.get(k, v) for k, v in optional.items()]
 
 
 @dataclass(frozen=True, slots=True)
@@ -375,9 +378,8 @@ class DecoratedPath:
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "DecoratedPath":
-        slopes = _json_array(_json_member(obj, "slopes"))
+        slopes, signs = map(_json_array, _json_object(obj, "slopes", "signs"))
         slopes = tuple(Slope(*_json_pair(s, _json_int)) for s in slopes)
-        signs = _json_array(_json_member(obj, "signs"))
         if bad := [s for s in signs if s not in ("+", "-", "o")]:
             raise InvariantError(f"not a sign: {bad[0]!r:.40}")
         return cls(slopes, tuple(map(EdgeSign, signs)))

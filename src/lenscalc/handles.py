@@ -7,8 +7,9 @@ framing acts on the splitting torus as the right-handed Dehn twist
 v -> v + det(v, gamma) * gamma, the transvection `farey.transvect` along
 (lambda; mu) with k the framing, applied to each vector with no matrix
 built (`push`).  A diagram's JSON document is an object whose `curves` is
-an array; each curve and `handles` are objects, and the reader rejects
-anything else with one exact message.
+an array; each curve and `handles` are objects, none with a member the
+reader does not name, `handles` counts one 0- and one 1-handle, and the
+reader rejects anything else with one exact message.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from enum import Enum
 from math import gcd
 
 from .errors import InternalConsistencyError, InvariantError, PreconditionError
-from .farey import ZERO, IntMat2, Slope, _json_array, _json_int, _json_member, det, transvect
+from .farey import ZERO, IntMat2, Slope, _json_array, _json_int, _json_object, det, transvect
 from .lens import ThreeManifold, lens_from_meridian_slopes
 from .markov import MarkovTriple, QTriple, verify_q
 
@@ -75,12 +76,16 @@ class HorizontalDiagram:
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "HorizontalDiagram":
+        curves, handles = _json_object(obj, "curves", handles={})
         curves = tuple(
-            TorusCurve(*(_json_int(_json_member(c, k)) for k in ("mu", "lambda", "framing")))
-            for c in _json_array(_json_member(obj, "curves"))
+            TorusCurve(*map(_json_int, _json_object(c, "mu", "lambda", "framing")))
+            for c in _json_array(curves)
         )
-        handles = _json_member(obj, "handles", {})
-        return cls(curves, *(_json_int(_json_member(handles, k, 0)) for k in ("h3", "h4")))
+        h0, h1, h3, h4 = _json_object(handles, h0=1, h1=1, h3=0, h4=0)
+        # the integer 1 or the string "1": true and 1.0 compare equal to 1
+        if any((type(h), h) not in ((int, 1), (str, "1")) for h in (h0, h1)):
+            raise InvariantError("a diagram has one 0-handle and one 1-handle")
+        return cls(curves, _json_int(h3), _json_int(h4))
 
 
 def push(d: HorizontalDiagram, lam: int, mu: int) -> tuple[int, int]:

@@ -313,8 +313,11 @@ def _corner_order(verts: tuple, p: tuple[int, int]) -> int | None:
 def crit8_atf_pipeline(r: TripleRecord) -> list[str]:
     """The almost toric diagram is consistent, each node reads a lens space
     of the order of the corner at its own cut end, and the corners read
-    L(p_i^2, p_i q_i - 1) for the derived q-triple.  At the root, a cut
-    transferred twice gives the diagram back."""
+    L(p_i^2, p_i q_i - 1) for the derived q-triple.  The diagram is built
+    from q, so the p1^2 and p2^2 corners read theirs by construction; the
+    p3^2 corner, the node reports and the corner orders are real tests, and
+    the tests check the diagram against the weights, which read no q.  At
+    the root, a cut transferred twice gives the diagram back."""
     t = r.t
     d = atf.atf_for_markov(t)
     if not atf.is_consistent(d):

@@ -18,9 +18,11 @@ reads it as not fixed and matching no edges, and a zero vector as parallel
 to nothing, as the library does.
 
 The Fraction construction is the closed-form `atf_for_markov` as it was
-when its Lagrange reduction stepped the Fraction corners themselves.  The
-library now steps the integer second-moment form and applies the product
-map once; both must give the same diagram, JSON for JSON.
+when it solved for the corners from the weights (p1^2, p2^2, p3^2) and its
+Lagrange reduction stepped the Fraction corners themselves.  It reads no
+q-triple.  The library now reads the triangle off the q-triple, steps the
+integer second-moment form and applies the product map once; both must
+give the same diagram, JSON for JSON.
 
 The map search is the original `affinely_equivalent`: for each labelling
 of the second diagram's vertices it solves for the linear map in

@@ -5,8 +5,10 @@ replay.  The replay shrinks cuts while it runs, so node positions differ;
 the polygons must agree up to an integral affine map and the corners must
 give the same lens readouts.
 
-The closed-form construction must give the same JSON as its Fraction
-original, whose Lagrange reduction steps the Fraction corners.
+The closed-form construction, read off the q-triple, must give the same
+JSON as its Fraction original, built from the weights (p1^2, p2^2, p3^2)
+alone, with no q, whose Lagrange reduction steps the Fraction corners: to
+depth 13 and on deeper words.
 
 The integer consistency checker, `node_boundary_lens` and the convexity
 test of `AtfDiagram` are compared with their Fraction originals, on the
@@ -51,10 +53,6 @@ The matrix monodromy kept in `atf_reference`, the oracle of the vector
 transvection, fixes its primitive vector, has det 1 and rejects an
 imprimitive one.
 
-`atf_for_markov` solves p1^2 x + p2^2 y = 1 from the Bezout pair of p1 and
-p2; its JSON must equal, byte for byte, the JSON it gives with Euclid's pair
-of (p1^2, p2^2) from `farey_reference._bezout`, to depth 13 and on deeper
-words.
 """
 
 import json
@@ -70,7 +68,6 @@ from hypothesis import strategies as st
 
 import atf_reference as ref
 from atf_reference import rational_diagram
-from farey_reference import _bezout as euclid
 from farey_reference import identity, matmul
 from lenscalc import atf
 from lenscalc.atf import (
@@ -140,28 +137,14 @@ def test_matches_replay(t):
 
 
 def test_closed_form_matches_fraction_construction():
-    # the tree to depth 10, and the fastest- and slowest-growing branches
-    for t in [t for t, _ in enumerate_tree(10)] + [replay("L" * 19), replay("R" * 300)]:
-        assert atf_for_markov(t).to_json_obj() == ref.fraction_atf_for_markov(t).to_json_obj(), t
-
-
-def test_squares_pair_gives_the_euclid_diagram(monkeypatch):
-    # the pair from the Bezout pair of (p1, p2) and Euclid's of (p1^2, p2^2)
-    # differ for about half the triples, and give the same JSON, byte for
-    # byte: every triple to depth 13, the depth-16 word of the fastest
-    # branch, and seeded words of 14 to 20 letters
+    # every triple to depth 13, the fastest-growing branch at depths 16 and
+    # 19, the slowest-growing at depth 300, and seeded words of 14 to 20
+    # letters: the triangle read off the q-triple is the one of the weights
     rng = random.Random(11)
-    words = ["L" * 16]
+    words = ["L" * 16, "L" * 19, "R" * 300]
     words += ["".join(rng.choice("LR") for _ in range(rng.randint(14, 20))) for _ in range(20)]
-    triples = [t for t, _ in enumerate_tree(13)] + [replay(w) for w in words]
-    for t in triples:
-        x, y = atf._squares_pair(t.p1, t.p2)
-        assert t.p1**2 * x + t.p2**2 * y == 1 and 0 <= x < t.p2**2, t
-    got = [json.dumps(atf_for_markov(t).to_json_obj()) for t in triples]
-    monkeypatch.setattr(atf, "_squares_pair", lambda p1, p2: euclid(p1 * p1, p2 * p2))
-    assert sum(atf._squares_pair(t.p1, t.p2)[0] < 0 for t in triples) > len(triples) // 3
-    for t, text in zip(triples, got):
-        assert json.dumps(atf_for_markov(t).to_json_obj()) == text, t
+    for t in [t for t, _ in enumerate_tree(13)] + [replay(w) for w in words]:
+        assert atf_for_markov(t).to_json_obj() == ref.fraction_atf_for_markov(t).to_json_obj(), t
 
 
 @settings(max_examples=300, deadline=None)

@@ -349,9 +349,10 @@ class TestDecoratedPathLoaderFuzz:
 
 
 # the wording of Python's own KeyError, TypeError, ValueError and
-# AttributeError texts, which no reader's message may carry
+# AttributeError texts, and of int()'s digit limit, which no reader's
+# message may carry
 PYTHON_WORDING = ["indices must be", "has no attribute", "is not a valid", "not subscriptable",
-                  "unhashable"]
+                  "unhashable", "Exceeds the limit", "int_max_str_digits"]
 
 
 def assert_no_python_wording(message):
@@ -671,6 +672,67 @@ class TestDocumentShape:
         self.check(capsys, tmp_path, "atf", ["nodes"], value, message)
         self.check(capsys, tmp_path, "handle", ["curves", 0], value, "not an object: '" + "x" * 39)
 
+    @pytest.mark.parametrize(
+        "reader, where",
+        [
+            ("path", ["slope"]),
+            ("handle", ["handle"]),
+            ("handle", ["curves", 1, "mu2"]),
+            ("handle", ["handles", "h2"]),
+            ("atf", ["node"]),
+            ("atf", ["nodes", 2, "cut"]),
+        ],
+        ids=lambda v: v if isinstance(v, str) else ".".join(map(str, v)),
+    )
+    def test_an_unknown_member_is_rejected(self, capsys, tmp_path, reader, where):
+        self.check(capsys, tmp_path, reader, where, 0, f"unknown member: {where[-1]!r}")
+
+    @pytest.mark.parametrize(
+        "reader, argv, optional",
+        [("handle", ["handle", "mutate", "--slot", "first"], "handles"),
+         ("atf", ["atf", "move", "--transfer", "0"], "nodes")],
+    )
+    def test_a_misspelt_optional_member_is_rejected(
+        self, capsys, tmp_path, reader, argv, optional
+    ):
+        # "handle" once read as a diagram with no 3- or 4-handles, and
+        # "node" as a diagram with no nodes
+        cls, _, doc = READERS[reader]
+        doc = {k if k != optional else optional[:-1]: v for k, v in doc.items()}
+        message = f"unknown member: {optional[:-1]!r}"
+        with pytest.raises(InvariantError, match=f"^{message}$"):
+            cls.from_json_obj(doc)
+        f = tmp_path / "input.json"
+        f.write_text(json.dumps(doc))
+        code, out, err = run(capsys, *argv[:2], str(f), *argv[2:])
+        assert (code, out) == (2, "")
+        assert err == json.dumps({"error": "invariant-violated", "message": message},
+                                 separators=(",", ":")) + "\n"
+
+    def test_the_first_unknown_member_in_document_order(self):
+        # a missing member comes before an unknown one
+        doc = {"zeta": 1, "vertices": ATF_ROOT_DOC["vertices"], "alpha": 2}
+        with pytest.raises(InvariantError, match="^unknown member: 'zeta'$"):
+            AtfDiagram.from_json_obj(doc)
+        with pytest.raises(InvariantError, match="^missing member: 'signs'$"):
+            DecoratedPath.from_json_obj({"zeta": 1, "slopes": PATH_DOC["slopes"]})
+
+    @pytest.mark.parametrize("handle", ["h0", "h1"])
+    @pytest.mark.parametrize(
+        "value", [0, 2, -1, "2", "01", "abc", [], {}, None, True, 1.0], ids=repr
+    )
+    def test_one_0_handle_and_one_1_handle(self, capsys, tmp_path, handle, value):
+        # "h1": 2 once read as CP^2, and "h0": "abc" as one 0-handle
+        message = "a diagram has one 0-handle and one 1-handle"
+        self.check(capsys, tmp_path, "handle", ["handles", handle], value, message)
+
+    def test_one_handle_reads_as_json_or_as_a_string(self):
+        curves = ROOT_HANDLE_DOC["curves"]
+        want = HorizontalDiagram.from_json_obj(ROOT_HANDLE_DOC)
+        for h in (1, "1"):
+            doc = {"curves": curves, "handles": {"h0": h, "h1": h, "h3": 1, "h4": 1}}
+            assert HorizontalDiagram.from_json_obj(doc) == want
+
     def test_the_optional_members_default_as_before(self):
         # an absent `nodes` reads as no nodes, an absent `handles`, `h3` or
         # `h4` as no such handles
@@ -720,6 +782,37 @@ class TestDecimalArguments:
         code, out, err = run(capsys, *argv)
         assert (code, out) == (2, "")
         assert json.loads(err)["error"] == error
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["farey", "path", "9" * 5000, "0"], "not a slope n or n/d: "),
+            (["farey", "path", "0", "-1/" + "9" * 5000], "not a slope n or n/d: "),
+            (["atf", "move", "@atf", "--slide", "9" * 5000, "1/2"], "invalid integer value: "),
+            (["atf", "move", "@atf", "--slide", "0", "1/" + "9" * 5000], "not an integer or n/d: "),
+            (["atf", "move", "@atf", "--slide", "0", "9" * 5000], "not an integer or n/d: "),
+        ],
+        ids=["farey-path-src", "farey-path-dst", "slide-index", "slide-denominator",
+             "slide-numerator"],
+    )
+    def test_more_digits_than_int_converts(self, capsys, tmp_path, argv, message):
+        # each once answered with int()'s own text, "Exceeds the limit (4300
+        # digits) for integer string conversion: ..."
+        f = tmp_path / "diagram.json"
+        f.write_text(json.dumps(ATF_ROOT_DOC))
+        text = next(a for a in argv if len(a) > 4300)
+        message += repr(text)[:40]
+        argv = [str(f) if a == "@atf" else a for a in argv]
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err == json.dumps({"error": "bad-input", "message": message},
+                                 separators=(",", ":")) + "\n"
+
+    def test_integer_past_the_digit_limit(self):
+        with pytest.raises(ValueError) as info:
+            cli.integer("9" * 5000)
+        assert str(info.value) == "invalid integer value: '" + "9" * 39
+        assert cli.integer("-" + "9" * 4300) == -int("9" * 4300)
 
     @pytest.mark.parametrize(
         "argv, want",
@@ -858,12 +951,16 @@ class TestArgvFuzz:
     @example(["atf", "move", "@atf", "--slide", "0", "1e999999999"])
     @example(["atf", "move", "@atf-exponent", "--slide", "0", "1/2"])
     @example(["farey", "path", "-1000000000000", "0"])  # over the vertex cap
+    # more digits than int() converts, which once answered with int()'s text
+    @example(["farey", "path", "9" * 5000, "0"])
+    @example(["atf", "move", "@atf", "--slide", "9" * 5000, "1/2"])
+    @example(["atf", "move", "@atf", "--slide", "0", "1/" + "9" * 5000])
     @settings(max_examples=300, deadline=None)
     def test_every_argv_ends_in_json(self, argv_files, argv):
         """Exit 0 or 1 with JSON on stdout (text for `handle build-x`
         without --json) and nothing on stderr, or 2 with nothing on stdout
-        and one error object on stderr; nothing raises, not even a warning
-        that escapes the CLI."""
+        and one error object on stderr, whose message carries no Python
+        wording; nothing raises, not even a warning that escapes the CLI."""
         argv = [argv_files.get(a, a) for a in argv]
         out, err = io.StringIO(), io.StringIO()
         with redirect_stdout(out), redirect_stderr(err), warnings.catch_warnings():
@@ -873,7 +970,9 @@ class TestArgvFuzz:
         if code == 2:
             assert out.getvalue() == ""
             [line] = err.getvalue().splitlines()
-            assert set(json.loads(line)) == {"error", "message"}
+            error = json.loads(line)
+            assert set(error) == {"error", "message"}
+            assert_no_python_wording(error["message"])
             return
         assert err.getvalue() == ""
         if argv[:2] == ["handle", "build-x"] and "--json" not in argv:

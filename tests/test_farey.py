@@ -14,6 +14,7 @@ from lenscalc.farey import (
     EdgeSign,
     IntMat2,
     Slope,
+    _decimal,
     classify,
     cw_between,
     det,
@@ -52,6 +53,36 @@ class TestSlope:
         assert s("-8/5") == Slope(-8, 5)
         assert s("3") == Slope(3, 1)
         assert s("inf") == Slope(1, 0)
+
+    def test_parse_past_the_digit_limit(self):
+        # int() refuses more than 4300 digits, with its own text
+        for text in ["9" * 5000, "1/" + "9" * 5000]:
+            with pytest.raises(ValueError) as info:
+                s(text)
+            assert str(info.value) == "not a slope n or n/d: " + repr(text)[:40]
+
+
+class TestDecimalReader:
+    """The one reader of "n" and "n/d" in ASCII decimal digits, behind every
+    JSON integer and rational and every integer, slope and slide argument."""
+
+    @pytest.mark.parametrize(
+        "text, want",
+        [("0", (0, 1)), ("-8/5", (-8, 5)), ("5/0", (5, 0)), ("-0/0", (0, 0)), ("08/05", (8, 5)),
+         ("9" * 4300, (int("9" * 4300), 1))],
+        ids=repr,
+    )
+    def test_reads_n_and_n_over_d(self, text, want):
+        assert _decimal(text) == want
+
+    @pytest.mark.parametrize(
+        "text",
+        ["", "/", "1/", "/2", "1/2/3", "+1", "3/-2", " 3", "3 ", "1_0", "\u0663", "1.5", "1e3",
+         "inf", "9" * 4301, "1/" + "9" * 5000, 5, None, ["1"], b"1"],
+        ids=lambda t: repr(t)[:20],
+    )
+    def test_anything_else_is_none(self, text):
+        assert _decimal(text) is None
 
 
 def mult(u, v):

@@ -73,6 +73,18 @@ def derive_q_shifted(field, entry):
     return plant
 
 
+def atf_q1_plus_one(mp):
+    # the diagram reads `atf`'s own binding of derive_q, which the faults of
+    # `markov.derive_q` above leave as it is
+    real = atf.derive_q
+
+    def derive_q(t):
+        q = real(t)
+        return replace(q, q1=q.q1 + 1)
+
+    mp.setattr(atf, "derive_q", derive_q)
+
+
 def slots_swapped(mp):
     real = handles.slide_mutation
     other = {handles.Slot.FIRST: handles.Slot.SECOND, handles.Slot.SECOND: handles.Slot.FIRST}
@@ -109,6 +121,7 @@ FAULTS = {
     "readout-mirrored": (readout_mirrored, [3, 4, 8, 9]),
     "derive-q-q3-plus-p3": (derive_q_shifted("q3", "p3"), [1, 2, 3, 4, 6]),
     "derive-q-q1-plus-p1": (derive_q_shifted("q1", "p1"), [1, 2, 3, 4, 6]),
+    "atf-derive-q-q1-plus-one": (atf_q1_plus_one, [8]),
     "slide-slots-swapped": (slots_swapped, [6]),
     "node-readout-mirrored": (node_readout_mirrored, [8]),
     "atf-transvect-inverse": (inverse_transvection_in(atf), [8]),
