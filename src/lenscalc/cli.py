@@ -57,11 +57,17 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(2)
 
 
+class _IntegerError(ValueError, argparse.ArgumentTypeError):
+    """`integer`'s error: a ValueError, which `main` reports as bad-input,
+    and an ArgumentTypeError, whose text argparse prints as it is, where it
+    would print the whole argument for a plain ValueError."""
+
+
 def integer(text: str) -> int:
     """An integer argument in decimal digits, the form every JSON reader
-    takes; anything else raises ValueError."""
+    takes; anything else raises ValueError, its text cut to 40 characters."""
     if "/" in text or (nd := farey._decimal(text)) is None:
-        raise ValueError(f"invalid integer value: {text!r:.40}")
+        raise _IntegerError(f"invalid integer value: {text!r:.40}")
     return nd[0]
 
 
@@ -83,12 +89,20 @@ def _check_depth(depth: int) -> int:
 
 def _load_json(path: str) -> dict:
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+        with open(path, "rb") as fh:
+            return json.loads(fh.read().decode("utf-8"))
     except OSError as exc:
         raise PreconditionError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise PreconditionError(f"{path} is not valid JSON: byte {exc.start} is not UTF-8") from exc
     except json.JSONDecodeError as exc:
         raise PreconditionError(f"{path} is not valid JSON: {exc}") from exc
+    except ValueError as exc:
+        # the one other ValueError of json: int() refusing a number literal
+        raise PreconditionError(
+            f"{path} is not valid JSON: a number has more than {sys.get_int_max_str_digits()} "
+            "digits, the input digit limit of str-to-int conversion"
+        ) from exc
     except RecursionError as exc:
         raise PreconditionError(f"{path} is nested too deeply to read") from exc
 

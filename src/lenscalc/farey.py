@@ -90,6 +90,18 @@ class Slope:
 _set_num = Slope.num.__set__
 _set_den = Slope.den.__set__
 
+
+def _slope(n: int, d: int) -> Slope:
+    """The Slope of a vector its caller proves primitive: the sign rule of
+    `Slope` and no gcd."""
+    s = object.__new__(Slope)
+    if d < 0 or (d == 0 and n < 0):
+        n, d = -n, -d
+    _set_num(s, n)
+    _set_den(s, d)
+    return s
+
+
 INFINITY = Slope(1, 0)
 ZERO = Slope(0, 1)
 

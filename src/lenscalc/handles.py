@@ -10,6 +10,13 @@ built (`push`).  A diagram's JSON document is an object whose `curves` is
 an array; each curve and `handles` are objects, none with a member the
 reader does not name, `handles` counts one 0- and one 1-handle, and the
 reader rejects anything else with one exact message.
+
+A value is validated once, where it enters the program: `TorusCurve`
+checks its class is primitive on every call, and `boundary_of_diagram`
+checks the pushed class once.  A value derived from validated ones by a
+map that keeps primitivity is built in place with no gcd: the boundary's
+outer slope (`farey._slope`), and the slide's fixed and moved curves
+(`_curve`).
 """
 
 from __future__ import annotations
@@ -19,7 +26,7 @@ from enum import Enum
 from math import gcd
 
 from .errors import InternalConsistencyError, InvariantError, PreconditionError
-from .farey import ZERO, IntMat2, Slope, _json_array, _json_int, _json_object, det, transvect
+from .farey import ZERO, IntMat2, _json_array, _json_int, _json_object, _slope, det, transvect
 from .lens import ThreeManifold, lens_from_meridian_slopes
 from .markov import MarkovTriple, QTriple, verify_q
 
@@ -40,6 +47,14 @@ class TorusCurve:
 
     def __str__(self) -> str:
         return f"{self.mu}*mu + {self.lam}*lambda (framing {self.framing:+d})"
+
+
+def _curve(mu: int, lam: int) -> TorusCurve:
+    """The framing -1 TorusCurve of a class its caller proves primitive,
+    with no gcd."""
+    c = object.__new__(TorusCurve)
+    c.__dict__.update(mu=mu, lam=lam, framing=-1)
+    return c
 
 
 def twist_matrix(c: TorusCurve) -> IntMat2:
@@ -106,7 +121,8 @@ def boundary_of_diagram(d: HorizontalDiagram) -> ThreeManifold:
     lam, mu = push(d, 1, 0)
     if gcd(lam, mu) != 1:
         raise InternalConsistencyError("imprimitive class after a Dehn twist")
-    outer = Slope(mu, lam)
+    # primitive by the check above
+    outer = _slope(mu, lam)
     return ThreeManifold((lens_from_meridian_slopes(outer, ZERO),))
 
 
@@ -156,13 +172,15 @@ def slide_mutation(d: HorizontalDiagram, slot: Slot) -> HorizontalDiagram:
     g1, g2 = d.curves[0], d.curves[1]
     p2, q2 = -g1.mu, g1.lam
     p1, q1 = g2.mu, g2.lam
-    # twist the moved curve's (-q; p) along the fixed curve, flipped
+    # twist the moved curve's (-q; p) along the fixed curve, flipped.  Both
+    # curves are built in place: fixed's entries are a curve's up to sign,
+    # and (a, b) is a transvection's image of the primitive (-q, p)
     if slot is Slot.FIRST:
-        fixed, (p, q) = TorusCurve(-p2, -q2), (p1, q1)
+        fixed, (p, q) = _curve(-p2, -q2), (p1, q1)
     else:
-        fixed, (p, q) = TorusCurve(-p1, -q1), (p2, q2)
+        fixed, (p, q) = _curve(-p1, -q1), (p2, q2)
     a, b = transvect(fixed.lam, fixed.mu, fixed.framing, -q, p)
-    new_pair = (fixed, TorusCurve(-b, -a))
+    new_pair = (fixed, _curve(-b, -a))
     return HorizontalDiagram(new_pair + d.curves[2:], d.n3, d.n4)
 
 

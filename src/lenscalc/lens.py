@@ -12,6 +12,12 @@ s*s' = 1 (mod r), one product and no modular inverse.  The normal forms,
 which need an inverse, are computed only for hashing, printing, JSON and
 homeomorphism up to orientation; the verification criteria compare by
 equality alone, and a passing sweep computes none.
+
+A value is validated once, where it enters the program: `LensSpace(r, s)`
+checks gcd(r, s) = 1 on every call.  The one readout,
+`lens_from_meridian_slopes`, builds its space in place (`_lens`), with the
+sign rule and no gcd, since its pair is the image of a primitive slope
+under a determinant-1 map.
 """
 
 from __future__ import annotations
@@ -106,6 +112,16 @@ def boundary_Bpq(p: int, q: int) -> LensSpace:
     if gcd(p, q) != 1:
         raise PreconditionError(f"gcd({p},{q}) != 1")
     return LensSpace(p * p, p * q - 1)
+
+
+def _lens(r: int, s: int) -> LensSpace:
+    """The LensSpace of a pair its caller proves coprime: the sign rule of
+    `LensSpace` and no gcd."""
+    l = object.__new__(LensSpace)
+    if r < 0:
+        r, s = -r, -s
+    l.__dict__.update(r=r, s=s)
+    return l
 
 
 S3 = LensSpace(1, 0)
@@ -232,7 +248,9 @@ def lens_from_meridian_slopes(m1: Slope, m2: Slope) -> LensSpace:
     u, v = _bezout(m2.num, m2.den)
     a = m2.den * m1.num - m2.num * m1.den
     b = u * m1.num + v * m1.den
-    return LensSpace(a, -b)
+    # (a, b) is the image of the primitive m1 under [[m2.den, -m2.num], [u, v]],
+    # of determinant 1 by the Bezout identity, so it is primitive
+    return _lens(a, -b)
 
 
 def surgery_splitting(sigma: Slope, amb: Slope) -> ThreeManifold:

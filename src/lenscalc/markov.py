@@ -4,7 +4,11 @@ surgery coefficients (q-triples) with their verification conditions.
 The tree walk keeps no set of seen triples.  Its stem rule: the two
 mutations agree only on the stem (1,1,1) -> (1,1,2) -> (1,2,5), where the
 right child is skipped, and every other child is a new triple, as each
-triple descends to the root one way (`mutation_path`)."""
+triple descends to the root one way (`mutation_path`).
+
+A value is validated once, where it enters the program: `MarkovTriple`
+sorts and checks the Markov equation on every call, and `replay` walks on
+integers and validates only the triple it returns."""
 
 from __future__ import annotations
 
@@ -169,7 +173,15 @@ def mutation_path(t: MarkovTriple) -> str:
 
 
 def replay(word: str) -> MarkovTriple:
-    t = MarkovTriple(1, 1, 1)
+    """The triple reached from (1,1,1) by the mutation word, each letter
+    "L" or "R" as in `mutate`; any other letter raises ValueError.  The walk
+    is on integers, and the result is validated once, as a MarkovTriple."""
+    p1, p2, p3 = 1, 1, 1
     for ch in word:
-        t = mutate(t, Mutation(ch))
-    return t
+        # a child of a sorted triple is sorted, with its new entry last:
+        # 3 p_j p3 - p_i >= 2 p3, as p_j >= 1 and p_i <= p3
+        if Mutation(ch) is Mutation.LEFT:
+            p1, p2, p3 = p2, p3, 3 * p2 * p3 - p1
+        else:
+            p1, p2, p3 = p1, p3, 3 * p1 * p3 - p2
+    return MarkovTriple(p1, p2, p3)

@@ -123,12 +123,13 @@ def crit4_surgery(r: TripleRecord) -> list[str]:
     bad = _surgery_example() if t.entries() == (1, 1, 1) else []
     # Meridian slopes of the two sides of the two-curve diagram, read on the
     # Heegaard torus between the curves; the dual knot is the longitude there.
+    # Each is a twist's image of the primitive (1, 0), so it is built in place.
     inner, outer = r.sub.curves
     lam, mu = farey.transvect(inner.lam, inner.mu, inner.framing, 1, 0)
-    m_in = Slope(mu, lam)
+    m_in = farey._slope(mu, lam)
     # the inverse twist: the transvection with k negated
     lam, mu = farey.transvect(outer.lam, outer.mu, -outer.framing, 1, 0)
-    m_out = Slope(mu, lam)
+    m_out = farey._slope(mu, lam)
     ambient = lens.lens_from_meridian_slopes(m_in, m_out)
     if ambient != lens.LensSpace(-p3 * p3, p3 * q.q3 - 1):
         return bad + [f"{t}: ambient {ambient} is not L(-p3^2, p3 q3 - 1)"]

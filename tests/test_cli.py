@@ -326,6 +326,23 @@ INF_ENTRY = {"slopes": [[float("inf"), 1], ["0", "1"]], "signs": ["o"]}
 ZERO_ZERO = {"slopes": [["0", "0"], ["0", "1"]], "signs": ["o"]}
 
 
+def huge_number(doc, *where) -> bytes:
+    """doc as JSON text with the entry at the keys `where` a bare integer of
+    5000 digits, more than int() converts, which json.dumps cannot write."""
+    doc = json.loads(json.dumps(doc))
+    node = doc
+    for k in where[:-1]:
+        node = node[k]
+    node[where[-1]] = "HUGE"
+    return json.dumps(doc).replace('"HUGE"', "9" * 5000).encode()
+
+
+# the documents json cannot read: a number past the digit limit (HUGE_PATH
+# here, HUGE_MU and HUGE_EIGEN below), and bytes that are not UTF-8
+HUGE_PATH = huge_number({"slopes": [["-1", "1"], ["0", "1"]], "signs": ["o"]}, "slopes", 0, 0)
+NOT_UTF_8 = b"\xff\xfe{}"
+
+
 class TestDecoratedPathLoaderFuzz:
     @given(DECORATED_OBJS)
     @example(INF_ENTRY)
@@ -343,16 +360,18 @@ class TestDecoratedPathLoaderFuzz:
     @given(DECORATED_OBJS)
     @example(INF_ENTRY)
     @example(ZERO_ZERO)
+    @example(HUGE_PATH)
+    @example(NOT_UTF_8)
     @settings(max_examples=150, deadline=None)
     def test_classify_file_ends_in_json(self, obj):
         ends_in_json(["farey", "classify"], obj, "classification")
 
 
 # the wording of Python's own KeyError, TypeError, ValueError and
-# AttributeError texts, and of int()'s digit limit, which no reader's
-# message may carry
+# AttributeError texts, of int()'s digit limit and of the UTF-8 codec, which
+# no reader's message may carry
 PYTHON_WORDING = ["indices must be", "has no attribute", "is not a valid", "not subscriptable",
-                  "unhashable", "Exceeds the limit", "int_max_str_digits"]
+                  "unhashable", "Exceeds the limit", "int_max_str_digits", "codec can't decode"]
 
 
 def assert_no_python_wording(message):
@@ -360,14 +379,19 @@ def assert_no_python_wording(message):
 
 
 def ends_in_json(argv, obj, key):
-    """Run the command on obj written as a JSON file: it exits 0 or 1 with
-    JSON holding key on stdout, or 2 with an error object on stderr whose
-    message carries no Python exception wording."""
+    """Run the command on obj written as a JSON file, or written as it is
+    if it is bytes: it exits 0 or 1 with JSON holding key on stdout, or 2
+    with an error object on stderr whose message carries no Python exception
+    wording."""
     out, err = io.StringIO(), io.StringIO()
     with tempfile.TemporaryDirectory() as d:
         path = os.path.join(d, "input.json")
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(obj, fh)
+        if isinstance(obj, bytes):
+            with open(path, "wb") as fh:
+                fh.write(obj)
+        else:
+            with open(path, "w", encoding="utf-8") as fh:
+                json.dump(obj, fh)
         with redirect_stdout(out), redirect_stderr(err):
             code = cli.main([*argv[:2], path, *argv[2:]])
     assert code in (0, 1, 2)
@@ -418,6 +442,8 @@ INF_EIGEN = {
     **ATF_DOC,
     "nodes": [{**ATF_DOC["nodes"][0], "eigenvector": [float("inf"), "1"]}] + ATF_DOC["nodes"][1:],
 }
+HUGE_MU = huge_number(HANDLE_DOC, "curves", 0, "mu")
+HUGE_EIGEN = huge_number(ATF_ROOT_DOC, "nodes", 0, "eigenvector", 0)
 
 
 class TestDiagramLoaderFuzz:
@@ -432,6 +458,9 @@ class TestDiagramLoaderFuzz:
         ),
     )
     @example(INF_MU, (["handle", "recognize"], "cp2"))
+    @example(HUGE_MU, (["handle", "recognize"], "cp2"))
+    @example(HUGE_MU, (["handle", "mutate", "--slot", "first"], "curves"))
+    @example(NOT_UTF_8, (["handle", "recognize"], "cp2"))
     @settings(max_examples=150, deadline=None)
     def test_handle_commands_end_in_json(self, obj, command):
         argv, key = command
@@ -441,9 +470,50 @@ class TestDiagramLoaderFuzz:
     @example(INF_VERTEX, ["--transfer", "0"])
     @example(INF_EIGEN, ["--transfer", "0"])
     @example(EXPONENT_VERTEX, ["--transfer", "0"])
+    @example(HUGE_EIGEN, ["--transfer", "0"])
+    @example(HUGE_EIGEN, ["--slide", "0", "1/2"])
+    @example(NOT_UTF_8, ["--transfer", "0"])
     @settings(max_examples=150, deadline=None)
     def test_atf_move_ends_in_json(self, obj, move):
         ends_in_json(["atf", "move", *move], obj, "vertices")
+
+
+class TestUnreadableDocument:
+    """A file json cannot read ends in one precondition-failed message in the
+    reader's words, for each command that reads a document.  Both inputs
+    once answered bad-input with Python's own text: int()'s "Exceeds the
+    limit (4300 digits) ..." and the codec's "'utf-8' codec can't decode
+    byte 0xff ..."."""
+
+    READERS = {
+        "farey-classify": (["farey", "classify"], HUGE_PATH),
+        "handle-recognize": (["handle", "recognize"], HUGE_MU),
+        "handle-mutate": (["handle", "mutate", "--slot", "first"], HUGE_MU),
+        "atf-move": (["atf", "move", "--transfer", "0"], HUGE_EIGEN),
+    }
+
+    def read(self, capsys, tmp_path, command, text):
+        f = tmp_path / "doc.json"
+        f.write_bytes(text)
+        code, out, err = run(capsys, *command[:2], str(f), *command[2:])
+        assert (code, out) == (2, "")
+        return f, err
+
+    @pytest.mark.parametrize("reader", READERS)
+    def test_a_number_past_the_digit_limit(self, capsys, tmp_path, reader):
+        f, err = self.read(capsys, tmp_path, *self.READERS[reader])
+        message = (f"{f} is not valid JSON: a number has more than 4300 digits, "
+                   "the input digit limit of str-to-int conversion")
+        assert err == json.dumps({"error": "precondition-failed", "message": message},
+                                 separators=(",", ":")) + "\n"
+
+    @pytest.mark.parametrize("reader", READERS)
+    @pytest.mark.parametrize("text, byte", [(NOT_UTF_8, 0), (b'{"slopes": "\xc3(', 12)])
+    def test_bytes_that_are_not_utf_8(self, capsys, tmp_path, reader, text, byte):
+        f, err = self.read(capsys, tmp_path, self.READERS[reader][0], text)
+        message = f"{f} is not valid JSON: byte {byte} is not UTF-8"
+        assert err == json.dumps({"error": "precondition-failed", "message": message},
+                                 separators=(",", ":")) + "\n"
 
 
 class TestIntegerFields:
@@ -808,6 +878,46 @@ class TestDecimalArguments:
         assert err == json.dumps({"error": "bad-input", "message": message},
                                  separators=(",", ":")) + "\n"
 
+    # each integer argument, the huge value marked "@"
+    INTEGER_ARGUMENTS = {
+        "--depth": [["markov", "tree", "--depth", "@"], ["markov", "verify", "--depth", "@"],
+                    ["verify", "all", "--depth", "@"]],
+        "p1": [["markov", "derive-q", "@", "1", "1"], ["handle", "build-x", "@", "1", "1"],
+               ["atf", "build", "@", "1", "1"]],
+        "p2": [["markov", "derive-q", "1", "@", "1"], ["handle", "build-x", "1", "@", "1"],
+               ["atf", "build", "1", "@", "1"]],
+        "p3": [["markov", "derive-q", "1", "1", "@"], ["handle", "build-x", "1", "1", "@"],
+               ["atf", "build", "1", "1", "@"]],
+        "--knot": [["lens", "surgery", "--knot", "5", "@", "--ambient", "3", "1"]],
+        "--ambient": [["lens", "surgery", "--knot", "5", "-8", "--ambient", "@", "1"]],
+        "--transfer": [["atf", "move", "@atf", "--transfer", "@"]],
+    }
+
+    @pytest.mark.parametrize(
+        "name, argv", [(n, a) for n, argvs in INTEGER_ARGUMENTS.items() for a in argvs]
+    )
+    def test_integer_argument_is_cut_to_40_characters(self, capsys, tmp_path, name, argv):
+        # argparse once wrote the whole argument: 5 074 bytes for `markov tree`
+        f = tmp_path / "diagram.json"
+        f.write_text(json.dumps(ATF_ROOT_DOC))
+        huge = "9" * 5000
+        argv = [str(f) if a == "@atf" else huge if a == "@" else a for a in argv]
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        message = f"argument {name}: invalid integer value: " + repr(huge)[:40]
+        assert err == json.dumps({"error": "usage", "message": message},
+                                 separators=(",", ":")) + "\n"
+
+    # "x" * 38 has a repr of 40 characters, the longest that is not cut
+    @pytest.mark.parametrize("value", ["abc", "", "1/2", "1.5", "٣", "x'y", "x" * 38])
+    def test_a_short_bad_integer_reads_as_argparse_wrote_it(self, capsys, value):
+        code, out, err = run(capsys, "markov", "tree", "--depth", value)
+        assert (code, out) == (2, "")
+        assert json.loads(err) == {
+            "error": "usage",
+            "message": f"argument --depth: invalid integer value: {value!r}",
+        }
+
     def test_integer_past_the_digit_limit(self):
         with pytest.raises(ValueError) as info:
             cli.integer("9" * 5000)
@@ -881,7 +991,8 @@ SLIDE_PARAMS = st.one_of(
     HUGE,
 )
 FILES = st.sampled_from(
-    ["@path", "@handle", "@atf", "@atf-bad-end", "@atf-exponent", "@missing", "@dir", "@garbage"]
+    ["@path", "@handle", "@atf", "@atf-bad-end", "@atf-exponent", "@atf-huge-eigen", "@not-utf-8",
+     "@missing", "@dir", "@garbage"]
 )
 SVG_TARGETS = st.sampled_from([[], ["--svg", "@out.svg"], ["--svg", "@dir"], ["--svg", "@missing"]])
 ARGVS = st.one_of(
@@ -937,8 +1048,10 @@ def argv_files(tmp_path_factory):
     for name, doc in docs.items():
         files[name] = str(root / f"{name[1:]}.json")
         (root / f"{name[1:]}.json").write_text(json.dumps(doc))
-    files["@garbage"] = str(root / "garbage.json")
-    (root / "garbage.json").write_text("{not json")
+    for name, text in {"@garbage": b"{not json", "@atf-huge-eigen": HUGE_EIGEN,
+                       "@not-utf-8": NOT_UTF_8}.items():
+        files[name] = str(root / f"{name[1:]}.json")
+        (root / f"{name[1:]}.json").write_bytes(text)
     return files
 
 
@@ -955,12 +1068,18 @@ class TestArgvFuzz:
     @example(["farey", "path", "9" * 5000, "0"])
     @example(["atf", "move", "@atf", "--slide", "9" * 5000, "1/2"])
     @example(["atf", "move", "@atf", "--slide", "0", "1/" + "9" * 5000])
+    @example(["markov", "tree", "--depth", "9" * 5000])
+    @example(["atf", "build", "9" * 5000, "1", "1"])
+    # documents json cannot read, which once answered with Python's text
+    @example(["atf", "move", "@atf-huge-eigen", "--transfer", "0"])
+    @example(["farey", "classify", "@not-utf-8"])
     @settings(max_examples=300, deadline=None)
     def test_every_argv_ends_in_json(self, argv_files, argv):
         """Exit 0 or 1 with JSON on stdout (text for `handle build-x`
         without --json) and nothing on stderr, or 2 with nothing on stdout
         and one error object on stderr, whose message carries no Python
-        wording; nothing raises, not even a warning that escapes the CLI."""
+        wording and no long argument whole; nothing raises, not even a
+        warning that escapes the CLI."""
         argv = [argv_files.get(a, a) for a in argv]
         out, err = io.StringIO(), io.StringIO()
         with redirect_stdout(out), redirect_stderr(err), warnings.catch_warnings():
@@ -973,6 +1092,8 @@ class TestArgvFuzz:
             error = json.loads(line)
             assert set(error) == {"error", "message"}
             assert_no_python_wording(error["message"])
+            # a value is cut to 40 characters: no message echoes a long argument
+            assert not [a for a in argv if len(a) > 200 and a[:200] in error["message"]]
             return
         assert err.getvalue() == ""
         if argv[:2] == ["handle", "build-x"] and "--json" not in argv:

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -102,6 +104,29 @@ class TestMutation:
         p[i] = 3 * p[j] * p[k] - p[i]
         p[i] = 3 * p[j] * p[k] - p[i]
         assert tuple(p) == t.entries()
+
+
+def replay_by_mutate(word):
+    """The walk by `mutate`, one validated triple per letter."""
+    t = MarkovTriple(1, 1, 1)
+    for ch in word:
+        t = mutate(t, Mutation(ch))
+    return t
+
+
+class TestReplay:
+    def test_matches_the_walk_by_mutate(self):
+        # every word of length at most 12: 8191 words
+        for n in range(13):
+            for letters in itertools.product("LR", repeat=n):
+                word = "".join(letters)
+                got, want = replay(word), replay_by_mutate(word)
+                assert (got, repr(got), vars(got)) == (want, repr(want), vars(want)), word
+
+    @pytest.mark.parametrize("word", ["LX", "X", "l", "L R", "RRLx"])
+    def test_any_other_letter_raises(self, word):
+        with pytest.raises(ValueError):
+            replay(word)
 
 
 class TestTree:

@@ -11,7 +11,9 @@ root's transfers are checked, and there the three nodes are alike.  It
 stays in the table as a strict xfail, so the change that makes `verify all`
 catch it must also record the rows it fails.  Row 9's negative control
 catches the two looser `LensSpace.__eq__`, and row 8's per-node corner
-order catches the readout of the wrong node.
+order catches the readout of the wrong node.  Two faults sit in values
+built in place with no gcd: the slide's moved curve with its entries
+swapped, and a readout whose sign rule negates r alone.
 """
 
 from dataclasses import replace
@@ -91,6 +93,29 @@ def slots_swapped(mp):
     mp.setattr(handles, "slide_mutation", lambda d, slot: real(d, other[slot]))
 
 
+def moved_curve_transposed(mp):
+    # the slide's moved curve built in place as (-a, -b), not (-b, -a)
+    real = handles.slide_mutation
+
+    def slide_mutation(d, slot):
+        out = real(d, slot)
+        moved = out.curves[1]
+        curves = (out.curves[0], handles._curve(moved.lam, moved.mu)) + out.curves[2:]
+        return replace(out, curves=curves)
+
+    mp.setattr(handles, "slide_mutation", slide_mutation)
+
+
+def readout_s_unnegated(mp):
+    # the readout's sign rule negates r alone: L(-r, s) is built as L(r, s)
+    real = lens._lens
+
+    def _lens(r, s):
+        return real(r, s) if r >= 0 else real(-r, s)
+
+    mp.setattr(lens, "_lens", _lens)
+
+
 def node_readout_mirrored(mp):
     real = atf.node_boundary_lens
     mp.setattr(atf, "node_boundary_lens", lambda d, i: _mirror(real(d, i)))
@@ -123,6 +148,8 @@ FAULTS = {
     "derive-q-q1-plus-p1": (derive_q_shifted("q1", "p1"), [1, 2, 3, 4, 6]),
     "atf-derive-q-q1-plus-one": (atf_q1_plus_one, [8]),
     "slide-slots-swapped": (slots_swapped, [6]),
+    "slide-moved-curve-transposed": (moved_curve_transposed, [6]),
+    "readout-s-unnegated": (readout_s_unnegated, [3, 4, 6, 8, 9]),
     "node-readout-mirrored": (node_readout_mirrored, [8]),
     "atf-transvect-inverse": (inverse_transvection_in(atf), [8]),
     "handles-transvect-inverse": (inverse_transvection_in(handles), [3, 6, 9]),
